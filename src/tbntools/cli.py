@@ -544,7 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="enumerate every stable configuration")
     p.add_argument("--bound", type=int, default=None,
-                   help="polymer slot bound (default: limiting count)")
+                   help="polymer slot bound (default and minimum: the "
+                   "limiting-monomer count, the smallest bound known to "
+                   "hold every stable configuration; with --solution, "
+                   "the bound of the model that solution is for)")
     p.add_argument("--timeout", type=float, default=None,
                    help="wall-clock budget in seconds")
     p.add_argument("--solution", default=None,

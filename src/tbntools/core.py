@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -222,6 +223,30 @@ class Tbn:
             names |= mon.site_names()
         return sorted(names)
 
+    @cached_property
+    def site_matrix(self) -> tuple:
+        """Net site counts: one row per name of :meth:`site_names`, one
+        column per monomer type (unstarred minus starred occurrences).
+
+        Computed on first use and kept with the TBN, so parsing does not
+        pay for it.  A polymer is self-saturated iff every row's dot
+        product with its count vector is nonnegative.
+        """
+        return tuple(
+            tuple(mon.net_count(SiteType(name, False))
+                  for mon in self.monomer_types)
+            for name in self.site_names()
+        )
+
+    @cached_property
+    def site_matrix_nonzeros(self) -> tuple:
+        """Each row of :attr:`site_matrix` as its ``(column, entry)``
+        pairs with a nonzero entry."""
+        return tuple(
+            tuple((i, a) for i, a in enumerate(row) if a)
+            for row in self.site_matrix
+        )
+
     def total_site_count(self, s: SiteType) -> Count:
         """Total occurrences of the literal ``s`` across the TBN (with counts)."""
         total = 0
@@ -383,8 +408,20 @@ def exposed_sites(p: Polymer, t: Tbn) -> Counter:
 
 
 def is_self_saturated(p: Polymer, t: Tbn) -> bool:
-    """True iff the polymer exposes no starred site."""
-    return not any(s.starred for s in exposed_sites(p, t))
+    """True iff the polymer exposes no starred site.
+
+    Equivalent to ``not any(s.starred for s in exposed_sites(p, t))``,
+    evaluated as ``t.site_matrix . p.counts >= 0`` row by row over the
+    nonzero entries.
+    """
+    counts = p.counts
+    for row in t.site_matrix_nonzeros:
+        net = 0
+        for i, a in row:
+            net += a * counts[i]
+        if net < 0:
+            return False
+    return True
 
 
 def merge_count(pc: PartialConfiguration) -> int:

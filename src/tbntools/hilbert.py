@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (
     PartialConfiguration,
     Polymer,
-    SiteType,
     Tbn,
     TbnError,
     is_self_saturated,
@@ -57,15 +56,7 @@ class MatrixRepresentation:
 
 
 def matrix_representation(t: Tbn) -> MatrixRepresentation:
-    names = tuple(t.site_names())
-    rows = tuple(
-        tuple(
-            mon.net_count(SiteType(name, False))
-            for mon in t.monomer_types
-        )
-        for name in names
-    )
-    return MatrixRepresentation(names, rows)
+    return MatrixRepresentation(tuple(t.site_names()), t.site_matrix)
 
 
 def _in_cone(rows: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
@@ -86,6 +77,27 @@ def hilbert_basis(
     a vector grows along directions that reduce the value's norm.  Each
     exact solution found is minimal; grown vectors dominating a known
     solution are pruned.
+
+    The domination test is the hot loop, so each lifted vector is held as
+    one Python int: coordinate ``k`` sits in bits ``[w*k, w*k + w)``, and
+    the top bit of every field is a guard that the coordinates never
+    reach.  With ``G`` the guard bits of all fields, ``y >= b``
+    componentwise iff ``((y | G) - b) & G == G``: each field computes
+    ``2**(w-1) + y_k - b_k``, which stays in ``[1, 2**w)``, so no field
+    borrows from the next and its guard survives iff ``y_k >= b_k``.
+    Growing along direction ``k`` adds ``1 << (w*k)``.
+
+    Width invariant: the unit vectors are level 0, and a child made at
+    level ``L`` has 1-norm ``L + 2``.  Level ``L`` is expanded only when
+    the node count, at least ``L + 1`` by then, is within ``max_nodes``,
+    so no coordinate exceeds ``max_nodes + 1``, and ``w`` is one guard bit
+    wider than that value needs.  Mind ``max_nodes = 2**b - 1``: its
+    largest coordinate ``2**b`` needs ``b + 1`` bits, one more than
+    ``max_nodes`` itself, so ``w = b + 2``.
+
+    Each level's children are checked against every solution known when
+    they are made, so the re-filter at the end of a level tests only the
+    solutions found during that level.
     """
     caps = budget or HilbertBudget()
     if n is None:
@@ -102,19 +114,29 @@ def hilbert_basis(
     for r in range(m):
         columns.append(tuple(-int(r == i) for i in range(m)))
 
+    # every coordinate is at most max_nodes + 1 (the width invariant
+    # above); one more bit per field is its guard
+    width = (max(caps.max_nodes, 0) + 1).bit_length() + 1
+    units = [1 << (width * k) for k in range(dims)]
+    guard = sum(u << (width - 1) for u in units)
+
+    directions = [
+        (units[k], col, tuple((i, c) for i, c in enumerate(col) if c))
+        for k, col in enumerate(columns)
+    ]
     zero_value = (0,) * m
-    basis: List[Tuple[int, ...]] = []
+    basis: List[int] = []
 
-    def dominated(y: Tuple[int, ...]) -> bool:
-        return any(all(a >= b for a, b in zip(y, b_)) for b_ in basis)
+    def dominated(y: int, candidates: Sequence[int]) -> bool:
+        yg = y | guard
+        return any((yg - b) & guard == guard for b in candidates)
 
-    frontier: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    frontier: List[Tuple[int, Tuple[int, ...]]] = []
     for k in range(dims):
-        unit = tuple(int(i == k) for i in range(dims))
         if columns[k] == zero_value:
-            basis.append(unit)
+            basis.append(units[k])
         else:
-            frontier.append((unit, columns[k]))
+            frontier.append((units[k], columns[k]))
 
     nodes = 0
     while frontier:
@@ -123,29 +145,35 @@ def hilbert_basis(
             raise BasisError(
                 f"completion exceeded its budget ({nodes} nodes)"
             )
-        next_level: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        found_before = len(basis)
+        next_level: Dict[int, Tuple[int, ...]] = {}
         for y, value in frontier:
-            for k in range(dims):
-                if sum(a * b for a, b in zip(value, columns[k])) >= 0:
+            for unit, column, nonzeros in directions:
+                dot = 0
+                for i, c in nonzeros:
+                    dot += value[i] * c
+                if dot >= 0:
                     continue
-                child = list(y)
-                child[k] += 1
-                child_t = tuple(child)
-                if child_t in next_level or dominated(child_t):
+                child = y + unit
+                if child in next_level or dominated(child, basis):
                     continue
-                child_value = tuple(
-                    a + b for a, b in zip(value, columns[k])
-                )
+                child_value = tuple(a + b for a, b in zip(value, column))
                 if child_value == zero_value:
-                    basis.append(child_t)
+                    basis.append(child)
                 else:
-                    next_level[child_t] = child_value
-        # re-filter: solutions found this level prune the next frontier
+                    next_level[child] = child_value
+        # re-filter: every child was checked against the solutions known
+        # when it was made, so only this level's later finds can prune it
+        found = basis[found_before:]
         frontier = [
-            (y, v) for y, v in next_level.items() if not dominated(y)
+            (y, v) for y, v in next_level.items()
+            if not dominated(y, found)
         ]
 
-    projected = sorted(y[:n] for y in basis)
+    mask = (1 << width) - 1
+    projected = sorted(
+        tuple((y >> (width * k)) & mask for k in range(n)) for y in basis
+    )
     return [x for x in projected if any(x)]
 
 

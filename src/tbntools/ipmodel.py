@@ -29,9 +29,7 @@ from .core import (
     TbnError,
     TbnValidationError,
 )
-
-# senses for linear constraints
-LE, GE, EQ = "<=", ">=", "="
+from .simplex import EQ, GE, LE
 
 DEFAULT_VARIABLE_BUDGET = 200_000
 

@@ -271,20 +271,23 @@ def find_pathway(
     caps = budget or PathwayBudget()
     base = start.merge_count()
 
+    # a heap entry's last field links its configuration to its
+    # predecessor's link, so the path is rebuilt only when the goal pops
     counter = itertools.count()
-    heap = [(0, _distance(start, goal), next(counter), start, [start])]
+    heap = [(0, _distance(start, goal), next(counter), (start, None))]
     best_barrier = {start.key(): 0}
     popped = 0
 
     while heap:
-        reached, _, _, config, path = heapq.heappop(heap)
+        reached, _, _, link = heapq.heappop(heap)
+        config = link[0]
         popped += 1
         if popped > caps.max_states:
             raise PathwaySearchExhausted(
                 f"pathway search stopped after {caps.max_states} states"
             )
         if config.key() == goal.key():
-            return Pathway(tuple(path))
+            return Pathway(_unwind(link))
         if reached > best_barrier.get(config.key(), reached):
             continue
         for nxt in itertools.chain(merge_moves(config), split_moves(config)):
@@ -301,8 +304,16 @@ def find_pathway(
                     nxt_barrier,
                     _distance(nxt, goal),
                     next(counter),
-                    nxt,
-                    path + [nxt],
+                    (nxt, link),
                 ),
             )
     return None
+
+
+def _unwind(link) -> Tuple[FullConfiguration, ...]:
+    """Configurations from the start to ``link``'s, following the links."""
+    configs = []
+    while link is not None:
+        config, link = link
+        configs.append(config)
+    return tuple(reversed(configs))

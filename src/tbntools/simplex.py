@@ -18,6 +18,7 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a normal install
     from fractions import Fraction as Q
 
+# senses for linear constraints (ipmodel re-exports them)
 LE, GE, EQ = "<=", ">=", "="
 
 _DEGENERATE_STREAK_LIMIT = 200

@@ -397,33 +397,30 @@ def stable_configs(
     """Minimum merge count of ``t`` and a witness, or with ``all`` every
     stable configuration, in canonical order.
 
-    The slot bound is the one given, else the total count of limiting
-    monomers; a given bound that admits no saturated configuration is
-    doubled up to that total.  One budget covers the whole call.  When it
-    runs out the result has ``complete=False``, no solutions and
-    ``optimum=None``: an unproven value is never reported.
-    ``stats.nodes`` counts the root node of each bound tried and every
-    node of every objective level searched.
+    The slot bound is the total count of limiting monomers, or the bound
+    given if that is larger.  A smaller bound is raised to it: only a
+    bound of at least the limiting count is known to hold every stable
+    configuration, and a smaller one can cut the true optimum off.  One
+    budget covers the whole call.  When it runs out the result has
+    ``complete=False``, no solutions and ``optimum=None``: an unproven
+    value is never reported.  ``stats.nodes`` counts the root node and
+    every node of every objective level searched.
     """
     opts = options or StableOptions()
-    conservative = default_bound(t)
-    if conservative == 0:
+    bound = default_bound(t)
+    if bound == 0:
         # no limiting monomers: the all-singletons configuration is stable
         empty = PartialConfiguration.from_polymers([], t)
         return EnumerationResult(0, [empty], True)
+    if opts.bound is not None:
+        bound = max(bound, opts.bound)
 
-    clock = _BudgetClock(opts.budget)
-    bound = opts.bound if opts.bound is not None else conservative
-    while True:
-        result = _stable_within(t, bound, opts.all, clock)
-        if result is not None:
-            return result
-        if bound < conservative:
-            bound = min(bound * 2, conservative)
-            continue
+    result = _stable_within(t, bound, opts.all, _BudgetClock(opts.budget))
+    if result is None:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
         )
+    return result
 
 
 def _exhausted(clock: _BudgetClock) -> EnumerationResult:

@@ -185,6 +185,37 @@ class TestExposedSites:
             )
 
 
+monomer_lines = st.lists(
+    st.tuples(st.lists(sites, min_size=1, max_size=4), st.integers(1, 3)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSiteMatrix:
+    def test_computed_once(self, intro_tbn):
+        assert intro_tbn.site_matrix is intro_tbn.site_matrix
+
+    def test_not_part_of_identity(self, intro_tbn):
+        fresh = parse_tbn(render_tbn(intro_tbn))
+        intro_tbn.site_matrix
+        assert fresh == intro_tbn and hash(fresh) == hash(intro_tbn)
+
+    @given(monomer_lines, st.data())
+    def test_saturation_matches_exposed_sites(self, lines, data):
+        text = "\n".join(
+            " ".join(str(s) for s in ss) + f", {count}" for ss, count in lines
+        )
+        t = parse_tbn(text)
+        counts = data.draw(
+            st.lists(st.integers(0, 3), min_size=t.n_types,
+                     max_size=t.n_types)
+        )
+        p = Polymer(tuple(counts))
+        definitional = not any(s.starred for s in exposed_sites(p, t))
+        assert is_self_saturated(p, t) == definitional
+
+
 class TestPartialConfiguration:
     def test_merge_count_single_pair(self, intro_tbn):
         p = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")], intro_tbn)

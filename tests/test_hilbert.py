@@ -47,6 +47,48 @@ class TestHilbertBasis:
                 [[3, -1], [-1, 2]], 2, HilbertBudget(max_nodes=1)
             )
 
+    @pytest.mark.parametrize(
+        "rows, cap",
+        [
+            ([[1, -7]], 9),
+            ([[2, -3], [-1, 2]], 8),
+            ([[5, -2, -3]], 8),
+            ([[7, -5], [-2, 3]], 12),
+        ],
+    )
+    def test_large_coordinates_match_oracle(self, rows, cap):
+        # coordinates well above 1 exercise every bit of a packed field
+        n = len(rows[0])
+        basis = hilbert_basis(rows, n)
+        assert max(max(x) for x in basis) >= 3
+        assert basis == brute_force_hilbert(rows, n, cap)
+
+    @pytest.mark.parametrize("bits", range(1, 6))
+    @pytest.mark.parametrize("rows", [[[1, -7]], [[2, -3], [-1, 2]]])
+    def test_tiny_budget_exact_or_raises(self, rows, bits):
+        # max_nodes = 2**bits - 1 is the edge where the node cap needs one
+        # bit fewer than the largest coordinate a child can reach
+        n = len(rows[0])
+        exact = hilbert_basis(rows, n)
+        try:
+            basis = hilbert_basis(
+                rows, n, HilbertBudget(max_nodes=2**bits - 1)
+            )
+        except BasisError:
+            return
+        assert basis == exact
+
+    @pytest.mark.parametrize("bits", range(2, 7))
+    def test_budget_at_its_limit_reaches_large_coordinates(self, bits):
+        # the cone of [[1, -k]] takes exactly k + 2 nodes and its basis
+        # reaches coordinate k, so k = 2**bits - 3 spends all of
+        # max_nodes = 2**bits - 1 on a value that fills a bits-wide field
+        k = 2**bits - 3
+        budget = HilbertBudget(max_nodes=2**bits - 1)
+        assert hilbert_basis([[1, -k]], 2, budget) == [(1, 0), (k, 1)]
+        with pytest.raises(BasisError):
+            hilbert_basis([[1, -k]], 2, HilbertBudget(max_nodes=2**bits - 2))
+
 
 class TestPolymerBasis:
     def test_grid_has_six_elements(self, grid_tbn):

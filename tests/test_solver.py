@@ -191,6 +191,18 @@ class TestBoundHandling:
         assert result.optimum == 2
 
 
+class TestBoundBelowLimitingCount:
+    def test_small_bound_does_not_cut_off_the_optimum(self, excess_tbn):
+        # two {a*} and unlimited {a}: one slot would force {2 t, 2 b}
+        result = stable_configs(excess_tbn, StableOptions(all=True, bound=1))
+        assert result.optimum == 2
+        assert polymer_sets(result) == {((1, 1), (1, 1))}
+
+    def test_witness_with_small_bound(self, excess_tbn):
+        result = stable_configs(excess_tbn, StableOptions(bound=1))
+        assert result.optimum == 2
+
+
 class TestExternalSolutionImport:
     def test_valid_assignment_roundtrip(self, intro_tbn):
         model = build(intro_tbn, 1)
