@@ -43,10 +43,8 @@ from .pathways import (
     PathwaySearchExhausted,
     find_pathway,
     full_configuration,
-    is_locally_stable,
 )
 from .solver import (
-    BUDGET_EXCEEDED,
     Budget,
     StableOptions,
     load_external_solution,

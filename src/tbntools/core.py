@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 
 class TbnError(Exception):
@@ -432,6 +432,17 @@ def merge_count(pc: PartialConfiguration) -> int:
 def canonicalize(pc: PartialConfiguration) -> PartialConfiguration:
     """Sort polymers non-increasing lexicographically.  Idempotent."""
     return PartialConfiguration.from_polymers(pc.polymers, pc.tbn, validate=False)
+
+
+def canonical_unique(
+    configs: Iterable[PartialConfiguration],
+) -> List[PartialConfiguration]:
+    """One configuration per distinct polymer multiset (the first seen),
+    in non-increasing order of their polymer count tuples."""
+    unique = {}
+    for pc in configs:
+        unique.setdefault(tuple(p.counts for p in pc.polymers), pc)
+    return [unique[key] for key in sorted(unique, reverse=True)]
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,18 @@ points up to a norm cap and keeps the indecomposable ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import solver
 from .core import (
     PartialConfiguration,
     Polymer,
     Tbn,
     TbnError,
-    is_self_saturated,
+    canonical_unique,
 )
-from .ipmodel import EQ, GE, Constraint, IntegerProgram, Objective, Variable
+from .ipmodel import EQ, Constraint, IntegerProgram, Objective, Variable
 
 
 class BasisError(TbnError):
@@ -292,57 +293,32 @@ def stable_via_basis(t: Tbn, basis: Optional[Sequence[Polymer]] = None):
     of polymers.  Solves the coefficient IP, then enumerates every
     maximizer.  Returns the same EnumerationResult as the direct solver.
     """
-    from .solver import (
-        OPTIMAL,
-        EnumerationResult,
-        enumerate_assignments,
-        solve_min,
-    )
-
     if not t.is_finite:
         raise BasisError("basis counting needs a fully finite TBN")
     if basis is None:
         basis = polymer_basis(t)
     if t.n_types == 0:
         empty = PartialConfiguration.from_polymers([], t)
-        return EnumerationResult(0, [empty], True)
+        return solver.EnumerationResult(0, [empty], True)
 
     program = _basis_cover_program(t, basis)
-    result = solve_min(program)
-    if result.status != OPTIMAL:
+    result = solver.solve_min(program)
+    if result.status != solver.OPTIMAL:
         raise BasisError(f"basis counting IP ended {result.status}")
     best = result.objective
-
-    fixed = IntegerProgram(
-        program.variables,
-        program.constraints
-        + (
-            Constraint(
-                tuple((v.name, 1) for v in program.variables),
-                EQ,
-                best,
-                "polymer_total",
-            ),
-        ),
+    assignments, complete, stats = solver.enumerate_assignments(
+        program.fixed(best)
     )
-    assignments, complete, stats = enumerate_assignments(fixed)
-    optimum = t.total_monomers() - best
-    seen = set()
-    solutions = []
+    configs = []
     for assignment in assignments:
         polymers = []
         for idx, b in enumerate(basis):
             if b.size >= 2:
                 polymers.extend([b] * assignment[f"n_{idx}"])
-        pc = PartialConfiguration.from_polymers(polymers, t)
-        key = tuple(p.counts for p in pc.polymers)
-        if key not in seen:
-            seen.add(key)
-            solutions.append(pc)
-    solutions.sort(
-        key=lambda pc: tuple(p.counts for p in pc.polymers), reverse=True
+        configs.append(PartialConfiguration.from_polymers(polymers, t))
+    return solver.EnumerationResult(
+        t.total_monomers() - best, canonical_unique(configs), complete, stats
     )
-    return EnumerationResult(optimum, solutions, complete, stats)
 
 
 BASIS_SCHEMA = "tbn-polymer-basis/1"

@@ -17,8 +17,8 @@ linear rows, linear objective) and decoupled from any solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import (
     INF,
@@ -132,6 +132,17 @@ class IntegerProgram:
                     f"assignment violates constraint {con.name!r}"
                 )
 
+    def fixed(self, value: int) -> "IntegerProgram":
+        """The program without its objective, plus one equality row that
+        holds the objective at ``value`` (in the objective's own sense)."""
+        if self.objective is None:
+            raise ModelError("only a program with an objective can be fixed")
+        obj = self.objective
+        row = Constraint(
+            obj.coeffs, EQ, value - obj.constant, "fixed_objective"
+        )
+        return IntegerProgram(self.variables, self.constraints + (row,))
+
 
 def count_var(i: int, j: int) -> str:
     return f"C_m{i}_p{j}"
@@ -143,6 +154,19 @@ def exists_var(j: int) -> str:
 
 def tied_var(i: int, j: int) -> str:
     return f"T_m{i}_p{j}"
+
+
+def merge_count_coeffs(
+    n_types: int, bound: int
+) -> Tuple[Tuple[str, int], ...]:
+    """The merge count over ``bound`` slots: every placed monomer counts
+    one, and every nonempty slot takes one back."""
+    coeffs: List[Tuple[str, int]] = []
+    for j in range(1, bound + 1):
+        for i in range(n_types):
+            coeffs.append((count_var(i, j), 1))
+        coeffs.append((exists_var(j), -1))
+    return tuple(coeffs)
 
 
 def default_bound(t: Tbn) -> int:
@@ -236,12 +260,8 @@ class StableConfigsModel:
         return PartialConfiguration.from_polymers(polymers, self.tbn)
 
     def objective_expression(self) -> Objective:
-        coeffs: List[Tuple[str, int]] = []
-        for j in range(1, self.bound + 1):
-            for i in range(self.tbn.n_types):
-                coeffs.append((count_var(i, j), 1))
-            coeffs.append((exists_var(j), -1))
-        return Objective("min", tuple(coeffs))
+        coeffs = merge_count_coeffs(self.tbn.n_types, self.bound)
+        return Objective("min", coeffs)
 
 
 def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableConfigsModel:
@@ -313,20 +333,13 @@ def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableC
         )
 
     objective: Optional[Objective]
-    obj_coeffs: List[Tuple[str, int]] = []
-    for j in slots:
-        for i in range(m):
-            obj_coeffs.append((count_var(i, j), 1))
-        obj_coeffs.append((exists_var(j), -1))
-
+    obj_coeffs = merge_count_coeffs(m, bound)
     if opts.fixed_objective is None:
-        objective = Objective("min", tuple(obj_coeffs))
+        objective = Objective("min", obj_coeffs)
     else:
         objective = None
         constraints.append(
-            Constraint(
-                tuple(obj_coeffs), EQ, opts.fixed_objective, "fixed_objective"
-            )
+            Constraint(obj_coeffs, EQ, opts.fixed_objective, "fixed_objective")
         )
         # converse of the nonempty rule: empty Exists forces an empty slot
         for j in slots:

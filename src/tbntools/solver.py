@@ -1,21 +1,25 @@
 """Exact solving of the stable-configurations integer program.
 
-``stable_configs`` solves the LP relaxation of the model once, at the
-root, in exact rational arithmetic; the ceiling of its optimum is a lower
-bound L on the merge count.  When only a witness is asked for and the
-root LP is integral, that solution is optimal and returned.  Otherwise
-the objective is frozen into an equality at L, L+1, ... and each level is
-searched exhaustively by propagation-driven DFS, with lexicographic
-symmetry-breaking rows that leave one representative per polymer
-ordering.  The first level with a solution is the optimum, and its
-solutions are every stable configuration; canonicalization plus
-deduplication acts as a safety net.  No LP runs below the root.
+One scan finds the optimum of every integer program here.  It solves the
+LP relaxation once, at the root, in exact rational arithmetic; the
+ceiling of its optimum is a lower bound L on the objective (in
+minimization sense).  When only a witness is asked for and the root LP
+is integral, that solution is optimal and returned.  Otherwise the
+objective is frozen into an equality at L, L+1, ... up to its maximum
+over the propagated root box, and each level is searched exhaustively by
+``enumerate_assignments``, the package's one search loop: depth-first
+search driven by interval propagation, with no LP below the root.  The
+first level with a solution is the optimum.  ``stats.nodes`` counts the
+root plus every node of every level searched.
 
-``solve_min`` is a general depth-first branch-and-bound (interval
-propagation plus exact LP bounds, most-fractional branching) for bounded
-integer programs; the basis route of ``hilbert.stable_via_basis`` uses
-it.  Both searches propagate a child node from the rows of the variable
-it branched on, since its parent is already at a fixpoint.
+``stable_configs`` freezes the merge count in a model with lexicographic
+symmetry-breaking rows that leave one representative per polymer
+ordering, so the optimal level's solutions are every stable
+configuration; canonicalization plus deduplication acts as a safety net.
+``solve_min`` freezes a general bounded program's objective with
+``IntegerProgram.fixed``; the basis route of ``hilbert.stable_via_basis``
+uses it.  The search propagates a child node from the rows of the
+variable it branched on, since its parent is already at a fixpoint.
 
 ``brute_force_stable`` is the independent oracle: exhaustive enumeration
 of partitions into self-saturated polymers, for desk-scale instances only.
@@ -26,13 +30,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     PartialConfiguration,
     Polymer,
     Tbn,
     TbnError,
+    canonical_unique,
     is_self_saturated,
 )
 from .ipmodel import (
@@ -45,7 +50,7 @@ from .ipmodel import (
     build,
     default_bound,
 )
-from .simplex import frac_ceil, frac_floor, is_integral, solve_lp
+from .simplex import frac_ceil, is_integral, solve_lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -102,7 +107,8 @@ class _Compiled:
             coeffs = tuple(
                 (self.index[v], c) for v, c in con.coeffs if c != 0
             )
-            if coeffs:
+            # a row without coefficients matters only when 0 violates it
+            if coeffs or not con.satisfied_by({}):
                 self.rows.append((coeffs, con.sense, con.rhs))
         self.var_rows: List[List[int]] = [[] for _ in self.names]
         for k, (coeffs, _, _) in enumerate(self.rows):
@@ -237,70 +243,19 @@ _Node = Tuple[List[int], List[int], Optional[int]]
 
 
 def solve_min(program: IntegerProgram, budget: Optional[Budget] = None) -> SolveResult:
-    """Exact optimum of a bounded integer program via branch-and-bound."""
+    """Exact optimum of a bounded integer program, by the level scan.
+
+    When the budget runs out the result carries no objective and no
+    assignment: an unproven value is never reported.
+    """
     if program.objective is None:
         raise TbnError("solve_min needs a program with an objective")
-    comp = _Compiled(program)
     clock = _BudgetClock(budget or Budget())
-    objective = comp.min_objective()
-
-    incumbent: Optional[Tuple[int, List[int]]] = None
-    stack: List[_Node] = [(list(comp.lo), list(comp.hi), None)]
-    out_of_budget = False
-
-    while stack:
-        lo, hi, changed = stack.pop()
-        if not clock.tick():
-            out_of_budget = True
-            break
-        if not propagate(comp, lo, hi, changed):
-            continue
-        relax = solve_lp(objective, comp.rows, list(zip(lo, hi)))
-        if relax.status != "optimal":
-            continue
-        bound = frac_ceil(relax.objective)
-        if incumbent is not None and bound >= incumbent[0]:
-            continue
-        assert relax.x is not None
-        if all(is_integral(v) for v in relax.x):
-            value = int(sum(c * relax.x[i] for i, c in objective))
-            solution = [int(v) for v in relax.x]
-            if incumbent is None or value < incumbent[0]:
-                incumbent = (value, solution)
-            continue
-        # most fractional variable, ties to the lowest index
-        branch_i = None
-        best_score = None
-        for i, v in enumerate(relax.x):
-            if is_integral(v):
-                continue
-            frac = v - frac_floor(v)
-            score = min(frac, 1 - frac)
-            if best_score is None or score > best_score:
-                best_score = score
-                branch_i = i
-        assert branch_i is not None
-        xv = relax.x[branch_i]
-        up_lo = list(lo)
-        up_lo[branch_i] = frac_ceil(xv)
-        down_hi = list(hi)
-        down_hi[branch_i] = frac_floor(xv)
-        # floor branch explored first (LIFO)
-        stack.append((up_lo, hi, branch_i))
-        stack.append((lo, down_hi, branch_i))
-
-    stats = clock.stats()
-    if out_of_budget:
-        result = SolveResult(BUDGET_EXCEEDED, stats=stats)
-        if incumbent is not None:
-            result.objective = comp.obj_sign * incumbent[0] + comp.obj_const
-            result.assignment = comp.assignment_from(incumbent[1])
-        return result
-    if incumbent is None:
-        return SolveResult(INFEASIBLE, stats=stats)
-    value = comp.obj_sign * incumbent[0] + comp.obj_const
+    status, value, found = _scan(
+        program, clock, False, program.fixed, lambda a: a
+    )
     return SolveResult(
-        OPTIMAL, value, comp.assignment_from(incumbent[1]), stats
+        status, value, found[0] if found else None, clock.stats()
     )
 
 
@@ -347,23 +302,6 @@ def enumerate_assignments(
     return solutions, complete, clock.stats()
 
 
-def _configurations(
-    model: StableConfigsModel, assignments: List[Dict[str, int]]
-) -> List[PartialConfiguration]:
-    """Decoded, deduplicated configurations in canonical order."""
-    seen = set()
-    solutions: List[PartialConfiguration] = []
-    for assignment in assignments:
-        pc = model.decode(assignment)
-        key = tuple(p.counts for p in pc.polymers)
-        if key not in seen:
-            seen.add(key)
-            solutions.append(pc)
-    solutions.sort(key=lambda pc: tuple(p.counts for p in pc.polymers),
-                   reverse=True)
-    return solutions
-
-
 def enumerate_optima(
     model: StableConfigsModel,
     optimum: int,
@@ -379,9 +317,8 @@ def enumerate_optima(
     assignments, complete, stats = enumerate_assignments(
         model.program, budget
     )
-    return EnumerationResult(
-        optimum, _configurations(model, assignments), complete, stats
-    )
+    solutions = canonical_unique(model.decode(a) for a in assignments)
+    return EnumerationResult(optimum, solutions, complete, stats)
 
 
 @dataclass(frozen=True)
@@ -415,67 +352,70 @@ def stable_configs(
     if opts.bound is not None:
         bound = max(bound, opts.bound)
 
-    result = _stable_within(t, bound, opts.all, _BudgetClock(opts.budget))
-    if result is None:
+    clock = _BudgetClock(opts.budget)
+    model = build(t, bound)
+
+    def level(value: int) -> IntegerProgram:
+        options = BuildOptions(symmetry_breaking=True, fixed_objective=value)
+        return build(t, bound, options).program
+
+    status, optimum, found = _scan(
+        model.program, clock, opts.all, level, model.decode
+    )
+    if status == INFEASIBLE:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
         )
-    return result
+    return EnumerationResult(
+        optimum, canonical_unique(found), status == OPTIMAL, clock.stats()
+    )
 
 
-def _exhausted(clock: _BudgetClock) -> EnumerationResult:
-    return EnumerationResult(None, [], False, clock.stats())
+def _scan(
+    program: IntegerProgram,
+    clock: _BudgetClock,
+    want_all: bool,
+    level: Callable[[int], IntegerProgram],
+    decode: Callable[[Dict[str, int]], Any],
+) -> Tuple[str, Optional[int], List[Any]]:
+    """Status, optimum and decoded optimal solutions of ``program``: a
+    witness, or with ``want_all`` all that ``level(optimum)`` admits.
 
-
-def _stable_within(
-    t: Tbn, bound: int, want_all: bool, clock: _BudgetClock
-) -> Optional[EnumerationResult]:
-    """Optimal configurations with at most ``bound`` polymers; None when
-    there is no saturated one, an incomplete result when the budget runs
-    out.
-
-    The ceiling of the root LP is a lower bound on the merge count.  From
-    it upwards, each objective level is searched exhaustively with the
-    objective frozen and the slots in canonical order, so the first level
-    with a solution is the optimum, and its solutions are all the stable
-    configurations.  The scan ends at the largest objective value the
-    propagated root bounds allow.
+    ``level(value)`` is a program whose solutions satisfy ``program``'s
+    rows with the objective at ``value``, in the objective's own sense.
+    The ceiling of the root LP bounds the objective, in minimization
+    sense, from below.  From it upwards, each value's level is searched
+    exhaustively, so the first level with a solution is the optimum.  The
+    scan ends at the largest value the propagated root bounds allow.
     """
     if not clock.tick():
-        return _exhausted(clock)
-    model = build(t, bound)
-    comp = _Compiled(model.program)
+        return BUDGET_EXCEEDED, None, []
+    comp = _Compiled(program)
     lo, hi = list(comp.lo), list(comp.hi)
     if not propagate(comp, lo, hi):
-        return None
+        return INFEASIBLE, None, []
     objective = comp.min_objective()
     relax = solve_lp(objective, comp.rows, list(zip(lo, hi)))
     if relax.status != "optimal":
-        return None
+        return INFEASIBLE, None, []
     first = frac_ceil(relax.objective)
     assert relax.x is not None
     if not want_all and all(is_integral(v) for v in relax.x):
-        witness = model.decode(comp.assignment_from([int(v) for v in relax.x]))
-        return EnumerationResult(first, [witness], True, clock.stats())
+        root = comp.assignment_from([int(v) for v in relax.x])
+        return OPTIMAL, comp.obj_sign * first + comp.obj_const, [decode(root)]
 
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
-    for value in range(first, last + 1):
-        level = build(
-            t, bound,
-            BuildOptions(symmetry_breaking=True, fixed_objective=value),
-        )
+    for v in range(first, last + 1):
+        value = comp.obj_sign * v + comp.obj_const
         assignments, complete, stats = enumerate_assignments(
-            level.program, clock.remaining(), None if want_all else 1
+            level(value), clock.remaining(), None if want_all else 1
         )
         clock.nodes += stats.nodes
         if not complete:
-            return _exhausted(clock)
+            return BUDGET_EXCEEDED, None, []
         if assignments:
-            return EnumerationResult(
-                value, _configurations(level, assignments), True,
-                clock.stats(),
-            )
-    return None
+            return OPTIMAL, value, [decode(a) for a in assignments]
+    return INFEASIBLE, None, []
 
 
 def load_external_solution(

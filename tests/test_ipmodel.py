@@ -12,13 +12,20 @@ from tbntools.core import (
     polymer_from_monomers,
 )
 from tbntools.ipmodel import (
+    EQ,
+    LE,
     BuildOptions,
+    Constraint,
+    IntegerProgram,
     ModelError,
+    Objective,
+    Variable,
     big_constant,
     build,
     count_var,
     default_bound,
     exists_var,
+    merge_count_coeffs,
     tied_var,
 )
 
@@ -207,6 +214,50 @@ class TestSymmetryBreaking:
         a[exists_var(2)] = 0  # nonempty slot flagged empty
         with pytest.raises(TbnValidationError):
             model.program.check(a)
+
+
+class TestFixedObjective:
+    @pytest.fixture
+    def program(self):
+        return IntegerProgram(
+            (Variable("x", 0, 3), Variable("y", -2, 2)),
+            (Constraint((("x", 1), ("y", 1)), LE, 4, "cap"),),
+        )
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_objective_becomes_an_equality(self, program, sense):
+        objective = Objective(sense, (("x", 2), ("y", -1)), 5)
+        fixed = IntegerProgram(
+            program.variables, program.constraints, objective
+        ).fixed(8)
+        assert fixed.objective is None
+        assert fixed.variables == program.variables
+        assert fixed.constraints[:-1] == program.constraints
+        row = fixed.constraints[-1]
+        # 2x - y + 5 == 8, in the objective's own sense whatever it is
+        assert (row.coeffs, row.sense, row.rhs) == (
+            (("x", 2), ("y", -1)), EQ, 3
+        )
+        fixed.check({"x": 2, "y": 1})
+        with pytest.raises(TbnValidationError):
+            fixed.check({"x": 2, "y": 0})
+
+    def test_needs_an_objective(self, program):
+        with pytest.raises(ModelError):
+            program.fixed(0)
+
+    def test_merge_count_row_matches_the_frozen_model(self, intro_tbn):
+        model = build(intro_tbn, 2)
+        frozen = build(intro_tbn, 2, BuildOptions(fixed_objective=1))
+        assert model.program.objective.coeffs == merge_count_coeffs(
+            intro_tbn.n_types, 2
+        )
+        assert model.objective_expression() == model.program.objective
+        row = next(
+            c for c in frozen.program.constraints
+            if c.name == "fixed_objective"
+        )
+        assert row == model.program.fixed(1).constraints[-1]
 
 
 def _all_tied_fillings(model, assignment):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,22 @@ from tbntools.core import (
     Polymer,
     Tbn,
     TbnError,
+    TbnValidationError,
     merge_count,
     parse_tbn,
 )
-from tbntools.ipmodel import BuildOptions, build, default_bound
+from tbntools.ipmodel import (
+    EQ,
+    GE,
+    LE,
+    BuildOptions,
+    Constraint,
+    IntegerProgram,
+    Objective,
+    Variable,
+    build,
+    default_bound,
+)
 from tbntools.solver import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -114,6 +127,99 @@ class TestSolveMin:
         assert result.status == OPTIMAL
         model.program.check(result.assignment)
         assert model.objective_expression().evaluate(result.assignment) == 1
+
+    def test_exhausted_budget_reports_no_incumbent(self, translator_tbn):
+        model = build(translator_tbn, default_bound(translator_tbn))
+        result = solve_min(model.program, Budget(max_nodes=50))
+        assert result.status == BUDGET_EXCEEDED
+        assert result.objective is None
+        assert result.assignment is None
+
+    def test_optimum_at_the_top_of_the_objective_range(self):
+        # root LP x = y = 1/4: the scan tries x + y = 1, then finds the
+        # optimum at 2, the largest value the box allows
+        program = IntegerProgram(
+            (Variable("x", 0, 1), Variable("y", 0, 1)),
+            (
+                Constraint((("x", 1), ("y", -1)), EQ, 0, "same"),
+                Constraint((("x", 2), ("y", 2)), GE, 1, "half"),
+            ),
+            Objective("min", (("x", 1), ("y", 1)), 0),
+        )
+        result = solve_min(program)
+        assert (result.status, result.objective) == (OPTIMAL, 2)
+        assert result.assignment == {"x": 1, "y": 1}
+        assert result.stats.nodes > 1
+
+    def test_violated_row_without_coefficients_is_infeasible(self):
+        program = IntegerProgram(
+            (Variable("x", 0, 2),),
+            (Constraint((("x", 0),), GE, 1, "never"),),
+            Objective("max", (("x", 1),), 0),
+        )
+        assert solve_min(program).status == INFEASIBLE
+
+
+def random_program(rng: random.Random) -> IntegerProgram:
+    """A small bounded IP over every variable in every row; coefficients
+    above 1 give fractional root LP optima."""
+    variables = []
+    for k in range(rng.randint(2, 4)):
+        lower = rng.randint(-2, 1)
+        variables.append(Variable(f"x{k}", lower, lower + rng.randint(1, 4)))
+    names = [v.name for v in variables]
+    constraints = []
+    for r in range(rng.randint(1, 3)):
+        coeffs = tuple((name, rng.randint(-3, 3)) for name in names)
+        sense = rng.choice([LE, LE, GE, GE, EQ])
+        constraints.append(
+            Constraint(coeffs, sense, rng.randint(-4, 6), f"r{r}")
+        )
+    objective = Objective(
+        rng.choice(["min", "max"]),
+        tuple((name, rng.randint(-3, 3)) for name in names),
+        rng.randint(-5, 5),
+    )
+    return IntegerProgram(tuple(variables), tuple(constraints), objective)
+
+
+def exhaustive_optimum(program: IntegerProgram):
+    """Best objective value over the whole variable box, or None."""
+    names = [v.name for v in program.variables]
+    boxes = [range(v.lower, v.upper + 1) for v in program.variables]
+    values = []
+    for point in itertools.product(*boxes):
+        assignment = dict(zip(names, point))
+        try:
+            program.check(assignment)
+        except TbnValidationError:
+            continue
+        values.append(program.objective.evaluate(assignment))
+    if not values:
+        return None
+    return min(values) if program.objective.sense == "min" else max(values)
+
+
+class TestSolveMinAgainstExhaustiveSearch:
+    def test_random_programs(self):
+        rng = random.Random(20261018)
+        past_root = infeasible = 0
+        for _ in range(300):
+            program = random_program(rng)
+            want = exhaustive_optimum(program)
+            got = solve_min(program)
+            if want is None:
+                assert got.status == INFEASIBLE, program
+                infeasible += 1
+                continue
+            assert got.status == OPTIMAL, program
+            assert got.objective == want, program
+            program.check(got.assignment)
+            assert program.objective.evaluate(got.assignment) == want
+            past_root += got.stats.nodes > 1
+        # the seed reaches both the level scan and infeasible programs
+        assert past_root >= 10
+        assert infeasible >= 10
 
 
 class TestPropagation:
