@@ -28,7 +28,6 @@ from .core import (
 )
 
 from .hilbert import (
-    HilbertBudget,
     brute_force_hilbert,
     decompose,
     hilbert_basis,
@@ -47,6 +46,7 @@ from .pathways import (
 )
 from .solver import (
     Budget,
+    BudgetExhausted,
     EnumerationResult,
     StableOptions,
     brute_force_stable,
@@ -57,9 +57,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
+    "BudgetExhausted",
     "EnumerationResult",
     "FullConfiguration",
-    "HilbertBudget",
     "Pathway",
     "StableOptions",
     "all_singletons",

@@ -9,10 +9,12 @@ Subcommands:
   export-lp  write the integer program in CPLEX LP text format
 
 Exit codes: 0 success, 2 input error, 3 budget or timeout exhausted,
-4 internal-consistency failure.
+4 internal-consistency failure.  ``verify`` leaves a verdict its budget
+could not decide as ``-`` and exits 0.
 
 Environment: TBN_MAX_NODES and TBN_MAX_SECONDS override the default
-search budget for all commands.
+search budget (``solver.Budget``) of every command that searches;
+``--timeout`` sets its seconds and ``basis --cap`` its nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -36,16 +39,13 @@ from .core import (
     is_self_saturated,
     parse_tbn_with_report,
 )
-from .hilbert import HilbertBudget, polymer_basis, render_basis_table
+from .hilbert import polymer_basis, render_basis_table
 from .ipmodel import BuildOptions, build, default_bound
 from .lpformat import parse_solution, write_lp
-from .pathways import (
-    PathwaySearchExhausted,
-    find_pathway,
-    full_configuration,
-)
+from .pathways import find_pathway, full_configuration
 from .solver import (
     Budget,
+    BudgetExhausted,
     StableOptions,
     load_external_solution,
     stable_configs,
@@ -261,7 +261,9 @@ def _stable_from_solution(args, t: Tbn, notes: Dict) -> int:
 
 def cmd_basis(args) -> int:
     t, notes = load_tbn(args.file)
-    budget = HilbertBudget(max_nodes=args.cap) if args.cap else None
+    budget = env_budget()
+    if args.cap is not None:
+        budget = replace(budget, max_nodes=args.cap)
     started = time.monotonic()
     basis = polymer_basis(t, budget)
     elapsed = time.monotonic() - started
@@ -325,18 +327,23 @@ def cmd_verify(args) -> int:
             is_self_saturated(p, t) for p in polymers
         )
         if verdicts["saturated"]:
-            basis = polymer_basis(t)
-            basis_counts = {b.counts for b in basis}
-            verdicts["locally_stable"] = all(
-                p.counts in basis_counts
-                for p in polymers
-                if p.size >= 2
-            )
+            # an exhausted budget leaves a verdict undecided
+            budget = env_budget()
+            try:
+                basis = polymer_basis(t, budget)
+            except BudgetExhausted:
+                pass
+            else:
+                basis_counts = {b.counts for b in basis}
+                verdicts["locally_stable"] = all(
+                    p.counts in basis_counts
+                    for p in polymers
+                    if p.size >= 2
+                )
             optimum = stable_configs(
-                t, StableOptions(budget=env_budget())
+                t, StableOptions(budget=budget)
             ).optimum
             merges = sum(p.size - 1 for p in polymers)
-            # an exhausted budget leaves stability undecided
             if optimum is not None:
                 verdicts["stable"] = merges == optimum
         else:
@@ -372,7 +379,9 @@ def cmd_pathway(args) -> int:
     start, goal = configs
 
     started = time.monotonic()
-    pathway = find_pathway(start, goal, max_barrier=args.max_barrier)
+    pathway = find_pathway(
+        start, goal, max_barrier=args.max_barrier, budget=env_budget()
+    )
     elapsed = time.monotonic() - started
 
     if pathway is None:
@@ -557,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="compute the polymer basis")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=None,
-                   help="node cap for the completion procedure")
+                   help="node budget of the completion procedure, one "
+                   "node per frontier vector (default: TBN_MAX_NODES)")
     add_format(p)
     p.set_defaults(func=cmd_basis)
 
@@ -580,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", default="1:3")
     p.add_argument("--fuel-range", default="2",
                    help="comma-separated fuel counts; 'inf' allowed")
-    p.add_argument("--timeout", type=float, default=100.0)
+    p.add_argument("--timeout", type=float, default=None,
+                   help="wall-clock budget in seconds per instance")
     p.add_argument("--caption-v", action="store_true",
                    help="column fuels with duplicated diagonal sites")
     p.add_argument("--out", default=None, help="CSV output path")
@@ -610,7 +621,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except PathwaySearchExhausted as exc:
+    except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except TbnError as exc:

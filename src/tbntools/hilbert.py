@@ -37,14 +37,6 @@ class BasisError(TbnError):
 
 
 @dataclass(frozen=True)
-class HilbertBudget:
-    """Caps on the completion procedure's frontier."""
-
-    max_nodes: int = 5_000_000
-    max_frontier: int = 2_000_000
-
-
-@dataclass(frozen=True)
 class MatrixRepresentation:
     """Net site counts per monomer type: one row per site name."""
 
@@ -69,7 +61,7 @@ def _in_cone(rows: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
 def hilbert_basis(
     rows: Sequence[Sequence[int]],
     n: Optional[int] = None,
-    budget: Optional[HilbertBudget] = None,
+    budget: solver.Budget | solver.Clock | None = None,
 ) -> List[Tuple[int, ...]]:
     """Hilbert basis of ``{x in N^n : rows . x >= 0}``.
 
@@ -88,19 +80,24 @@ def hilbert_basis(
     borrows from the next and its guard survives iff ``y_k >= b_k``.
     Growing along direction ``k`` adds ``1 << (w*k)``.
 
+    Each frontier vector is one node: it ticks the budget's clock before
+    it is expanded, and ``BudgetExhausted`` is raised once the clock
+    passes ``Budget.max_nodes`` or ``Budget.max_time``.
+
     Width invariant: the unit vectors are level 0, and a child made at
-    level ``L`` has 1-norm ``L + 2``.  Level ``L`` is expanded only when
-    the node count, at least ``L + 1`` by then, is within ``max_nodes``,
-    so no coordinate exceeds ``max_nodes + 1``, and ``w`` is one guard bit
-    wider than that value needs.  Mind ``max_nodes = 2**b - 1``: its
-    largest coordinate ``2**b`` needs ``b + 1`` bits, one more than
-    ``max_nodes`` itself, so ``w = b + 2``.
+    level ``L`` has 1-norm ``L + 2``.  A level-``L`` vector is expanded
+    only when the clock's node count, at least ``L + 1`` by then, is
+    within ``Budget.max_nodes``, so no coordinate exceeds
+    ``max_nodes + 1``, and ``w`` is one guard bit wider than that value
+    needs.  Mind ``max_nodes = 2**b - 1``: its largest coordinate
+    ``2**b`` needs ``b + 1`` bits, one more than ``max_nodes`` itself,
+    so ``w = b + 2``.
 
     Each level's children are checked against every solution known when
     they are made, so the re-filter at the end of a level tests only the
     solutions found during that level.
     """
-    caps = budget or HilbertBudget()
+    clock = solver.Clock.of(budget)
     if n is None:
         if not rows:
             raise BasisError("need explicit dimension for an empty system")
@@ -117,7 +114,7 @@ def hilbert_basis(
 
     # every coordinate is at most max_nodes + 1 (the width invariant
     # above); one more bit per field is its guard
-    width = (max(caps.max_nodes, 0) + 1).bit_length() + 1
+    width = (max(clock.budget.max_nodes, 0) + 1).bit_length() + 1
     units = [1 << (width * k) for k in range(dims)]
     guard = sum(u << (width - 1) for u in units)
 
@@ -139,16 +136,11 @@ def hilbert_basis(
         else:
             frontier.append((units[k], columns[k]))
 
-    nodes = 0
     while frontier:
-        nodes += len(frontier)
-        if nodes > caps.max_nodes or len(frontier) > caps.max_frontier:
-            raise BasisError(
-                f"completion exceeded its budget ({nodes} nodes)"
-            )
         found_before = len(basis)
         next_level: Dict[int, Tuple[int, ...]] = {}
         for y, value in frontier:
+            clock.spend("polymer basis completion")
             for unit, column, nonzeros in directions:
                 dot = 0
                 for i, c in nonzeros:
@@ -179,7 +171,7 @@ def hilbert_basis(
 
 
 def polymer_basis(
-    t: Tbn, budget: Optional[HilbertBudget] = None
+    t: Tbn, budget: solver.Budget | solver.Clock | None = None
 ) -> List[Polymer]:
     """All self-saturated polymers that cannot split into smaller ones."""
     if t.n_types == 0:
@@ -285,30 +277,39 @@ def _basis_cover_program(
     return IntegerProgram(tuple(variables), tuple(constraints), objective)
 
 
-def stable_via_basis(t: Tbn, basis: Optional[Sequence[Polymer]] = None):
+def stable_via_basis(
+    t: Tbn,
+    basis: Optional[Sequence[Polymer]] = None,
+    budget: solver.Budget | solver.Clock | None = None,
+) -> solver.EnumerationResult:
     """Stable configurations of a finite TBN from its polymer basis.
 
     A saturated full configuration is a multiset of basis polymers using
     every monomer exactly; minimizing merges means maximizing the number
-    of polymers.  Solves the coefficient IP, then enumerates every
-    maximizer.  Returns the same EnumerationResult as the direct solver.
+    of polymers.  The level scan of ``solver`` finds every maximizer of
+    the coefficient IP.  Returns the same EnumerationResult as the direct
+    solver.  One budget covers the whole call, the basis included when it
+    is not given; when it runs out the result has ``complete=False``, no
+    solutions and ``optimum=None``.
     """
     if not t.is_finite:
         raise BasisError("basis counting needs a fully finite TBN")
+    clock = solver.Clock.of(budget)
     if basis is None:
-        basis = polymer_basis(t)
+        try:
+            basis = polymer_basis(t, clock)
+        except solver.BudgetExhausted:
+            return solver.EnumerationResult(None, [], False, clock.stats())
     if t.n_types == 0:
         empty = PartialConfiguration.from_polymers([], t)
         return solver.EnumerationResult(0, [empty], True)
 
     program = _basis_cover_program(t, basis)
-    result = solver.solve_min(program)
-    if result.status != solver.OPTIMAL:
-        raise BasisError(f"basis counting IP ended {result.status}")
-    best = result.objective
-    assignments, complete, stats = solver.enumerate_assignments(
-        program.fixed(best)
-    )
+    status, best, assignments = solver.scan_levels(program, clock, True)
+    if status == solver.BUDGET_EXCEEDED:
+        return solver.EnumerationResult(None, [], False, clock.stats())
+    if status != solver.OPTIMAL:
+        raise BasisError(f"basis counting IP ended {status}")
     configs = []
     for assignment in assignments:
         polymers = []
@@ -317,7 +318,8 @@ def stable_via_basis(t: Tbn, basis: Optional[Sequence[Polymer]] = None):
                 polymers.extend([b] * assignment[f"n_{idx}"])
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
-        t.total_monomers() - best, canonical_unique(configs), complete, stats
+        t.total_monomers() - best, canonical_unique(configs), True,
+        clock.stats(),
     )
 
 

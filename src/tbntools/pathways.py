@@ -9,7 +9,8 @@ configuration seen anywhere along the walk.
 
 ``find_pathway`` searches for a minimum-barrier pathway with a best-first
 strategy: states are ordered by the bottleneck barrier reached so far,
-then by multiset distance to the goal.
+then by multiset distance to the goal.  Each popped state is one node of
+its budget.
 """
 
 from __future__ import annotations
@@ -26,19 +27,11 @@ from .core import (
     TbnError,
     is_self_saturated,
 )
+from .solver import Budget, Clock
 
 
 class PathwayError(TbnError):
     """Ill-formed pathway request or broken step sequence."""
-
-
-class PathwaySearchExhausted(TbnError):
-    """Search budget ran out before the space was fully explored."""
-
-
-@dataclass(frozen=True)
-class PathwayBudget:
-    max_states: int = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -231,14 +224,6 @@ class Pathway:
         return Pathway(tuple(reversed(self.configurations)))
 
 
-def barrier(path: Pathway, start: FullConfiguration) -> int:
-    """Replay a pathway from a given start and return its barrier."""
-    if path.configurations[0].key() != start.key():
-        raise PathwayError("pathway does not begin at the given start")
-    path.validate()
-    return path.barrier()
-
-
 def _distance(a: FullConfiguration, b: FullConfiguration) -> int:
     """Polymer multiset symmetric difference; 0 iff equal."""
     from collections import Counter
@@ -252,14 +237,15 @@ def find_pathway(
     start: FullConfiguration,
     goal: FullConfiguration,
     max_barrier: Optional[int] = None,
-    budget: Optional[PathwayBudget] = None,
+    budget: Budget | Clock | None = None,
 ) -> Optional[Pathway]:
     """Minimum-barrier pathway between two saturated configurations.
 
     Best-first search ordered by (barrier reached, distance to goal);
     the barrier of a path is the bottleneck, so the first time the goal
     is popped the barrier is optimal.  Returns None when no pathway
-    exists within ``max_barrier`` or the state budget.
+    exists within ``max_barrier``, and raises ``BudgetExhausted`` when
+    the budget runs out first.
     """
     if start.tbn.counts != goal.tbn.counts:
         raise PathwayError("start and goal belong to different TBNs")
@@ -268,7 +254,7 @@ def find_pathway(
             raise PathwayError(
                 f"configuration {config.describe()} is not saturated"
             )
-    caps = budget or PathwayBudget()
+    clock = Clock.of(budget)
     base = start.merge_count()
 
     # a heap entry's last field links its configuration to its
@@ -276,16 +262,11 @@ def find_pathway(
     counter = itertools.count()
     heap = [(0, _distance(start, goal), next(counter), (start, None))]
     best_barrier = {start.key(): 0}
-    popped = 0
 
     while heap:
         reached, _, _, link = heapq.heappop(heap)
         config = link[0]
-        popped += 1
-        if popped > caps.max_states:
-            raise PathwaySearchExhausted(
-                f"pathway search stopped after {caps.max_states} states"
-            )
+        clock.spend("pathway search")
         if config.key() == goal.key():
             return Pathway(_unwind(link))
         if reached > best_barrier.get(config.key(), reached):

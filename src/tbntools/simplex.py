@@ -33,10 +33,6 @@ def frac_ceil(q) -> int:
     return -((-n) // d)
 
 
-def frac_floor(q) -> int:
-    return q.numerator // q.denominator
-
-
 def is_integral(q) -> bool:
     return q.denominator == 1
 

@@ -17,9 +17,14 @@ symmetry-breaking rows that leave one representative per polymer
 ordering, so the optimal level's solutions are every stable
 configuration; canonicalization plus deduplication acts as a safety net.
 ``solve_min`` freezes a general bounded program's objective with
-``IntegerProgram.fixed``; the basis route of ``hilbert.stable_via_basis``
-uses it.  The search propagates a child node from the rows of the
-variable it branched on, since its parent is already at a fixpoint.
+``IntegerProgram.fixed``, and the basis route of
+``hilbert.stable_via_basis`` calls the scan itself.  The search
+propagates a child node from the rows of the variable it branched on,
+since its parent is already at a fixpoint.
+
+``Budget`` limits every search of the package: each ticks a ``Clock``
+once per node it expands, and one that runs out reports no value, or
+raises ``BudgetExhausted``, never a partial answer.
 
 ``brute_force_stable`` is the independent oracle: exhaustive enumeration
 of partitions into self-saturated polymers, for desk-scale instances only.
@@ -63,9 +68,14 @@ class BruteForceError(TbnError):
     """Instance too large for the exhaustive oracle."""
 
 
+class BudgetExhausted(TbnError):
+    """A search spent its budget before it could answer."""
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Search limits; defaults follow the 100 s benchmark timeout."""
+    """Limits on a search: nodes expanded and wall-clock seconds;
+    defaults follow the 100 s benchmark timeout."""
 
     max_nodes: int = 10_000_000
     max_time: float = 100.0
@@ -208,30 +218,38 @@ def propagate(
     return True
 
 
-class _BudgetClock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
+class Clock:
+    """Nodes ticked and time spent against one budget; searches given
+    the same running clock share it."""
+
+    def __init__(self, budget: Optional[Budget] = None):
+        self.budget = budget or Budget()
         self.start = time.monotonic()
         self.nodes = 0
 
+    @staticmethod
+    def of(budget: Budget | Clock | None) -> Clock:
+        """``budget`` itself when it is a running clock, else a new one."""
+        return budget if isinstance(budget, Clock) else Clock(budget)
+
     def tick(self) -> bool:
-        """Count one node; True while within budget."""
+        """Count one node; True while both limits hold."""
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            return False
-        if self.elapsed() > self.budget.max_time:
-            return False
-        return True
+        return (
+            self.nodes <= self.budget.max_nodes
+            and self.elapsed() < self.budget.max_time
+        )
+
+    def spend(self, search: str) -> None:
+        """Tick, raising ``BudgetExhausted`` once the budget is spent."""
+        if not self.tick():
+            raise BudgetExhausted(
+                f"{search} ran out of budget after {self.nodes - 1} nodes "
+                f"and {self.elapsed():.2f} s"
+            )
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
-
-    def remaining(self) -> Budget:
-        """What is left of the budget, for a search with its own clock."""
-        return Budget(
-            max(self.budget.max_nodes - self.nodes, 0),
-            self.budget.max_time - self.elapsed(),
-        )
 
     def stats(self) -> SolveStats:
         return SolveStats(self.nodes, self.elapsed())
@@ -242,7 +260,9 @@ class _BudgetClock:
 _Node = Tuple[List[int], List[int], Optional[int]]
 
 
-def solve_min(program: IntegerProgram, budget: Optional[Budget] = None) -> SolveResult:
+def solve_min(
+    program: IntegerProgram, budget: Budget | Clock | None = None
+) -> SolveResult:
     """Exact optimum of a bounded integer program, by the level scan.
 
     When the budget runs out the result carries no objective and no
@@ -250,10 +270,8 @@ def solve_min(program: IntegerProgram, budget: Optional[Budget] = None) -> Solve
     """
     if program.objective is None:
         raise TbnError("solve_min needs a program with an objective")
-    clock = _BudgetClock(budget or Budget())
-    status, value, found = _scan(
-        program, clock, False, program.fixed, lambda a: a
-    )
+    clock = Clock.of(budget)
+    status, value, found = scan_levels(program, clock)
     return SolveResult(
         status, value, found[0] if found else None, clock.stats()
     )
@@ -261,7 +279,7 @@ def solve_min(program: IntegerProgram, budget: Optional[Budget] = None) -> Solve
 
 def enumerate_assignments(
     program: IntegerProgram,
-    budget: Optional[Budget] = None,
+    budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
 ) -> Tuple[List[Dict[str, int]], bool, SolveStats]:
     """All integer solutions of a (typically objective-free) program.
@@ -270,10 +288,12 @@ def enumerate_assignments(
     declaration order, values tried in ascending order, so the output
     order is deterministic.  The search stops early once it holds
     ``max_solutions`` solutions; the returned flag is False only when the
-    budget ran out first.
+    budget ran out first.  The stats count this search's own nodes and
+    time, also on a clock shared with other searches.
     """
     comp = _Compiled(program)
-    clock = _BudgetClock(budget or Budget())
+    clock = Clock.of(budget)
+    first_node, started = clock.nodes, time.monotonic()
     solutions: List[Dict[str, int]] = []
     complete = True
 
@@ -299,26 +319,8 @@ def enumerate_assignments(
             child_lo[branch_i] = child_hi[branch_i] = value
             stack.append((child_lo, child_hi, branch_i))
 
-    return solutions, complete, clock.stats()
-
-
-def enumerate_optima(
-    model: StableConfigsModel,
-    optimum: int,
-    budget: Optional[Budget] = None,
-) -> EnumerationResult:
-    """Every optimal partial configuration of a frozen-objective model."""
-    if model.options.fixed_objective != optimum:
-        raise TbnError(
-            "enumeration model must be built with fixed_objective=optimum"
-        )
-    if not model.options.symmetry_breaking:
-        raise TbnError("enumeration model must have symmetry breaking on")
-    assignments, complete, stats = enumerate_assignments(
-        model.program, budget
-    )
-    solutions = canonical_unique(model.decode(a) for a in assignments)
-    return EnumerationResult(optimum, solutions, complete, stats)
+    stats = SolveStats(clock.nodes - first_node, time.monotonic() - started)
+    return solutions, complete, stats
 
 
 @dataclass(frozen=True)
@@ -352,14 +354,14 @@ def stable_configs(
     if opts.bound is not None:
         bound = max(bound, opts.bound)
 
-    clock = _BudgetClock(opts.budget)
+    clock = Clock.of(opts.budget)
     model = build(t, bound)
 
     def level(value: int) -> IntegerProgram:
         options = BuildOptions(symmetry_breaking=True, fixed_objective=value)
         return build(t, bound, options).program
 
-    status, optimum, found = _scan(
+    status, optimum, found = scan_levels(
         model.program, clock, opts.all, level, model.decode
     )
     if status == INFEASIBLE:
@@ -371,23 +373,28 @@ def stable_configs(
     )
 
 
-def _scan(
+def scan_levels(
     program: IntegerProgram,
-    clock: _BudgetClock,
-    want_all: bool,
-    level: Callable[[int], IntegerProgram],
-    decode: Callable[[Dict[str, int]], Any],
+    budget: Budget | Clock | None = None,
+    want_all: bool = False,
+    level: Optional[Callable[[int], IntegerProgram]] = None,
+    decode: Callable[[Dict[str, int]], Any] = lambda a: a,
 ) -> Tuple[str, Optional[int], List[Any]]:
     """Status, optimum and decoded optimal solutions of ``program``: a
     witness, or with ``want_all`` all that ``level(optimum)`` admits.
 
-    ``level(value)`` is a program whose solutions satisfy ``program``'s
-    rows with the objective at ``value``, in the objective's own sense.
-    The ceiling of the root LP bounds the objective, in minimization
-    sense, from below.  From it upwards, each value's level is searched
-    exhaustively, so the first level with a solution is the optimum.  The
-    scan ends at the largest value the propagated root bounds allow.
+    ``level(value)``, by default ``program.fixed(value)``, is a program
+    whose solutions satisfy ``program``'s rows with the objective at
+    ``value``, in the objective's own sense.  The ceiling of the root LP
+    bounds the objective, in minimization sense, from below.  From it
+    upwards, each value's level is searched exhaustively, so the first
+    level with a solution is the optimum.  The scan ends at the largest
+    value the propagated root bounds allow.  One clock covers the root
+    and every level; when it runs out the status is ``BUDGET_EXCEEDED``
+    and nothing else is reported.
     """
+    clock = Clock.of(budget)
+    level = level or program.fixed
     if not clock.tick():
         return BUDGET_EXCEEDED, None, []
     comp = _Compiled(program)
@@ -407,10 +414,9 @@ def _scan(
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
     for v in range(first, last + 1):
         value = comp.obj_sign * v + comp.obj_const
-        assignments, complete, stats = enumerate_assignments(
-            level(value), clock.remaining(), None if want_all else 1
+        assignments, complete, _ = enumerate_assignments(
+            level(value), clock, None if want_all else 1
         )
-        clock.nodes += stats.nodes
         if not complete:
             return BUDGET_EXCEEDED, None, []
         if assignments:

@@ -17,7 +17,7 @@ from tbntools.lpformat import write_solution
 from tbntools.ipmodel import build
 from tbntools.solver import solve_min
 
-from conftest import GRID_TBN_TEXT, INTRO_TBN_TEXT
+from conftest import GRID_TBN_TEXT, INTRO_TBN_TEXT, TRANSLATOR_TBN_TEXT
 
 
 @pytest.fixture
@@ -31,6 +31,13 @@ def intro_file(tmp_path):
 def grid_file(tmp_path):
     path = tmp_path / "grid.tbn"
     path.write_text(GRID_TBN_TEXT + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def translator_file(tmp_path):
+    path = tmp_path / "translator.tbn"
+    path.write_text(TRANSLATOR_TBN_TEXT)
     return str(path)
 
 
@@ -98,6 +105,16 @@ class TestBasisCommand:
         assert main(["basis", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("1 basis element")
 
+    def test_cap_exhausted_is_a_budget_exit(self, translator_file, capsys):
+        assert main(["basis", translator_file, "--cap", "3"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+
+    def test_environment_node_budget(
+        self, translator_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TBN_MAX_NODES", "3")
+        assert main(["basis", translator_file]) == EXIT_BUDGET
+
 
 class TestVerifyCommand:
     def run_verify(self, intro_file, tmp_path, capsys, config_text):
@@ -130,6 +147,17 @@ class TestVerifyCommand:
             intro_file, tmp_path, capsys, "m1 + m2\n...\n"
         )
         assert verdicts["saturated"] == "true"
+        assert verdicts["stable"] == "-"
+
+    def test_exhausted_budget_leaves_local_stability_undecided(
+        self, intro_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("TBN_MAX_SECONDS", "0")
+        verdicts = self.run_verify(
+            intro_file, tmp_path, capsys, "m1 + m2\n...\n"
+        )
+        assert verdicts["saturated"] == "true"
+        assert verdicts["locally_stable"] == "-"
         assert verdicts["stable"] == "-"
 
     def test_saturated_but_not_stable(self, intro_file, tmp_path, capsys):
@@ -194,6 +222,19 @@ class TestPathwayCommand:
         ])
         assert code == EXIT_OK
         assert "no pathway" in capsys.readouterr().out
+
+    def test_environment_node_budget(self, tmp_path, monkeypatch, capsys):
+        tbn = tmp_path / "swap.tbn"
+        tbn.write_text("x: a*\ny: a\nz: a b\n")
+        src = tmp_path / "from.cfg"
+        src.write_text("x + y\nz\n")
+        dst = tmp_path / "to.cfg"
+        dst.write_text("x + z\ny\n")
+        monkeypatch.setenv("TBN_MAX_NODES", "1")
+        code = main([
+            "pathway", str(tbn), "--from", str(src), "--to", str(dst),
+        ])
+        assert code == EXIT_BUDGET
 
 
 class TestGridgateGenerator:
@@ -269,6 +310,11 @@ class TestBenchCommand:
         ])
         assert code == EXIT_BUDGET
         assert ",timeout," in capsys.readouterr().out
+
+    def test_environment_time_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("TBN_MAX_SECONDS", "0")
+        code = main(["bench", "--n-range", "1:1", "--fuel-range", "2"])
+        assert code == EXIT_BUDGET
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -5,7 +5,6 @@ import pytest
 from tbntools.core import Polymer, is_self_saturated, parse_tbn
 from tbntools.hilbert import (
     BasisError,
-    HilbertBudget,
     basis_from_json,
     basis_to_json,
     brute_force_hilbert,
@@ -16,7 +15,15 @@ from tbntools.hilbert import (
     render_basis_table,
     stable_via_basis,
 )
-from tbntools.solver import StableOptions, stable_configs
+from tbntools.solver import (
+    Budget,
+    BudgetExhausted,
+    Clock,
+    StableOptions,
+    stable_configs,
+)
+
+from conftest import TRANSLATOR_TBN_TEXT
 
 
 class TestMatrixRepresentation:
@@ -42,9 +49,9 @@ class TestHilbertBasis:
         assert hilbert_basis([], 2) == [(0, 1), (1, 0)]
 
     def test_budget_guard(self):
-        with pytest.raises(BasisError):
+        with pytest.raises(BudgetExhausted):
             hilbert_basis(
-                [[3, -1], [-1, 2]], 2, HilbertBudget(max_nodes=1)
+                [[3, -1], [-1, 2]], 2, Budget(max_nodes=1)
             )
 
     @pytest.mark.parametrize(
@@ -72,9 +79,9 @@ class TestHilbertBasis:
         exact = hilbert_basis(rows, n)
         try:
             basis = hilbert_basis(
-                rows, n, HilbertBudget(max_nodes=2**bits - 1)
+                rows, n, Budget(max_nodes=2**bits - 1)
             )
-        except BasisError:
+        except BudgetExhausted:
             return
         assert basis == exact
 
@@ -84,10 +91,10 @@ class TestHilbertBasis:
         # reaches coordinate k, so k = 2**bits - 3 spends all of
         # max_nodes = 2**bits - 1 on a value that fills a bits-wide field
         k = 2**bits - 3
-        budget = HilbertBudget(max_nodes=2**bits - 1)
+        budget = Budget(max_nodes=2**bits - 1)
         assert hilbert_basis([[1, -k]], 2, budget) == [(1, 0), (k, 1)]
-        with pytest.raises(BasisError):
-            hilbert_basis([[1, -k]], 2, HilbertBudget(max_nodes=2**bits - 2))
+        with pytest.raises(BudgetExhausted):
+            hilbert_basis([[1, -k]], 2, Budget(max_nodes=2**bits - 2))
 
 
 class TestPolymerBasis:
@@ -108,6 +115,10 @@ class TestPolymerBasis:
 
     def test_empty_tbn(self):
         assert polymer_basis(parse_tbn("")) == []
+
+    def test_zero_time_budget_raises(self, translator_tbn):
+        with pytest.raises(BudgetExhausted):
+            polymer_basis(translator_tbn, Budget(max_time=0))
 
 
 class TestDecompose:
@@ -147,6 +158,65 @@ class TestStableViaBasis:
     def test_infinite_tbn_rejected(self, excess_tbn):
         with pytest.raises(BasisError):
             stable_via_basis(excess_tbn)
+
+
+def assert_exhausted(result):
+    assert not result.complete
+    assert result.optimum is None
+    assert result.solutions == []
+
+
+class TestStableViaBasisBudget:
+    @pytest.fixture(scope="class")
+    def translator_basis(self):
+        clock = Clock()
+        basis = polymer_basis(parse_tbn(TRANSLATOR_TBN_TEXT), clock)
+        return basis, clock.nodes
+
+    def test_completes_within_default_budget(
+        self, translator_tbn, translator_basis
+    ):
+        basis, _ = translator_basis
+        result = stable_via_basis(translator_tbn, basis)
+        assert result.complete
+        assert result.optimum == 6
+        assert len(result.solutions) == 2
+
+    def test_zero_time_budget(self, translator_tbn, translator_basis):
+        basis, _ = translator_basis
+        assert_exhausted(
+            stable_via_basis(translator_tbn, basis, Budget(max_time=0))
+        )
+        assert_exhausted(
+            stable_via_basis(translator_tbn, budget=Budget(max_time=0))
+        )
+
+    def test_tiny_node_budget_in_the_level_scan(
+        self, translator_tbn, translator_basis
+    ):
+        basis, _ = translator_basis
+        result = stable_via_basis(translator_tbn, basis, Budget(max_nodes=5))
+        assert_exhausted(result)
+        # the root, the four level-search nodes left, and the one that
+        # found the budget spent
+        assert result.stats.nodes == 6
+
+    def test_one_budget_covers_basis_and_scan(
+        self, translator_tbn, translator_basis
+    ):
+        # enough nodes for the basis and the root, none for a level
+        _, basis_nodes = translator_basis
+        result = stable_via_basis(
+            translator_tbn, budget=Budget(max_nodes=basis_nodes + 1)
+        )
+        assert_exhausted(result)
+        assert result.stats.nodes == basis_nodes + 2
+        # a basis-sized budget runs out in the basis itself
+        result = stable_via_basis(
+            translator_tbn, budget=Budget(max_nodes=basis_nodes - 1)
+        )
+        assert_exhausted(result)
+        assert result.stats.nodes == basis_nodes
 
 
 class TestSerialization:

@@ -5,11 +5,8 @@ from tbntools.hilbert import polymer_basis
 from tbntools.pathways import (
     FullConfiguration,
     Pathway,
-    PathwayBudget,
     PathwayError,
-    PathwaySearchExhausted,
     all_singletons,
-    barrier,
     find_pathway,
     full_configuration,
     is_locally_stable,
@@ -17,7 +14,12 @@ from tbntools.pathways import (
     split_moves,
     splits,
 )
-from tbntools.solver import StableOptions, stable_configs
+from tbntools.solver import (
+    Budget,
+    BudgetExhausted,
+    StableOptions,
+    stable_configs,
+)
 
 
 @pytest.fixture
@@ -157,16 +159,8 @@ class TestPathway:
     def test_budget_distinct_from_proven_absence(self, swap_tbn):
         start = config(swap_tbn, (1, 1, 0), (0, 0, 1))
         goal = config(swap_tbn, (1, 0, 1), (0, 1, 0))
-        with pytest.raises(PathwaySearchExhausted):
-            find_pathway(start, goal, budget=PathwayBudget(max_states=1))
-
-    def test_barrier_replay(self, swap_tbn):
-        start = config(swap_tbn, (1, 1, 0), (0, 0, 1))
-        goal = config(swap_tbn, (1, 0, 1), (0, 1, 0))
-        p = find_pathway(start, goal)
-        assert barrier(p, start) == 1
-        with pytest.raises(PathwayError):
-            barrier(p, goal)  # wrong starting point
+        with pytest.raises(BudgetExhausted):
+            find_pathway(start, goal, budget=Budget(max_nodes=1))
 
     def test_unsaturated_endpoint_rejected(self, swap_tbn):
         bad = all_singletons(swap_tbn)
@@ -188,7 +182,26 @@ class TestPathway:
         assert back.barrier() == p.barrier()
 
 
+def translator_pairs(t, shift):
+    """Full configuration pairing each T_xyz with G_xy (shift 0) or with
+    G_yz (shift 1)."""
+    polymers = []
+    for sites in ("abc", "bcd", "cde", "def", "efa", "fab"):
+        counts = [0] * t.n_types
+        counts[t.monomer_by_label("T_" + sites)] += 1
+        counts[t.monomer_by_label("G_" + sites[shift:shift + 2])] += 1
+        polymers.append(Polymer(tuple(counts)))
+    return FullConfiguration.from_polymers(polymers, t)
+
+
 class TestTranslatorPathway:
+    def test_zero_time_budget_raises(self, translator_tbn):
+        start = translator_pairs(translator_tbn, 0)
+        goal = translator_pairs(translator_tbn, 1)
+        assert start.is_saturated() and goal.is_saturated()
+        with pytest.raises(BudgetExhausted):
+            find_pathway(start, goal, budget=Budget(max_time=0))
+
     @pytest.mark.slow
     def test_barrier_at_most_three(self, translator_tbn):
         result = stable_configs(translator_tbn, StableOptions(all=True))

@@ -8,7 +8,6 @@ from tbntools.simplex import (
     LE,
     Q,
     frac_ceil,
-    frac_floor,
     is_integral,
     solve_lp,
 )
@@ -171,8 +170,6 @@ class TestFractionHelpers:
     def test_ceil_floor(self):
         assert frac_ceil(Q(7, 2)) == 4
         assert frac_ceil(Q(-7, 2)) == -3
-        assert frac_floor(Q(7, 2)) == 3
-        assert frac_floor(Q(-7, 2)) == -4
         assert frac_ceil(Q(4)) == 4
 
     def test_is_integral(self):

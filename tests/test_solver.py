@@ -35,7 +35,6 @@ from tbntools.solver import (
     _Compiled,
     brute_force_stable,
     enumerate_assignments,
-    enumerate_optima,
     load_external_solution,
     propagate,
     solve_min,
@@ -95,6 +94,15 @@ class TestTranslatorCascade:
         for pc in result.solutions:
             assert pc.n_polymers == 6
             assert all(p.size == 2 for p in pc.polymers)
+
+    def test_zero_time_budget_reports_no_value(self, translator_tbn):
+        result = stable_configs(
+            translator_tbn,
+            StableOptions(all=True, budget=Budget(max_time=0)),
+        )
+        assert not result.complete
+        assert result.optimum is None
+        assert result.solutions == []
 
     def test_budget_exhaustion_reports_no_value(self, translator_tbn):
         result = stable_configs(
@@ -262,11 +270,6 @@ class TestPropagation:
 
 
 class TestEnumeration:
-    def test_requires_frozen_objective(self, intro_tbn):
-        model = build(intro_tbn, 1)
-        with pytest.raises(TbnError):
-            enumerate_optima(model, 1)
-
     def test_deterministic_order(self, intro_tbn):
         model = build(
             intro_tbn, 1,
@@ -281,8 +284,10 @@ class TestEnumeration:
             translator_tbn, 6,
             BuildOptions(symmetry_breaking=True, fixed_objective=6),
         )
-        result = enumerate_optima(model, 6, Budget(max_nodes=10))
-        assert not result.complete
+        _, complete, _ = enumerate_assignments(
+            model.program, Budget(max_nodes=10)
+        )
+        assert not complete
 
 
 class TestBoundHandling:
