@@ -8,6 +8,11 @@ Subcommands:
   bench      timing table over generated benchmark instances (CSV)
   export-lp  write the integer program in CPLEX LP text format
 
+``stable`` and ``export-lp`` use one slot model: B polymer slots, B the
+limiting-monomer count, which holds every stable configuration.
+``stable --solution`` checks an external solver's answer to the model
+``export-lp`` writes.
+
 Exit codes: 0 success, 2 input error, 3 budget or timeout exhausted,
 4 internal-consistency failure.  ``verify`` leaves a verdict its budget
 could not decide as ``-`` and exits 0.
@@ -40,7 +45,7 @@ from .core import (
     parse_tbn_with_report,
 )
 from .hilbert import polymer_basis, render_basis_table
-from .ipmodel import BuildOptions, build, default_bound
+from .ipmodel import build, default_bound
 from .lpformat import parse_solution, write_lp
 from .pathways import find_pathway, full_configuration
 from .solver import (
@@ -190,7 +195,7 @@ def cmd_stable(args) -> int:
 
     started = time.monotonic()
     result = stable_configs(
-        t, StableOptions(all=args.all, bound=args.bound, budget=budget)
+        t, StableOptions(all=args.all, budget=budget)
     )
     elapsed = time.monotonic() - started
 
@@ -235,8 +240,7 @@ def cmd_stable(args) -> int:
 
 
 def _stable_from_solution(args, t: Tbn, notes: Dict) -> int:
-    bound = args.bound if args.bound is not None else default_bound(t)
-    model = build(t, max(bound, 1))
+    model = build(t, max(default_bound(t), 1))
     try:
         with open(args.solution) as fh:
             assignment = parse_solution(fh.read())
@@ -515,13 +519,10 @@ def cmd_bench(args) -> int:
 
 def cmd_export_lp(args) -> int:
     t, _ = load_tbn(args.file)
-    bound = args.bound if args.bound is not None else default_bound(t)
-    options = BuildOptions(
-        symmetry_breaking=args.symmetry,
-        fixed_objective=args.fixed_objective,
-    )
-    model = build(t, max(bound, 1), options)
-    text = write_lp(model.program)
+    program = build(t, max(default_bound(t), 1), args.symmetry).program
+    if args.fixed_objective is not None:
+        program = program.fixed(args.fixed_objective)
+    text = write_lp(program)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -550,16 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--all", action="store_true",
                    help="enumerate every stable configuration")
-    p.add_argument("--bound", type=int, default=None,
-                   help="polymer slot bound (default and minimum: the "
-                   "limiting-monomer count, the smallest bound known to "
-                   "hold every stable configuration; with --solution, "
-                   "the bound of the model that solution is for)")
     p.add_argument("--timeout", type=float, default=None,
                    help="wall-clock budget in seconds")
     p.add_argument("--solution", default=None,
-                   help="validate an external solver's solution file "
-                   "instead of solving")
+                   help="validate an external solver's solution file, "
+                   "for the model export-lp writes, instead of solving")
     add_format(p)
     p.set_defaults(func=cmd_stable)
 
@@ -600,9 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-lp", help="write the model in LP format")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--fixed-objective", type=int, default=None)
-    p.add_argument("--symmetry", action="store_true")
+    p.add_argument("--fixed-objective", type=int, default=None,
+                   help="replace the objective by an equality row that "
+                   "holds the merge count at this value")
+    p.add_argument("--symmetry", action="store_true",
+                   help="add the lexicographic symmetry-breaking rows")
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_export_lp)
 

@@ -43,10 +43,6 @@ class MatrixRepresentation:
     site_names: Tuple[str, ...]
     rows: Tuple[Tuple[int, ...], ...]
 
-    @property
-    def n_monomers(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
 
 def matrix_representation(t: Tbn) -> MatrixRepresentation:
     return MatrixRepresentation(tuple(t.site_names()), t.site_matrix)

@@ -4,12 +4,13 @@ The model describes a partial configuration through ``B`` polymer slots:
 ``Count(m, j)`` counts monomer type ``m`` in slot ``j``, and boolean
 ``Exists(j)`` flags a nonempty slot.  Constraints enforce monomer
 conservation, self-saturation of every slot, and that nonempty slots
-contain a limiting monomer; the objective minimizes total merges.
+contain a limiting monomer; a big-M converse row ties ``Exists`` exactly
+to nonemptiness.  The objective minimizes total merges.
 
-For enumeration the objective is frozen into an equality, a big-M converse
-row ties ``Exists`` exactly to nonemptiness, and lexicographic
-symmetry-breaking rows over auxiliary ``Tied`` booleans force the slots
-into non-increasing order so each configuration appears exactly once.
+With ``symmetry_breaking``, lexicographic rows over auxiliary ``Tied``
+booleans force the slots into non-increasing order, so each
+configuration appears exactly once; ``IntegerProgram.fixed`` freezes the
+objective into an equality for enumeration.
 
 The ``IntegerProgram`` carrier is generic (bounded integer variables,
 linear rows, linear objective) and decoupled from any solver.
@@ -24,14 +25,13 @@ from .core import (
     INF,
     PartialConfiguration,
     Polymer,
-    SiteType,
     Tbn,
     TbnError,
     TbnValidationError,
 )
 from .simplex import EQ, GE, LE
 
-DEFAULT_VARIABLE_BUDGET = 200_000
+VARIABLE_BUDGET = 200_000
 
 
 class ModelError(TbnError):
@@ -115,9 +115,6 @@ class IntegerProgram:
     def n_variables(self) -> int:
         return len(self.variables)
 
-    def variable_index(self) -> Dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.variables)}
-
     def check(self, assignment: Mapping[str, int]) -> None:
         """Raise if the assignment violates bounds or a constraint."""
         for v in self.variables:
@@ -170,7 +167,9 @@ def merge_count_coeffs(
 
 
 def default_bound(t: Tbn) -> int:
-    """Conservative slot bound: the total count of limiting monomers."""
+    """The slot bound: the total count of limiting monomers.  Every
+    polymer of a stable configuration holds one, so this many slots hold
+    every stable configuration."""
     total = 0
     for mon, count in zip(t.monomer_types, t.counts):
         if mon.is_limiting:
@@ -192,14 +191,6 @@ def big_constant(t: Tbn) -> int:
 
 
 @dataclass(frozen=True)
-class BuildOptions:
-    symmetry_breaking: bool = False
-    fixed_objective: Optional[int] = None
-    min_polymers: Optional[int] = None
-    variable_budget: int = DEFAULT_VARIABLE_BUDGET
-
-
-@dataclass(frozen=True)
 class StableConfigsModel:
     """The IP for a specific TBN and slot bound, plus the variable mapping."""
 
@@ -207,7 +198,7 @@ class StableConfigsModel:
     tbn: Tbn
     bound: int
     big_c: int
-    options: BuildOptions
+    symmetry_breaking: bool
 
     def encode(self, pc: PartialConfiguration) -> Dict[str, int]:
         """Assignment representing a partial configuration (slots in order)."""
@@ -223,7 +214,7 @@ class StableConfigsModel:
                 assignment[count_var(i, j)] = (
                     poly.counts[i] if poly is not None else 0
                 )
-        if self.options.symmetry_breaking:
+        if self.symmetry_breaking:
             assignment.update(self._tied_values(assignment))
         return assignment
 
@@ -259,22 +250,19 @@ class StableConfigsModel:
                 polymers.append(Polymer(counts))
         return PartialConfiguration.from_polymers(polymers, self.tbn)
 
-    def objective_expression(self) -> Objective:
-        coeffs = merge_count_coeffs(self.tbn.n_types, self.bound)
-        return Objective("min", coeffs)
 
-
-def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableConfigsModel:
+def build(
+    t: Tbn, bound: int, symmetry_breaking: bool = False
+) -> StableConfigsModel:
     """Build the stable-configurations IP over ``bound`` polymer slots."""
-    opts = options or BuildOptions()
     if bound < 1:
         raise ModelError(f"slot bound must be >= 1, got {bound}")
     m = t.n_types
-    n_vars = bound * m + bound + (bound * m if opts.symmetry_breaking else 0)
-    if n_vars > opts.variable_budget:
+    n_vars = bound * m + bound + (bound * m if symmetry_breaking else 0)
+    if n_vars > VARIABLE_BUDGET:
         raise ModelError(
             f"model would need {n_vars} variables, "
-            f"budget is {opts.variable_budget}"
+            f"budget is {VARIABLE_BUDGET}"
         )
 
     C = big_constant(t)
@@ -307,14 +295,10 @@ def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableC
         # infinite supply: no row needed
 
     # self-saturation: per slot and site name, net count must be nonnegative
+    saturation = list(zip(t.site_names(), t.site_matrix_nonzeros))
     for j in slots:
-        for name in t.site_names():
-            s = SiteType(name, False)
-            coeffs = tuple(
-                (count_var(i, j), t.monomer_types[i].net_count(s))
-                for i in range(m)
-                if t.monomer_types[i].net_count(s) != 0
-            )
+        for name, nonzeros in saturation:
+            coeffs = tuple((count_var(i, j), a) for i, a in nonzeros)
             if coeffs:
                 constraints.append(
                     Constraint(coeffs, GE, 0, f"saturate_{name}_p{j}")
@@ -326,28 +310,13 @@ def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableC
         coeffs += ((exists_var(j), -1),)
         constraints.append(Constraint(coeffs, GE, 0, f"nonempty_p{j}"))
 
-    if opts.min_polymers is not None:
-        coeffs = tuple((exists_var(j), 1) for j in slots)
-        constraints.append(
-            Constraint(coeffs, GE, opts.min_polymers, "min_polymers")
-        )
+    # converse of the nonempty rule: empty Exists forces an empty slot
+    for j in slots:
+        coeffs = tuple((count_var(i, j), 1) for i in sorted(limiting))
+        coeffs += ((exists_var(j), -C),)
+        constraints.append(Constraint(coeffs, LE, 0, f"converse_p{j}"))
 
-    objective: Optional[Objective]
-    obj_coeffs = merge_count_coeffs(m, bound)
-    if opts.fixed_objective is None:
-        objective = Objective("min", obj_coeffs)
-    else:
-        objective = None
-        constraints.append(
-            Constraint(obj_coeffs, EQ, opts.fixed_objective, "fixed_objective")
-        )
-        # converse of the nonempty rule: empty Exists forces an empty slot
-        for j in slots:
-            coeffs = tuple((count_var(i, j), 1) for i in sorted(limiting))
-            coeffs += ((exists_var(j), -C),)
-            constraints.append(Constraint(coeffs, LE, 0, f"converse_p{j}"))
-
-    if opts.symmetry_breaking:
+    if symmetry_breaking:
         for i in range(1, m + 1):
             # slot 1 has no predecessor; pin its Tied column
             variables.append(Variable(tied_var(i, 1), 1, 1))
@@ -410,5 +379,6 @@ def build(t: Tbn, bound: int, options: Optional[BuildOptions] = None) -> StableC
                         )
                     )
 
+    objective = Objective("min", merge_count_coeffs(m, bound))
     program = IntegerProgram(tuple(variables), tuple(constraints), objective)
-    return StableConfigsModel(program, t, bound, C, opts)
+    return StableConfigsModel(program, t, bound, C, symmetry_breaking)

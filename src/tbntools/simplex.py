@@ -11,17 +11,16 @@ after a long degenerate streak to guarantee termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a normal install
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
+from typing import Callable, List, Optional, Sequence, Tuple
 
 # senses for linear constraints (ipmodel re-exports them)
 LE, GE, EQ = "<=", ">=", "="
 
 _DEGENERATE_STREAK_LIMIT = 200
+
+# LpSolution status of a solve stopped by its ``out_of_time`` check
+TIME_LIMIT = "time_limit"
 
 
 class SimplexError(Exception):
@@ -39,7 +38,7 @@ def is_integral(q) -> bool:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible"
+    status: str  # "optimal" | "infeasible" | TIME_LIMIT
     objective: Optional[object] = None  # exact rational
     x: Optional[List[object]] = None  # exact rationals, one per variable
 
@@ -48,12 +47,15 @@ def solve_lp(
     objective: Sequence[Tuple[int, int]],
     rows: Sequence[Tuple[Sequence[Tuple[int, int]], str, int]],
     bounds: Sequence[Tuple[int, int]],
+    out_of_time: Optional[Callable[[], bool]] = None,
 ) -> LpSolution:
     """Minimize ``sum(c_i x_i)`` subject to linear rows and finite bounds.
 
     ``objective``: (variable index, coefficient) pairs.
     ``rows``: (coeff pairs, sense, rhs) triples.
     ``bounds``: inclusive (lower, upper) per variable, all finite.
+    ``out_of_time``, asked once per pivot, stops the solve with status
+    ``TIME_LIMIT`` when it returns True.
     """
     n = len(bounds)
     lo = [b[0] for b in bounds]
@@ -102,7 +104,12 @@ def solve_lp(
         z = [Q(u[k]) if c[k] < 0 else Q(0) for k in range(len(active))]
         return _finish(z, active, lo, n, c, obj_const)
 
-    return _Simplex(shifted, c, u).run(active, lo, n, obj_const)
+    try:
+        return _Simplex(shifted, c, u, out_of_time).run(
+            active, lo, n, obj_const
+        )
+    except _OutOfTime:
+        return LpSolution(TIME_LIMIT)
 
 
 def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
@@ -114,12 +121,17 @@ def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
     return LpSolution("optimal", value, x)
 
 
+class _OutOfTime(Exception):
+    """The solve's ``out_of_time`` check fired."""
+
+
 class _Simplex:
     """Bounded-variable two-phase tableau simplex in z-space (lowers at 0)."""
 
-    def __init__(self, shifted_rows, c, u):
+    def __init__(self, shifted_rows, c, u, out_of_time=None):
         self.n_struct = len(u)
         self.c = c
+        self.out_of_time = out_of_time
         rows = []
         for row, sense, b in shifted_rows:
             if sense == GE:
@@ -271,6 +283,8 @@ class _Simplex:
             iteration += 1
             if iteration > max_iterations:
                 raise SimplexError("iteration cap exceeded")
+            if self.out_of_time is not None and self.out_of_time():
+                raise _OutOfTime
 
             entering = None
             best = Q(0)

@@ -12,10 +12,11 @@ search driven by interval propagation, with no LP below the root.  The
 first level with a solution is the optimum.  ``stats.nodes`` counts the
 root plus every node of every level searched.
 
-``stable_configs`` freezes the merge count in a model with lexicographic
-symmetry-breaking rows that leave one representative per polymer
-ordering, so the optimal level's solutions are every stable
-configuration; canonicalization plus deduplication acts as a safety net.
+``stable_configs`` solves the root LP on the plain slot model and freezes
+the merge count of the model with lexicographic symmetry-breaking rows,
+which leave one representative per polymer ordering, so the optimal
+level's solutions are every stable configuration; canonicalization plus
+deduplication acts as a safety net.
 ``solve_min`` freezes a general bounded program's objective with
 ``IntegerProgram.fixed``, and the basis route of
 ``hilbert.stable_via_basis`` calls the scan itself.  The search
@@ -24,7 +25,8 @@ since its parent is already at a fixpoint.
 
 ``Budget`` limits every search of the package: each ticks a ``Clock``
 once per node it expands, and one that runs out reports no value, or
-raises ``BudgetExhausted``, never a partial answer.
+raises ``BudgetExhausted``, never a partial answer.  The root LP checks
+the clock's time limit once per pivot without ticking it.
 
 ``brute_force_stable`` is the independent oracle: exhaustive enumeration
 of partitions into self-saturated polymers, for desk-scale instances only.
@@ -32,6 +34,7 @@ of partitions into self-saturated polymers, for desk-scale instances only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -49,13 +52,12 @@ from .ipmodel import (
     EQ,
     GE,
     LE,
-    BuildOptions,
     IntegerProgram,
     StableConfigsModel,
     build,
     default_bound,
 )
-from .simplex import frac_ceil, is_integral, solve_lp
+from .simplex import TIME_LIMIT, frac_ceil, is_integral, solve_lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -235,10 +237,7 @@ class Clock:
     def tick(self) -> bool:
         """Count one node; True while both limits hold."""
         self.nodes += 1
-        return (
-            self.nodes <= self.budget.max_nodes
-            and self.elapsed() < self.budget.max_time
-        )
+        return self.nodes <= self.budget.max_nodes and not self.out_of_time()
 
     def spend(self, search: str) -> None:
         """Tick, raising ``BudgetExhausted`` once the budget is spent."""
@@ -250,6 +249,10 @@ class Clock:
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
+
+    def out_of_time(self) -> bool:
+        """True once the time limit is reached; ticks nothing."""
+        return self.elapsed() >= self.budget.max_time
 
     def stats(self) -> SolveStats:
         return SolveStats(self.nodes, self.elapsed())
@@ -326,7 +329,6 @@ def enumerate_assignments(
 @dataclass(frozen=True)
 class StableOptions:
     all: bool = False
-    bound: Optional[int] = None
     budget: Budget = Budget()
 
 
@@ -336,11 +338,11 @@ def stable_configs(
     """Minimum merge count of ``t`` and a witness, or with ``all`` every
     stable configuration, in canonical order.
 
-    The slot bound is the total count of limiting monomers, or the bound
-    given if that is larger.  A smaller bound is raised to it: only a
-    bound of at least the limiting count is known to hold every stable
-    configuration, and a smaller one can cut the true optimum off.  One
-    budget covers the whole call.  When it runs out the result has
+    The slot bound is ``default_bound(t)``, the total count of limiting
+    monomers, which holds every stable configuration.  The root LP runs
+    on the plain slot model; the levels past it freeze the objective of
+    the symmetry-broken model, built once, on first use.  One budget
+    covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
     value is never reported.  ``stats.nodes`` counts the root node and
     every node of every objective level searched.
@@ -351,15 +353,15 @@ def stable_configs(
         # no limiting monomers: the all-singletons configuration is stable
         empty = PartialConfiguration.from_polymers([], t)
         return EnumerationResult(0, [empty], True)
-    if opts.bound is not None:
-        bound = max(bound, opts.bound)
-
     clock = Clock.of(opts.budget)
     model = build(t, bound)
 
+    @functools.cache
+    def symmetric() -> IntegerProgram:
+        return build(t, bound, symmetry_breaking=True).program
+
     def level(value: int) -> IntegerProgram:
-        options = BuildOptions(symmetry_breaking=True, fixed_objective=value)
-        return build(t, bound, options).program
+        return symmetric().fixed(value)
 
     status, optimum, found = scan_levels(
         model.program, clock, opts.all, level, model.decode
@@ -390,8 +392,8 @@ def scan_levels(
     upwards, each value's level is searched exhaustively, so the first
     level with a solution is the optimum.  The scan ends at the largest
     value the propagated root bounds allow.  One clock covers the root
-    and every level; when it runs out the status is ``BUDGET_EXCEEDED``
-    and nothing else is reported.
+    LP and every level; when it runs out the status is
+    ``BUDGET_EXCEEDED`` and nothing else is reported.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
@@ -402,7 +404,11 @@ def scan_levels(
     if not propagate(comp, lo, hi):
         return INFEASIBLE, None, []
     objective = comp.min_objective()
-    relax = solve_lp(objective, comp.rows, list(zip(lo, hi)))
+    relax = solve_lp(
+        objective, comp.rows, list(zip(lo, hi)), clock.out_of_time
+    )
+    if relax.status == TIME_LIMIT:
+        return BUDGET_EXCEEDED, None, []
     if relax.status != "optimal":
         return INFEASIBLE, None, []
     first = frac_ceil(relax.objective)
@@ -433,7 +439,7 @@ def load_external_solution(
     raises if the assignment violates the model.
     """
     pc = model.decode(assignment)
-    value = model.objective_expression().evaluate(assignment)
+    value = model.program.objective.evaluate(assignment)
     return pc, value
 
 

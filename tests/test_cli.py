@@ -13,8 +13,8 @@ from tbntools.cli import (
     parse_configuration,
 )
 from tbntools.core import INF, parse_tbn
-from tbntools.lpformat import write_solution
-from tbntools.ipmodel import build
+from tbntools.lpformat import write_lp, write_solution
+from tbntools.ipmodel import build, default_bound
 from tbntools.solver import solve_min
 
 from conftest import GRID_TBN_TEXT, INTRO_TBN_TEXT, TRANSLATOR_TBN_TEXT
@@ -80,16 +80,14 @@ class TestStableCommand:
         assignment = solve_min(model.program).assignment
         sol = tmp_path / "intro.sol"
         sol.write_text(write_solution(assignment))
-        code = main(["stable", intro_file, "--solution", str(sol),
-                     "--bound", "1"])
+        code = main(["stable", intro_file, "--solution", str(sol)])
         assert code == EXIT_OK
         assert "objective 1" in capsys.readouterr().out
 
     def test_bad_solution_rejected(self, intro_file, tmp_path, capsys):
         sol = tmp_path / "zero.sol"
         sol.write_text("")  # all-zero assignment drops monomer m1
-        code = main(["stable", intro_file, "--solution", str(sol),
-                     "--bound", "1"])
+        code = main(["stable", intro_file, "--solution", str(sol)])
         assert code == EXIT_INPUT
 
 
@@ -338,6 +336,24 @@ class TestExportLp:
         code = main(["export-lp", intro_file, "-o", str(target)])
         assert code == EXIT_OK
         assert target.read_text().rstrip().endswith("End")
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_fixed_objective_is_the_frozen_library_model(
+        self, translator_file, capsys, symmetry
+    ):
+        argv = ["export-lp", translator_file, "--fixed-objective", "6"]
+        assert main(argv + ["--symmetry"] * symmetry) == EXIT_OK
+        out = capsys.readouterr().out
+        t = parse_tbn(TRANSLATOR_TBN_TEXT)
+        model = build(t, default_bound(t), symmetry_breaking=symmetry)
+        assert out == write_lp(model.program.fixed(6))
+        assert " fixed_objective: " in out
+        for j in range(1, default_bound(t) + 1):
+            assert f"converse_p{j}:" in out
+
+    @pytest.mark.parametrize("command", ["stable", "export-lp"])
+    def test_no_bound_flag(self, intro_file, capsys, command):
+        assert main([command, intro_file, "--bound", "1"]) == EXIT_INPUT
 
 
 class TestConfigurationParsing:

@@ -13,8 +13,9 @@ from tbntools.core import (
 )
 from tbntools.ipmodel import (
     EQ,
+    GE,
     LE,
-    BuildOptions,
+    VARIABLE_BUDGET,
     Constraint,
     IntegerProgram,
     ModelError,
@@ -67,7 +68,7 @@ class TestBuild:
         assert model.program.n_variables == 2 * 4 + 2
 
     def test_tied_variable_count(self, intro_tbn):
-        model = build(intro_tbn, 2, BuildOptions(symmetry_breaking=True))
+        model = build(intro_tbn, 2, symmetry_breaking=True)
         assert model.program.n_variables == (2 * 4 + 2) + 2 * 4
 
     def test_bound_must_be_positive(self, intro_tbn):
@@ -75,8 +76,24 @@ class TestBuild:
             build(intro_tbn, 0)
 
     def test_variable_budget_guard(self, intro_tbn):
+        # one Count per type and one Exists per slot
+        bound = VARIABLE_BUDGET // (intro_tbn.n_types + 1) + 1
         with pytest.raises(ModelError):
-            build(intro_tbn, 2, BuildOptions(variable_budget=5))
+            build(intro_tbn, bound)
+
+    def test_saturation_rows_are_net_site_counts(self, translator_tbn):
+        model = build(translator_tbn, 2)
+        rows = {c.name: c for c in model.program.constraints}
+        for j in (1, 2):
+            for name in translator_tbn.site_names():
+                s = SiteType(name, False)
+                want = tuple(
+                    (count_var(i, j), mon.net_count(s))
+                    for i, mon in enumerate(translator_tbn.monomer_types)
+                    if mon.net_count(s) != 0
+                )
+                row = rows[f"saturate_{name}_p{j}"]
+                assert (row.coeffs, row.sense, row.rhs) == (want, GE, 0)
 
     def test_count_upper_bounds(self, excess_intro_tbn):
         model = build(excess_intro_tbn, 3)
@@ -143,7 +160,7 @@ class TestEncodeDecode:
         assert pc.n_polymers == 3
         sizes = sorted(p.size for p in pc.polymers)
         assert sizes == [2, 2, 3]
-        assert model.objective_expression().evaluate(assignment) == 4
+        assert model.program.objective.evaluate(assignment) == 4
 
     def test_decode_rejects_violation(self, intro_tbn):
         model = build(intro_tbn, 1)
@@ -155,33 +172,24 @@ class TestEncodeDecode:
 
 
 class TestSymmetryBreaking:
-    def two_pair_model_and_pc(self, excess_intro_tbn):
+    def test_sorted_duplicate_slots_feasible(self):
         t = parse_tbn("a* b*, 2\na b, 2")
-        model = build(
-            t, 2,
-            BuildOptions(symmetry_breaking=True, fixed_objective=2),
-        )
+        model = build(t, 2, symmetry_breaking=True)
         pair = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")], t)
         pc = PartialConfiguration.from_polymers([pair, pair], t)
-        return model, pc
-
-    def test_sorted_duplicate_slots_feasible(self, excess_intro_tbn):
-        model, pc = self.two_pair_model_and_pc(excess_intro_tbn)
-        model.program.check(model.encode(pc))
+        model.program.fixed(2).check(model.encode(pc))
 
     def test_unsorted_assignment_rejected(self, intro_tbn):
         t = parse_tbn("a* b*, 2\na b\na\nb")
-        model = build(
-            t, 2,
-            BuildOptions(symmetry_breaking=True, fixed_objective=3),
-        )
+        model = build(t, 2, symmetry_breaking=True)
+        program = model.program.fixed(3)
         pair = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")], t)
         triple = polymer_from_monomers(
             [mono("a*", "b*"), mono("a"), mono("b")], t
         )
         pc = PartialConfiguration.from_polymers([pair, triple], t)
         good = model.encode(pc)
-        model.program.check(good)
+        program.check(good)
 
         # swap the two slots: must violate a tie-breaking row
         swapped = dict(good)
@@ -192,7 +200,7 @@ class TestSymmetryBreaking:
         violated = False
         for tied_fix in _all_tied_fillings(model, swapped):
             try:
-                model.program.check(tied_fix)
+                program.check(tied_fix)
             except TbnValidationError:
                 continue
             break
@@ -201,8 +209,9 @@ class TestSymmetryBreaking:
         assert violated
 
     def test_converse_forces_exists(self, excess_intro_tbn):
+        # the plain model holds the converse rows too
         t = parse_tbn("a* b*, 2\na b, 2")
-        model = build(t, 2, BuildOptions(fixed_objective=2))
+        model = build(t, 2)
         pair_i = t.index_of(mono("a*", "b*"))
         other_i = t.index_of(mono("a", "b"))
         a = {v.name: 0 for v in model.program.variables}
@@ -248,16 +257,10 @@ class TestFixedObjective:
 
     def test_merge_count_row_matches_the_frozen_model(self, intro_tbn):
         model = build(intro_tbn, 2)
-        frozen = build(intro_tbn, 2, BuildOptions(fixed_objective=1))
-        assert model.program.objective.coeffs == merge_count_coeffs(
-            intro_tbn.n_types, 2
-        )
-        assert model.objective_expression() == model.program.objective
-        row = next(
-            c for c in frozen.program.constraints
-            if c.name == "fixed_objective"
-        )
-        assert row == model.program.fixed(1).constraints[-1]
+        coeffs = merge_count_coeffs(intro_tbn.n_types, 2)
+        assert model.program.objective == Objective("min", coeffs)
+        row = model.program.fixed(1).constraints[-1]
+        assert row == Constraint(coeffs, EQ, 1, "fixed_objective")
 
 
 def _all_tied_fillings(model, assignment):

@@ -1,6 +1,6 @@
 import pytest
 
-from tbntools.ipmodel import BuildOptions, build
+from tbntools.ipmodel import build
 from tbntools.lpformat import (
     LpFormatError,
     parse_lp,
@@ -22,10 +22,8 @@ def test_roundtrip_plain_model(intro_tbn):
 
 
 def test_roundtrip_enumeration_model(translator_tbn):
-    program = build(
-        translator_tbn, 3,
-        BuildOptions(symmetry_breaking=True, fixed_objective=6),
-    ).program
+    program = build(translator_tbn, 3, symmetry_breaking=True).program
+    program = program.fixed(6)
     parsed = parse_lp(write_lp(program))
     assert parsed.objective is None
     assert set(parsed.variables) == set(program.variables)

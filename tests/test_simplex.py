@@ -6,6 +6,7 @@ from tbntools.simplex import (
     EQ,
     GE,
     LE,
+    TIME_LIMIT,
     Q,
     frac_ceil,
     is_integral,
@@ -93,6 +94,32 @@ class TestHandCases:
         )
         assert sol.status == "optimal"
         assert sol.objective == -4  # x=2, y=2
+
+
+class TestTimeLimit:
+    OBJECTIVE = [(0, -1), (1, -1)]
+    ROWS = [([(0, 1), (1, 2)], LE, 4), ([(0, 3), (1, 1)], LE, 6)]
+    BOUNDS = [(0, 5), (0, 5)]
+
+    def test_asked_once_per_pivot_until_it_fires(self):
+        asked = []
+
+        def out_of_time():
+            asked.append(True)
+            return len(asked) > 1
+
+        sol = solve_lp(self.OBJECTIVE, self.ROWS, self.BOUNDS, out_of_time)
+        assert sol.status == TIME_LIMIT
+        assert (sol.objective, sol.x) == (None, None)
+        assert len(asked) == 2
+
+    def test_unexpired_check_changes_nothing(self):
+        plain = solve_lp(self.OBJECTIVE, self.ROWS, self.BOUNDS)
+        checked = solve_lp(
+            self.OBJECTIVE, self.ROWS, self.BOUNDS, lambda: False
+        )
+        assert checked == plain
+        assert plain.objective == Q(-14, 5)
 
 
 class TestRandomizedAgainstScipy:

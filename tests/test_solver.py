@@ -17,13 +17,13 @@ from tbntools.ipmodel import (
     EQ,
     GE,
     LE,
-    BuildOptions,
     Constraint,
     IntegerProgram,
     Objective,
     Variable,
     build,
     default_bound,
+    exists_var,
 )
 from tbntools.solver import (
     BUDGET_EXCEEDED,
@@ -31,12 +31,14 @@ from tbntools.solver import (
     OPTIMAL,
     Budget,
     BruteForceError,
+    Clock,
     StableOptions,
     _Compiled,
     brute_force_stable,
     enumerate_assignments,
     load_external_solution,
     propagate,
+    scan_levels,
     solve_min,
     stable_configs,
 )
@@ -117,11 +119,55 @@ class TestTranslatorCascade:
         assert result.stats.nodes == 51
 
 
+class _LateClock(Clock):
+    """A clock whose time limit has passed from its second reading on,
+    so the root tick succeeds and every later time check fails."""
+
+    def __init__(self):
+        super().__init__(Budget(max_time=1.0))
+        self.readings = 0
+
+    def elapsed(self) -> float:
+        self.readings += 1
+        return 0.0 if self.readings == 1 else 2.0
+
+
+class TestRootLpTimeLimit:
+    def test_scan_stops_inside_the_root_lp(self, grid_tbn):
+        # the root LP is integral, so a witness needs no level search:
+        # only the simplex's own time check can end this scan early
+        program = build(grid_tbn, default_bound(grid_tbn)).program
+        assert scan_levels(program, Clock())[:2] == (OPTIMAL, 2)
+        clock = _LateClock()
+        assert scan_levels(program, clock) == (BUDGET_EXCEEDED, None, [])
+        # the time check ticks no node: the root is the only one
+        assert clock.nodes == 1
+
+    def test_solve_min_reports_no_value(self, intro_tbn):
+        program = build(intro_tbn, 1).program
+        result = solve_min(program, _LateClock())
+        assert result.status == BUDGET_EXCEEDED
+        assert result.objective is None and result.assignment is None
+
+
+def with_min_polymers(model, count: int) -> IntegerProgram:
+    """The model's program plus a row asking for at least ``count``
+    nonempty slots."""
+    slots = range(1, model.bound + 1)
+    row = Constraint(
+        tuple((exists_var(j), 1) for j in slots), GE, count, "min_polymers"
+    )
+    program = model.program
+    return IntegerProgram(
+        program.variables, program.constraints + (row,), program.objective
+    )
+
+
 class TestSolveMin:
     def test_infeasible_program(self, intro_tbn):
         # more nonempty slots demanded than limiting monomers exist
-        model = build(intro_tbn, 2, BuildOptions(min_polymers=2))
-        assert solve_min(model.program).status == INFEASIBLE
+        program = with_min_polymers(build(intro_tbn, 2), 2)
+        assert solve_min(program).status == INFEASIBLE
 
     def test_budget_exceeded_reported(self, translator_tbn):
         model = build(translator_tbn, default_bound(translator_tbn))
@@ -134,7 +180,7 @@ class TestSolveMin:
         result = solve_min(model.program)
         assert result.status == OPTIMAL
         model.program.check(result.assignment)
-        assert model.objective_expression().evaluate(result.assignment) == 1
+        assert model.program.objective.evaluate(result.assignment) == 1
 
     def test_exhausted_budget_reports_no_incumbent(self, translator_tbn):
         model = build(translator_tbn, default_bound(translator_tbn))
@@ -240,14 +286,16 @@ class TestPropagation:
         i = comp.index["C_m0_p1"]
         assert (lo[i], hi[i]) == (1, 1)
 
-    @pytest.mark.parametrize("options", [
-        BuildOptions(),
-        BuildOptions(symmetry_breaking=True, fixed_objective=6),
-    ])
+    # (symmetry_breaking, frozen merge count): the root and a level model
+    @pytest.mark.parametrize("options", [(False, None), (True, 6)])
     def test_from_changed_rows_reaches_full_fixpoint(
         self, translator_tbn, options
     ):
-        comp = _Compiled(build(translator_tbn, 6, options).program)
+        symmetry_breaking, value = options
+        program = build(translator_tbn, 6, symmetry_breaking).program
+        if value is not None:
+            program = program.fixed(value)
+        comp = _Compiled(program)
         lo, hi = list(comp.lo), list(comp.hi)
         assert propagate(comp, lo, hi)
         fixes = 0
@@ -264,54 +312,32 @@ class TestPropagation:
         assert fixes > len(lo)
 
     def test_detects_empty_domain(self, intro_tbn):
-        model = build(intro_tbn, 2, BuildOptions(min_polymers=2))
-        comp = _Compiled(model.program)
+        comp = _Compiled(with_min_polymers(build(intro_tbn, 2), 2))
         assert not propagate(comp, list(comp.lo), list(comp.hi))
 
 
 class TestEnumeration:
     def test_deterministic_order(self, intro_tbn):
-        model = build(
-            intro_tbn, 1,
-            BuildOptions(symmetry_breaking=True, fixed_objective=1),
-        )
-        first = enumerate_assignments(model.program)[0]
-        second = enumerate_assignments(model.program)[0]
+        program = build(intro_tbn, 1, symmetry_breaking=True).program.fixed(1)
+        first = enumerate_assignments(program)[0]
+        second = enumerate_assignments(program)[0]
         assert first == second
 
     def test_budget_marks_incomplete(self, translator_tbn):
-        model = build(
-            translator_tbn, 6,
-            BuildOptions(symmetry_breaking=True, fixed_objective=6),
-        )
+        program = build(translator_tbn, 6, symmetry_breaking=True).program
         _, complete, _ = enumerate_assignments(
-            model.program, Budget(max_nodes=10)
+            program.fixed(6), Budget(max_nodes=10)
         )
         assert not complete
 
 
-class TestBoundHandling:
-    def test_larger_bound_same_answer(self, intro_tbn):
-        base = stable_configs(intro_tbn, StableOptions(all=True))
-        wide = stable_configs(intro_tbn, StableOptions(all=True, bound=4))
-        assert wide.optimum == base.optimum
-        assert polymer_sets(wide) == polymer_sets(base)
-
-    def test_explicit_small_bound_still_solves(self, excess_tbn):
-        result = stable_configs(excess_tbn, StableOptions(all=True, bound=2))
-        assert result.optimum == 2
-
-
-class TestBoundBelowLimitingCount:
-    def test_small_bound_does_not_cut_off_the_optimum(self, excess_tbn):
-        # two {a*} and unlimited {a}: one slot would force {2 t, 2 b}
-        result = stable_configs(excess_tbn, StableOptions(all=True, bound=1))
-        assert result.optimum == 2
-        assert polymer_sets(result) == {((1, 1), (1, 1))}
-
-    def test_witness_with_small_bound(self, excess_tbn):
-        result = stable_configs(excess_tbn, StableOptions(bound=1))
-        assert result.optimum == 2
+class TestDefaultBound:
+    def test_more_slots_same_optimum(self, intro_tbn, excess_tbn, grid_tbn):
+        # every stable configuration fits in the limiting-monomer count
+        # of slots, so extra slots cannot lower the merge count
+        for t in (intro_tbn, excess_tbn, grid_tbn):
+            wide = build(t, default_bound(t) + 2).program
+            assert solve_min(wide).objective == stable_configs(t).optimum
 
 
 class TestExternalSolutionImport:
