@@ -20,7 +20,6 @@ from .core import (
     exposed_sites,
     is_self_saturated,
     merge_count,
-    net_count,
     parse_tbn,
     parse_tbn_with_report,
     polymer_from_monomers,
@@ -31,7 +30,6 @@ from .hilbert import (
     brute_force_hilbert,
     decompose,
     hilbert_basis,
-    matrix_representation,
     polymer_basis,
     stable_via_basis,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "full_configuration",
     "hilbert_basis",
     "is_locally_stable",
-    "matrix_representation",
     "polymer_basis",
     "splits",
     "stable_configs",
@@ -89,7 +86,6 @@ __all__ = [
     "exposed_sites",
     "is_self_saturated",
     "merge_count",
-    "net_count",
     "parse_tbn",
     "parse_tbn_with_report",
     "polymer_from_monomers",

@@ -19,7 +19,10 @@ could not decide as ``-`` and exits 0.
 
 Environment: TBN_MAX_NODES and TBN_MAX_SECONDS override the default
 search budget (``solver.Budget``) of every command that searches;
-``--timeout`` sets its seconds and ``basis --cap`` its nodes.
+``--timeout`` sets its seconds and ``basis --cap`` its nodes.  ``verify``
+runs one clock: the local-stability test (one node per polymer half
+tried, ``pathways.is_locally_stable``) spends it first, then the stable
+search.
 """
 
 from __future__ import annotations
@@ -42,15 +45,17 @@ from .core import (
     Tbn,
     TbnError,
     is_self_saturated,
+    monomer_usage,
     parse_tbn_with_report,
 )
 from .hilbert import polymer_basis, render_basis_table
 from .ipmodel import build, default_bound
 from .lpformat import parse_solution, write_lp
-from .pathways import find_pathway, full_configuration
+from .pathways import find_pathway, full_configuration, is_locally_stable
 from .solver import (
     Budget,
     BudgetExhausted,
+    Clock,
     StableOptions,
     load_external_solution,
     stable_configs,
@@ -156,10 +161,7 @@ def _count_repr(c):
 
 def _full_polymer_count(pc: PartialConfiguration, t: Tbn) -> str:
     """Polymer count including implied singletons; infinities symbolic."""
-    usage = [0] * t.n_types
-    for p in pc.polymers:
-        for i, c in enumerate(p.counts):
-            usage[i] += c
+    usage = monomer_usage(pc.polymers, t)
     total = pc.n_polymers
     infinite = False
     for i, count in enumerate(t.counts):
@@ -172,10 +174,7 @@ def _full_polymer_count(pc: PartialConfiguration, t: Tbn) -> str:
 
 def _singleton_summary(pc: PartialConfiguration, t: Tbn) -> List[str]:
     """Implied singleton remainders, infinite ones reported symbolically."""
-    usage = [0] * t.n_types
-    for p in pc.polymers:
-        for i, c in enumerate(p.counts):
-            usage[i] += c
+    usage = monomer_usage(pc.polymers, t)
     lines = []
     for i, (mon, count) in enumerate(zip(t.monomer_types, t.counts)):
         name = mon.label or "{" + " ".join(str(s) for s in mon.sites) + "}"
@@ -303,10 +302,7 @@ def cmd_verify(args) -> int:
     polymers, _ = parse_configuration(config_text, t)
 
     # validity: the listed polymers fit within the monomer supply
-    usage = [0] * t.n_types
-    for p in polymers:
-        for i, c in enumerate(p.counts):
-            usage[i] += c
+    usage = monomer_usage(polymers, t)
     verdicts["valid"] = True
     for i, count in enumerate(t.counts):
         if usage[i] > count:
@@ -331,21 +327,18 @@ def cmd_verify(args) -> int:
             is_self_saturated(p, t) for p in polymers
         )
         if verdicts["saturated"]:
-            # an exhausted budget leaves a verdict undecided
-            budget = env_budget()
+            # one clock decides both verdicts; once it runs out, a
+            # verdict it could not decide stays undecided
+            clock = Clock.of(env_budget())
+            listed = PartialConfiguration.from_polymers(
+                [p for p in polymers if p.size >= 2], t
+            )
             try:
-                basis = polymer_basis(t, budget)
+                verdicts["locally_stable"] = is_locally_stable(listed, clock)
             except BudgetExhausted:
                 pass
-            else:
-                basis_counts = {b.counts for b in basis}
-                verdicts["locally_stable"] = all(
-                    p.counts in basis_counts
-                    for p in polymers
-                    if p.size >= 2
-                )
             optimum = stable_configs(
-                t, StableOptions(budget=budget)
+                t, StableOptions(budget=clock)
             ).optimum
             merges = sum(p.size - 1 for p in polymers)
             if optimum is not None:

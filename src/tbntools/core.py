@@ -155,10 +155,6 @@ class Monomer:
         return f"{self.label}: {body}" if self.label else body
 
 
-def net_count(mon: Monomer, s: SiteType) -> int:
-    return mon.net_count(s)
-
-
 @dataclass(frozen=True)
 class Tbn:
     """A multiset of monomer types with counts in N or infinity.
@@ -232,11 +228,13 @@ class Tbn:
         pay for it.  A polymer is self-saturated iff every row's dot
         product with its count vector is nonnegative.
         """
-        return tuple(
-            tuple(mon.net_count(SiteType(name, False))
-                  for mon in self.monomer_types)
-            for name in self.site_names()
-        )
+        names = self.site_names()
+        row_of = {name: r for r, name in enumerate(names)}
+        rows = [[0] * self.n_types for _ in names]
+        for i, mon in enumerate(self.monomer_types):
+            for s in mon.sites:
+                rows[row_of[s.name]][i] += -1 if s.starred else 1
+        return tuple(tuple(row) for row in rows)
 
     @cached_property
     def site_matrix_nonzeros(self) -> tuple:
@@ -325,6 +323,15 @@ class Polymer:
         return " + ".join(parts)
 
 
+def monomer_usage(polymers: Iterable[Polymer], t: Tbn) -> List[int]:
+    """Copies of each monomer type the polymers hold, summed."""
+    usage = [0] * t.n_types
+    for p in polymers:
+        for i, c in enumerate(p.counts):
+            usage[i] += c
+    return usage
+
+
 def polymer_from_monomers(monomers: Sequence[Monomer], tbn: Tbn) -> Polymer:
     counts = [0] * tbn.n_types
     for mon in monomers:
@@ -359,10 +366,7 @@ class PartialConfiguration:
                 raise TbnValidationError(
                     "partial configurations hold non-singleton polymers only"
                 )
-        usage = [0] * self.tbn.n_types
-        for p in self.polymers:
-            for i, c in enumerate(p.counts):
-                usage[i] += c
+        usage = monomer_usage(self.polymers, self.tbn)
         for i, (mon, count) in enumerate(
             zip(self.tbn.monomer_types, self.tbn.counts)
         ):

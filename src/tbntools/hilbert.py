@@ -18,7 +18,6 @@ points up to a norm cap and keeps the indecomposable ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import solver
@@ -28,30 +27,13 @@ from .core import (
     Tbn,
     TbnError,
     canonical_unique,
+    is_self_saturated,
 )
 from .ipmodel import EQ, Constraint, IntegerProgram, Objective, Variable
 
 
 class BasisError(TbnError):
     """Hilbert basis computation failed or was asked for the impossible."""
-
-
-@dataclass(frozen=True)
-class MatrixRepresentation:
-    """Net site counts per monomer type: one row per site name."""
-
-    site_names: Tuple[str, ...]
-    rows: Tuple[Tuple[int, ...], ...]
-
-
-def matrix_representation(t: Tbn) -> MatrixRepresentation:
-    return MatrixRepresentation(tuple(t.site_names()), t.site_matrix)
-
-
-def _in_cone(rows: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
-    return all(
-        sum(c * v for c, v in zip(row, x)) >= 0 for row in rows
-    )
 
 
 def hilbert_basis(
@@ -172,9 +154,14 @@ def polymer_basis(
     """All self-saturated polymers that cannot split into smaller ones."""
     if t.n_types == 0:
         return []
-    rep = matrix_representation(t)
-    vectors = hilbert_basis(rep.rows, t.n_types, budget)
+    vectors = hilbert_basis(t.site_matrix, t.n_types, budget)
     return [Polymer(v) for v in sorted(vectors, reverse=True)]
+
+
+def _in_cone(rows: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
+    return all(
+        sum(c * v for c, v in zip(row, x)) >= 0 for row in rows
+    )
 
 
 def brute_force_hilbert(
@@ -217,7 +204,6 @@ def decompose(
     result is deterministic.  Raises if no decomposition exists (the
     polymer is not self-saturated or the basis is not one).
     """
-    rep = matrix_representation(t)
     zero = (0,) * t.n_types
 
     def search(remaining: Tuple[int, ...], start: int):
@@ -228,7 +214,7 @@ def decompose(
             if not all(a <= r for a, r in zip(b, remaining)):
                 continue
             rest = tuple(r - a for r, a in zip(remaining, b))
-            if not _in_cone(rep.rows, rest):
+            if not is_self_saturated(Polymer(rest), t):
                 continue
             tail = search(rest, idx)
             if tail is not None:

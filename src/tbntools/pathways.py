@@ -26,6 +26,7 @@ from .core import (
     Tbn,
     TbnError,
     is_self_saturated,
+    monomer_usage,
 )
 from .solver import Budget, Clock
 
@@ -62,12 +63,9 @@ class FullConfiguration:
             raise PathwayError(
                 "full configurations require a fully finite TBN"
             )
-        usage = [0] * self.tbn.n_types
-        for p in self.polymers:
-            if p.size == 0:
-                raise PathwayError("empty polymer in a configuration")
-            for i, c in enumerate(p.counts):
-                usage[i] += c
+        if any(p.size == 0 for p in self.polymers):
+            raise PathwayError("empty polymer in a configuration")
+        usage = monomer_usage(self.polymers, self.tbn)
         if tuple(usage) != self.tbn.counts:
             raise PathwayError(
                 f"configuration uses monomers {tuple(usage)}, "
@@ -106,10 +104,7 @@ def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
     t = pc.tbn
     if not t.is_finite:
         raise PathwayError("full configurations require a fully finite TBN")
-    usage = [0] * t.n_types
-    for p in pc.polymers:
-        for i, c in enumerate(p.counts):
-            usage[i] += c
+    usage = monomer_usage(pc.polymers, t)
     polymers = list(pc.polymers)
     for i, (used, count) in enumerate(zip(usage, t.counts)):
         unit = Polymer(tuple(int(j == i) for j in range(t.n_types)))
@@ -117,34 +112,59 @@ def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
     return FullConfiguration.from_polymers(polymers, t)
 
 
-def splits(p: Polymer, t: Tbn) -> List[Tuple[Polymer, Polymer]]:
-    """All unordered bipartitions of a polymer into self-saturated parts.
-
-    Empty exactly when the polymer is an element of the polymer basis.
-    """
-    result = []
+def _halves(p: Polymer) -> Iterator[Tuple[Polymer, Polymer]]:
+    """Unordered pairs of nonzero count vectors that sum to ``p``, each
+    once, with the lexicographically smaller part first."""
     for part in itertools.product(*(range(c + 1) for c in p.counts)):
         other = tuple(c - v for c, v in zip(p.counts, part))
         if part > other or not any(part) or not any(other):
             continue
-        p1, p2 = Polymer(part), Polymer(other)
+        yield Polymer(part), Polymer(other)
+
+
+def splits(p: Polymer, t: Tbn) -> List[Tuple[Polymer, Polymer]]:
+    """All unordered bipartitions of a polymer into self-saturated parts.
+
+    Empty exactly when a self-saturated polymer is an element of the
+    polymer basis.  Tries every half of ``p``, about ``prod(c_i + 1) / 2``.
+    """
+    return [
+        (p1, p2) for p1, p2 in _halves(p)
+        if is_self_saturated(p1, t) and is_self_saturated(p2, t)
+    ]
+
+
+def _splittable(p: Polymer, t: Tbn, clock: Clock) -> bool:
+    """Whether ``splits(p, t)`` is nonempty, stopping at the first split;
+    each half tried is one node of ``clock``."""
+    for p1, p2 in _halves(p):
+        clock.spend("local stability test")
         if is_self_saturated(p1, t) and is_self_saturated(p2, t):
-            result.append((p1, p2))
-    return result
+            return True
+    return False
 
 
-def is_locally_stable(config: FullConfiguration, basis) -> bool:
+def is_locally_stable(
+    config: FullConfiguration | PartialConfiguration,
+    budget: Budget | Clock | None = None,
+) -> bool:
     """No polymer of a saturated configuration can split without
-    breaking a bond; equivalently, every polymer is a basis element."""
-    if not config.is_saturated():
+    breaking a bond; equivalently, every polymer is a basis element.
+
+    ``config`` is a ``FullConfiguration`` or a ``PartialConfiguration``;
+    the implied singletons of a validated partial configuration are
+    self-saturated, and a singleton never splits.  Each distinct polymer
+    is tested once.  Each half of a polymer tried is one node of the
+    budget, and ``BudgetExhausted`` is raised once it runs out.
+    """
+    t = config.tbn
+    if not all(is_self_saturated(p, t) for p in config.polymers):
         raise PathwayError(
             "local stability is defined for saturated configurations only"
         )
-    basis_counts = {b.counts for b in basis}
-    return all(
-        p.counts in basis_counts
-        for p in config.polymers
-        if p.size >= 2
+    clock = Clock.of(budget)
+    return not any(
+        _splittable(p, t, clock) for p in dict.fromkeys(config.polymers)
     )
 
 

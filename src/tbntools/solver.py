@@ -329,7 +329,7 @@ def enumerate_assignments(
 @dataclass(frozen=True)
 class StableOptions:
     all: bool = False
-    budget: Budget = Budget()
+    budget: Budget | Clock = Budget()
 
 
 def stable_configs(

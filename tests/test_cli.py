@@ -12,7 +12,7 @@ from tbntools.cli import (
     main,
     parse_configuration,
 )
-from tbntools.core import INF, parse_tbn
+from tbntools.core import INF, parse_tbn, render_tbn
 from tbntools.lpformat import write_lp, write_solution
 from tbntools.ipmodel import build, default_bound
 from tbntools.solver import solve_min
@@ -157,6 +157,31 @@ class TestVerifyCommand:
         assert verdicts["saturated"] == "true"
         assert verdicts["locally_stable"] == "-"
         assert verdicts["stable"] == "-"
+
+    def test_one_clock_covers_both_verdicts(
+        self, intro_file, tmp_path, capsys, monkeypatch
+    ):
+        # the one half of m1 + m2 spends the only node, so the stable
+        # search starts on a spent clock
+        monkeypatch.setenv("TBN_MAX_NODES", "1")
+        verdicts = self.run_verify(
+            intro_file, tmp_path, capsys, "m1 + m2\n...\n"
+        )
+        assert verdicts["locally_stable"] == "true"
+        assert verdicts["stable"] == "-"
+
+    def test_local_stability_without_the_basis(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # grid-gate n=4's polymer basis needs far more than 1000 nodes;
+        # the polymer below has 15 halves
+        tbn = tmp_path / "gridgate4.tbn"
+        tbn.write_text(render_tbn(gen_gridgate(4, 2)))
+        monkeypatch.setenv("TBN_MAX_NODES", "1000")
+        verdicts = self.run_verify(
+            str(tbn), tmp_path, capsys, "G + V1 + V2 + V3 + V4\n...\n"
+        )
+        assert verdicts["locally_stable"] == "true"
 
     def test_saturated_but_not_stable(self, intro_file, tmp_path, capsys):
         # two merges where one suffices

@@ -15,7 +15,6 @@ from tbntools.core import (
     exposed_sites,
     is_self_saturated,
     merge_count,
-    net_count,
     parse_tbn,
     parse_tbn_with_report,
     polymer_from_monomers,
@@ -64,7 +63,7 @@ class TestMonomer:
     @given(sites, st.lists(sites, min_size=1, max_size=6))
     def test_net_count_antisymmetric_under_starring(self, s, others):
         m = Monomer(tuple(others))
-        assert net_count(m, s) == -net_count(m, s.complement())
+        assert m.net_count(s) == -m.net_count(s.complement())
 
     def test_empty_monomer_rejected(self):
         with pytest.raises(TbnValidationError):
@@ -192,6 +191,12 @@ monomer_lines = st.lists(
 )
 
 
+def tbn_of(lines):
+    return parse_tbn("\n".join(
+        " ".join(str(s) for s in ss) + f", {count}" for ss, count in lines
+    ))
+
+
 class TestSiteMatrix:
     def test_computed_once(self, intro_tbn):
         assert intro_tbn.site_matrix is intro_tbn.site_matrix
@@ -201,12 +206,17 @@ class TestSiteMatrix:
         intro_tbn.site_matrix
         assert fresh == intro_tbn and hash(fresh) == hash(intro_tbn)
 
+    @given(monomer_lines)
+    def test_matches_net_counts(self, lines):
+        t = tbn_of(lines)
+        assert t.site_matrix == tuple(
+            tuple(mon.net_count(SiteType(name)) for mon in t.monomer_types)
+            for name in t.site_names()
+        )
+
     @given(monomer_lines, st.data())
     def test_saturation_matches_exposed_sites(self, lines, data):
-        text = "\n".join(
-            " ".join(str(s) for s in ss) + f", {count}" for ss, count in lines
-        )
-        t = parse_tbn(text)
+        t = tbn_of(lines)
         counts = data.draw(
             st.lists(st.integers(0, 3), min_size=t.n_types,
                      max_size=t.n_types)

@@ -10,7 +10,6 @@ from tbntools.hilbert import (
     brute_force_hilbert,
     decompose,
     hilbert_basis,
-    matrix_representation,
     polymer_basis,
     render_basis_table,
     stable_via_basis,
@@ -28,10 +27,9 @@ from conftest import TRANSLATOR_TBN_TEXT
 
 class TestMatrixRepresentation:
     def test_intro(self, intro_tbn):
-        rep = matrix_representation(intro_tbn)
-        assert rep.site_names == ("a", "b")
+        assert intro_tbn.site_names() == ["a", "b"]
         # columns follow the canonical monomer order: a*b*, a, ab, b
-        assert rep.rows == ((-1, 1, 1, 0), (-1, 0, 1, 1))
+        assert intro_tbn.site_matrix == ((-1, 1, 1, 0), (-1, 0, 1, 1))
 
 
 class TestHilbertBasis:
@@ -271,8 +269,7 @@ class TestOracleEquivalence:
                 lines.append(" ".join(sites))
             t = parse_tbn("\n".join(lines))
             basis = polymer_basis(t)
-            rep = matrix_representation(t)
             small = sorted(
                 p.counts for p in basis if sum(p.counts) <= 6
             )
-            assert small == brute_force_hilbert(rep.rows, t.n_types, 6)
+            assert small == brute_force_hilbert(t.site_matrix, t.n_types, 6)

@@ -1,6 +1,15 @@
+import itertools
+import random
+
 import pytest
 
-from tbntools.core import Polymer, parse_tbn, polymer_from_monomers
+from tbntools.core import (
+    PartialConfiguration,
+    Polymer,
+    is_self_saturated,
+    parse_tbn,
+    polymer_from_monomers,
+)
 from tbntools.hilbert import polymer_basis
 from tbntools.pathways import (
     FullConfiguration,
@@ -93,22 +102,56 @@ class TestPolymerSplits:
 
 class TestLocalStability:
     def test_stable_config_is_locally_stable(self, intro_tbn):
-        basis = polymer_basis(intro_tbn)
         c = full_configuration(stable_configs(intro_tbn).solutions[0])
-        assert is_locally_stable(c, basis)
+        assert is_locally_stable(c)
 
     def test_oversized_polymer_is_not(self, intro_tbn):
-        basis = polymer_basis(intro_tbn)
         # {m1, m2, m3} splits into {m1, m2} and {m3}
         c = config(
             intro_tbn, (1, 1, 1, 0), (0, 0, 0, 1)
         )
-        assert not is_locally_stable(c, basis)
+        assert not is_locally_stable(c)
 
     def test_requires_saturation(self, intro_tbn):
-        basis = polymer_basis(intro_tbn)
         with pytest.raises(PathwayError):
-            is_locally_stable(all_singletons(intro_tbn), basis)
+            is_locally_stable(all_singletons(intro_tbn))
+
+    def test_matches_basis_membership(self):
+        rng = random.Random(20261018)
+        for _ in range(30):
+            lines = []
+            for _ in range(rng.randint(2, 4)):
+                sites = [
+                    rng.choice("ab") + rng.choice(["", "*"])
+                    for _ in range(rng.randint(1, 3))
+                ]
+                lines.append(" ".join(sites))
+            t = parse_tbn("\n".join(lines))
+            basis = {b.counts for b in polymer_basis(t)}
+            for counts in itertools.product(range(4), repeat=t.n_types):
+                p = Polymer(counts)
+                if not any(counts) or not is_self_saturated(p, t):
+                    continue
+                pc = PartialConfiguration.from_polymers(
+                    [p], t, validate=False
+                )
+                assert is_locally_stable(pc) == (counts in basis), (
+                    lines, counts
+                )
+
+    def test_each_half_tried_is_a_node(self):
+        # the whole polymer is a basis element, so all ten halves are
+        # tried before the answer
+        t = parse_tbn("g: " + " ".join(["a*"] * 10) + "\ns: a, 10")
+        c = config(t, (1, 10))
+        assert is_locally_stable(c, Budget(max_nodes=10))
+        with pytest.raises(BudgetExhausted):
+            is_locally_stable(c, Budget(max_nodes=5))
+
+    def test_copies_of_a_polymer_are_tested_once(self):
+        t = parse_tbn("g: " + " ".join(["a*"] * 10) + ", 3\ns: a, 30")
+        c = config(t, (1, 10), (1, 10), (1, 10))
+        assert is_locally_stable(c, Budget(max_nodes=10))
 
 
 class TestMoves:
