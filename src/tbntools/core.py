@@ -200,9 +200,18 @@ class Tbn:
                 raise TbnValidationError(
                     f"limiting monomer {mon} must have finite count"
                 )
-        for name in self.site_names():
-            starred = self.total_site_count(SiteType(name, True))
-            unstarred = self.total_site_count(SiteType(name, False))
+        # total_site_count of every literal, in one pass over the sites
+        totals: dict = {}
+        for mon, count in zip(self.monomer_types, self.counts):
+            for s in mon.sites:
+                key = (s.name, s.starred)
+                old = totals.get(key, 0)
+                totals[key] = (
+                    INF if (old is INF or count is INF) else old + count
+                )
+        for name in sorted({name for name, _ in totals}):
+            starred = totals.get((name, True), 0)
+            unstarred = totals.get((name, False), 0)
             if starred > unstarred:
                 raise TbnValidationError(
                     f"starred sites of {name!r} exceed unstarred "
@@ -292,7 +301,7 @@ class Tbn:
         raise TbnValidationError(f"unknown monomer label or index {token!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polymer:
     """A finite multiset of monomers as a count vector over the TBN ordering."""
 
@@ -339,7 +348,7 @@ def polymer_from_monomers(monomers: Sequence[Monomer], tbn: Tbn) -> Polymer:
     return Polymer(tuple(counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialConfiguration:
     """The non-singleton polymers of a configuration, canonically ordered."""
 

@@ -1,8 +1,17 @@
-"""Exact rational simplex for LP relaxations of bounded integer programs.
+"""Exact simplex for LP relaxations of bounded integer programs.
 
-Two-phase primal simplex over exact rationals; no floating point touches
+Two-phase primal simplex in exact arithmetic; no floating point touches
 any feasibility or optimality decision.  Variables carry finite bounds and
 may sit nonbasic at either bound, so bound rows never enter the tableau.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
+list of integer numerators over one positive integer denominator, and the
+reduced costs are one more such row.  A pivot divides the pivot row
+through by its pivot entry, and eliminates the pivot column from each
+other row over the product of the two denominators, dividing out the
+gcd.  When the pivot row's denominator is 1 an elimination keeps the
+row's denominator and touches only the pivot row's nonzeros.  Basic
+values and ratio-test quotients are ``fractions.Fraction``.
 
 Pivot selection is Dantzig's rule, switching to Bland's rule permanently
 after a long degenerate streak to guarantee termination.
@@ -12,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 # senses for linear constraints (ipmodel re-exports them)
@@ -54,6 +64,7 @@ def solve_lp(
     ``objective``: (variable index, coefficient) pairs.
     ``rows``: (coeff pairs, sense, rhs) triples.
     ``bounds``: inclusive (lower, upper) per variable, all finite.
+    Every coefficient, right-hand side and bound is an integer.
     ``out_of_time``, asked once per pivot, stops the solve with status
     ``TIME_LIMIT`` when it returns True.
     """
@@ -69,7 +80,7 @@ def solve_lp(
     u = [hi[i] - lo[i] for i in active]
 
     obj_const = 0
-    c = [Q(0)] * len(active)
+    c = [0] * len(active)
     for i, coeff in objective:
         obj_const += coeff * lo[i]
         if i in col_of:
@@ -77,7 +88,7 @@ def solve_lp(
 
     shifted = []
     for coeffs, sense, rhs in rows:
-        row = [Q(0)] * len(active)
+        row = [0] * len(active)
         shift = 0
         nonzero = False
         for i, coeff in coeffs:
@@ -125,8 +136,36 @@ class _OutOfTime(Exception):
     """The solve's ``out_of_time`` check fired."""
 
 
+def _support(row):
+    return [(k, v) for k, v in enumerate(row) if v]
+
+
+def _eliminate(row, den, f, prow, pden, support):
+    """``row/den - (f/den) * (prow/pden)`` as (numerators, denominator).
+
+    ``support`` lists ``prow``'s nonzeros; with ``pden == 1`` only those
+    entries change, in place, and ``den`` stays.
+    """
+    if pden == 1:
+        for k, v in support:
+            row[k] -= f * v
+        return row, den
+    row = [v * pden - f * p for v, p in zip(row, prow)]
+    den *= pden
+    g = gcd(den, *row)
+    if g > 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
 class _Simplex:
-    """Bounded-variable two-phase tableau simplex in z-space (lowers at 0)."""
+    """Bounded-variable two-phase tableau simplex in z-space (lowers at 0).
+
+    Tableau row ``r`` is ``rows[r] / dens[r]``; the reduced costs are
+    ``rc / rc_den``.  Every denominator is positive, so comparing
+    numerators within one row compares the values.
+    """
 
     def __init__(self, shifted_rows, c, u, out_of_time=None):
         self.n_struct = len(u)
@@ -153,7 +192,8 @@ class _Simplex:
             ncols - self.n_struct
         )
         self.is_art = [False] * ncols
-        self.tableau: List[List] = []
+        self.rows: List[List[int]] = []
+        self.dens: List[int] = [1] * self.m
         self.basis: List[int] = []
         self.xb: List = []
         col = self.n_struct
@@ -162,32 +202,33 @@ class _Simplex:
                 row, b = [-v for v in row], -b
             elif kind == "artificial" and b < 0:
                 row, b = [-v for v in row], -b
-            aug = [Q(v) for v in row] + [Q(0)] * (ncols - self.n_struct)
+            aug = list(row) + [0] * (ncols - self.n_struct)
             if kind == "slack":
-                aug[col] = Q(1)
+                aug[col] = 1
                 self.basis.append(col)
                 col += 1
             elif kind == "surplus":
-                aug[col] = Q(-1)
-                aug[col + 1] = Q(1)
+                aug[col] = -1
+                aug[col + 1] = 1
                 self.is_art[col + 1] = True
                 self.basis.append(col + 1)
                 col += 2
             else:
-                aug[col] = Q(1)
+                aug[col] = 1
                 self.is_art[col] = True
                 self.basis.append(col)
                 col += 1
-            self.tableau.append(aug)
+            self.rows.append(aug)
             self.xb.append(Q(b))
         self.at_upper = [False] * ncols
         self.in_basis = set(self.basis)
+        self.rc: List[int] = []
+        self.rc_den = 1
 
     def run(self, active, lo, n, obj_const) -> LpSolution:
         # phase 1: minimize the artificial total
-        c1 = [Q(1) if a else Q(0) for a in self.is_art]
-        rc = self._reduced_costs(c1)
-        self._pivot_loop(rc, banned=None)
+        self._price([1 if a else 0 for a in self.is_art])
+        self._pivot_loop(banned=None)
         if any(
             self.is_art[self.basis[r]] and self.xb[r] != 0
             for r in range(self.m)
@@ -204,7 +245,7 @@ class _Simplex:
                     (
                         j
                         for j in range(self.ncols)
-                        if not self.is_art[j] and self.tableau[r][j] != 0
+                        if not self.is_art[j] and self.rows[r][j] != 0
                     ),
                     None,
                 )
@@ -226,11 +267,8 @@ class _Simplex:
                 # else: redundant row; its entries vanish outside artificials
 
         # phase 2
-        c2 = [Q(0)] * self.ncols
-        for k in range(self.n_struct):
-            c2[k] = Q(self.c[k])
-        rc = self._reduced_costs(c2)
-        self._pivot_loop(rc, banned=self.is_art)
+        self._price(self.c + [0] * (self.ncols - self.n_struct))
+        self._pivot_loop(banned=self.is_art)
 
         z = [Q(0)] * self.n_struct
         for j in range(self.n_struct):
@@ -241,38 +279,47 @@ class _Simplex:
                 z[self.basis[r]] = self.xb[r]
         return _finish(z, active, lo, n, self.c, obj_const)
 
-    def _reduced_costs(self, cost):
-        rc = list(cost)
+    def _price(self, cost):
+        """Set the reduced costs of the integer ``cost`` row."""
+        rc, den = list(cost), 1
         for r, bj in enumerate(self.basis):
             cb = cost[bj]
             if cb != 0:
-                row = self.tableau[r]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        rc[j] -= cb * row[j]
-        return rc
+                prow = self.rows[r]
+                rc, den = _eliminate(
+                    rc, den, cb * den, prow, self.dens[r], _support(prow)
+                )
+        self.rc, self.rc_den = rc, den
 
     def _pivot(self, r, j):
-        """Row-reduce so column j becomes basic in row r (tableau only)."""
-        tableau = self.tableau
-        piv = tableau[r][j]
-        if piv != 1:
-            inv = 1 / Q(piv)
-            tableau[r] = [v * inv if v != 0 else v for v in tableau[r]]
-        # tableau rows are mostly zero: touch only the pivot row's support
-        support = [(k, v) for k, v in enumerate(tableau[r]) if v != 0]
+        """Row-reduce so column j becomes basic in row r (tableau only);
+        returns the new pivot row's support."""
+        rows, dens = self.rows, self.dens
+        prow = rows[r]
+        a = prow[j]
+        if a < 0:
+            prow = [-v for v in prow]
+            a = -a
+        if a != 1:
+            g = gcd(*prow)
+            if g > 1:
+                prow = [v // g for v in prow]
+                a //= g
+        rows[r], dens[r] = prow, a
+        support = _support(prow)
         for rr in range(self.m):
             if rr == r:
                 continue
-            row = tableau[rr]
-            factor = row[j]
-            if factor != 0:
-                for k, v in support:
-                    row[k] -= factor * v
+            f = rows[rr][j]
+            if f != 0:
+                rows[rr], dens[rr] = _eliminate(
+                    rows[rr], dens[rr], f, prow, a, support
+                )
         self.basis[r] = j
+        return support
 
-    def _pivot_loop(self, rc, banned):
-        tableau, basis, xb = self.tableau, self.basis, self.xb
+    def _pivot_loop(self, banned):
+        rows, dens, basis, xb = self.rows, self.dens, self.basis, self.xb
         ub, at_upper, in_basis = self.ub, self.at_upper, self.in_basis
         use_bland = False
         degenerate_streak = 0
@@ -286,8 +333,9 @@ class _Simplex:
             if self.out_of_time is not None and self.out_of_time():
                 raise _OutOfTime
 
+            rc = self.rc
             entering = None
-            best = Q(0)
+            best = 0
             for j in range(self.ncols):
                 if j in in_basis or (banned is not None and banned[j]):
                     continue
@@ -304,24 +352,26 @@ class _Simplex:
 
             from_upper = at_upper[entering]
             delta = -1 if from_upper else 1
-            col = [tableau[r][entering] for r in range(self.m)]
+            # (row, delta * entry) where the entry is nonzero
+            col = [
+                (r, Q(delta * rows[r][entering], dens[r]))
+                for r in range(self.m)
+                if rows[r][entering] != 0
+            ]
 
             t = ub[entering]  # step capped by a bound flip; may be None
             leaving_row = None
             leaving_to_upper = False
-            for r in range(self.m):
-                d = delta * col[r]
+            for r, d in col:
                 if d > 0:
                     cap = xb[r] / d
                     to_upper = False
-                elif d < 0:
+                else:
                     bound = ub[basis[r]]
                     if bound is None:
                         continue
                     cap = (bound - xb[r]) / (-d)
                     to_upper = True
-                else:
-                    continue
                 better = (
                     t is None
                     or cap < t
@@ -344,10 +394,8 @@ class _Simplex:
                     use_bland = True
             else:
                 degenerate_streak = 0
-                for r in range(self.m):
-                    d = delta * col[r]
-                    if d != 0:
-                        xb[r] = xb[r] - t * d
+                for r, d in col:
+                    xb[r] = xb[r] - t * d
 
             flip_cap = ub[entering]
             if leaving_row is None or (
@@ -361,14 +409,14 @@ class _Simplex:
             in_basis.discard(out)
             at_upper[out] = leaving_to_upper
             enter_val = (ub[entering] - t) if from_upper else t
-            self._pivot(leaving_row, entering)
+            support = self._pivot(leaving_row, entering)
             xb[leaving_row] = enter_val
             in_basis.add(entering)
             at_upper[entering] = False
 
-            factor = rc[entering]
+            factor = self.rc[entering]
             if factor != 0:
-                row = tableau[leaving_row]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        rc[j] = rc[j] - factor * row[j]
+                self.rc, self.rc_den = _eliminate(
+                    self.rc, self.rc_den, factor,
+                    rows[leaving_row], dens[leaving_row], support,
+                )

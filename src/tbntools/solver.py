@@ -83,13 +83,13 @@ class Budget:
     max_time: float = 100.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveStats:
     nodes: int = 0
     wall_time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     status: str
     objective: Optional[int] = None
@@ -97,7 +97,7 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-@dataclass
+@dataclass(slots=True)
 class EnumerationResult:
     optimum: Optional[int]
     solutions: List[PartialConfiguration]

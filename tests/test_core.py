@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tbntools.core import (
     INF,
@@ -224,6 +224,49 @@ class TestSiteMatrix:
         p = Polymer(tuple(counts))
         definitional = not any(s.starred for s in exposed_sites(p, t))
         assert is_self_saturated(p, t) == definitional
+
+
+def validation_error(t):
+    """The verdict of ``Tbn._validate`` derived from ``total_site_count``:
+    the error text, or None for a valid TBN."""
+    for mon, count in zip(t.monomer_types, t.counts):
+        if mon.is_limiting and count is INF:
+            return f"limiting monomer {mon} must have finite count"
+    for name in t.site_names():
+        starred = t.total_site_count(SiteType(name, True))
+        unstarred = t.total_site_count(SiteType(name, False))
+        if starred > unstarred:
+            return (
+                f"starred sites of {name!r} exceed unstarred "
+                f"({starred!r} > {unstarred!r}); "
+                "starred sites must be limiting"
+            )
+    return None
+
+
+class TestValidate:
+    # few names, so that monomers share them
+    @given(st.lists(
+        st.tuples(
+            st.lists(st.builds(SiteType, st.sampled_from("ab"),
+                               st.booleans()),
+                     min_size=1, max_size=3),
+            st.one_of(st.integers(1, 3), st.just(INF)),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    # infinitely many {a} cover two {a*}
+    @example([([SiteType("a")], INF), ([SiteType("a", True)], 2)])
+    def test_matches_total_site_counts(self, lines):
+        t = Tbn(tuple(Monomer(tuple(ss)) for ss, _ in lines),
+                tuple(count for _, count in lines))
+        try:
+            t._validate()
+            got = None
+        except TbnValidationError as exc:
+            got = str(exc)
+        assert got == validation_error(t)
 
 
 class TestPartialConfiguration:

@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+from tbntools import simplex, solver
+from tbntools.cli import gen_gridgate
+from tbntools.core import parse_tbn
+from tbntools.hilbert import polymer_basis, stable_via_basis
 from tbntools.simplex import (
     EQ,
     GE,
@@ -191,6 +195,90 @@ class TestRandomizedAgainstScipy:
                 assert abs(float(got.objective) - ref.fun) < 1e-7, (
                     objective, rows, bounds,
                 )
+
+
+class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
+    """Larger LPs, a third of whose right-hand sides are 0 so that pivots
+    degenerate; their tableau rows reach denominators above 1."""
+
+    def gen_problem(self, rng):
+        n = rng.randint(3, 12)
+        bounds = []
+        for _ in range(n):
+            lo = rng.randint(0, 2)
+            bounds.append((lo, lo + rng.randint(0, 5)))
+        x0 = [rng.randint(lo, hi) for lo, hi in bounds]
+        rows = []
+        for _ in range(rng.randint(2, 15)):
+            coeffs = []
+            for i in range(n):
+                c = rng.randint(-7, 7)
+                if c != 0 and rng.random() < 0.6:
+                    coeffs.append((i, c))
+            if not coeffs:
+                continue
+            at = sum(c * x0[i] for i, c in coeffs)
+            if rng.random() < 1 / 3:
+                # a zero right-hand side, on the side of it x0 lies
+                sense = EQ if at == 0 else (LE if at < 0 else GE)
+                rhs = 0
+            else:
+                sense = rng.choice([LE, GE, EQ])
+                rhs = at + rng.randint(-6, 6)
+            rows.append((coeffs, sense, rhs))
+        objective = [(i, rng.randint(-7, 7)) for i in range(n)]
+        return objective, rows, bounds
+
+    def test_rows_reach_denominators_above_one(self, monkeypatch):
+        pivot_dens = []
+        eliminate = simplex._eliminate
+
+        def recording(row, den, f, prow, pden, support):
+            pivot_dens.append(pden)
+            return eliminate(row, den, f, prow, pden, support)
+
+        monkeypatch.setattr(simplex, "_eliminate", recording)
+        rng = random.Random(20240817)
+        for _ in range(300):
+            solve_lp(*self.gen_problem(rng))
+        assert max(pivot_dens) > 1
+
+
+class TestWorkloadRootLps:
+    """The root LP of one instance per workload family keeps the exact
+    solution it had under the ``Fraction`` tableau."""
+
+    def root_lp(self, monkeypatch, run):
+        solved = []
+
+        def recording(*args):
+            solved.append(solve_lp(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(solver, "solve_lp", recording)
+        run()
+        [root] = solved
+        assert root.status == "optimal"
+        return root
+
+    def test_gridgate_caption_slot_model(self, monkeypatch):
+        t = gen_gridgate(4, 2, caption_literal=True)
+        root = self.root_lp(monkeypatch, lambda: solver.stable_configs(t))
+        assert root.objective == Q(7, 2)
+        half = Q(1, 2)
+        assert root.x == [1, half, half, half, half, half, half, half, 0, 1]
+
+    def test_translator_cover_ip(self, monkeypatch):
+        t = parse_tbn(
+            "T_abc: a b c\nT_bcd: b c d\nT_cde: c d e\nT_dea: d e a\n"
+            "T_eab: e a b\nG_ab: a* b*\nG_bc: b* c*\nG_cd: c* d*\n"
+            "G_de: d* e*\nG_ea: e* a*\n"
+        )
+        basis = polymer_basis(t)
+        root = self.root_lp(monkeypatch, lambda: stable_via_basis(t, basis))
+        assert root.objective == -5
+        ones = {12, 25, 33, 36, 38}
+        assert root.x == [Q(int(i in ones)) for i in range(45)]
 
 
 class TestFractionHelpers:

@@ -32,6 +32,9 @@ from tbntools.solver import (
     Budget,
     BruteForceError,
     Clock,
+    EnumerationResult,
+    SolveResult,
+    SolveStats,
     StableOptions,
     _Compiled,
     brute_force_stable,
@@ -82,6 +85,29 @@ class TestWorkedExamples:
         assert result.solutions == [
             PartialConfiguration.from_polymers([], t)
         ]
+
+
+class TestSlottedRecords:
+    def test_no_instance_dict(self, intro_tbn):
+        result = stable_configs(intro_tbn, StableOptions(all=True))
+        pc = result.solutions[0]
+        for record in (result, result.stats, pc, pc.polymers[0],
+                       SolveResult(OPTIMAL)):
+            assert not hasattr(record, "__dict__")
+
+    def test_equality_hashing_and_order(self, intro_tbn, grid_tbn):
+        p, q = Polymer((1, 0, 1, 0)), Polymer((1, 1, 1, 0))
+        assert p == Polymer((1, 0, 1, 0))
+        assert hash(p) == hash(Polymer((1, 0, 1, 0)))
+        assert p <= q and not q <= p
+        # the TBN is not part of a configuration's identity
+        pc = PartialConfiguration((p,), intro_tbn)
+        assert pc == PartialConfiguration((p,), grid_tbn)
+        assert hash(pc) == hash(PartialConfiguration((p,), grid_tbn))
+        assert SolveStats(3, 1.5) == SolveStats(3, 1.5) != SolveStats(4, 1.5)
+        assert EnumerationResult(1, [pc], True) == EnumerationResult(
+            1, [pc], True
+        )
 
 
 class TestTranslatorCascade:
