@@ -21,7 +21,11 @@ deduplication acts as a safety net.
 ``IntegerProgram.fixed``, and the basis route of
 ``hilbert.stable_via_basis`` calls the scan itself.  The search
 propagates a child node from the rows of the variable it branched on,
-since its parent is already at a fixpoint.
+since its parent is already at a fixpoint.  Each node carries every
+row's least and greatest activity over its bounds, computed once per
+search and moved by ``c·Δ`` with every bound that moves, so a row visit
+reads its slack without walking its terms (Achterberg, *Constraint
+Integer Programming*, 2007).
 
 ``Budget`` limits every search of the package: each ticks a ``Clock``
 once per node it expands, and one that runs out reports no value, or
@@ -49,7 +53,6 @@ from .core import (
     is_self_saturated,
 )
 from .ipmodel import (
-    EQ,
     GE,
     LE,
     IntegerProgram,
@@ -106,7 +109,12 @@ class EnumerationResult:
 
 
 class _Compiled:
-    """Array form of an IntegerProgram for propagation and LP calls."""
+    """Array form of an IntegerProgram for propagation and LP calls.
+
+    A variable repeated in a row, or in the objective, has its
+    coefficients summed into one; a row whose sums are all zero is
+    empty.
+    """
 
     def __init__(self, program: IntegerProgram):
         self.program = program
@@ -117,26 +125,51 @@ class _Compiled:
         self.rows: List[Tuple[Tuple[Tuple[int, int], ...], str, int]] = []
         for con in program.constraints:
             coeffs = tuple(
-                (self.index[v], c) for v, c in con.coeffs if c != 0
+                (i, c) for i, c in self._summed(con.coeffs).items() if c != 0
             )
             # a row without coefficients matters only when 0 violates it
             if coeffs or not con.satisfied_by({}):
                 self.rows.append((coeffs, con.sense, con.rhs))
+        # Row k's least activity is act[2k] and its greatest act[2k + 1].
+        # A term c·x of row k reaches act[2k] through x's lower bound when
+        # c > 0 and through its upper bound when c < 0, and act[2k + 1]
+        # through the other.  Per variable: the (slot, c) pairs its lower
+        # and its upper bound reach, and the rows to requeue when its lower
+        # bound rises or its upper bound falls, those whose slack shrinks.
         self.var_rows: List[List[int]] = [[] for _ in self.names]
-        for k, (coeffs, _, _) in enumerate(self.rows):
-            for i, _ in coeffs:
+        self.lo_terms: List[List[Tuple[int, int]]] = [[] for _ in self.names]
+        self.hi_terms: List[List[Tuple[int, int]]] = [[] for _ in self.names]
+        self.lo_wakes: List[List[int]] = [[] for _ in self.names]
+        self.hi_wakes: List[List[int]] = [[] for _ in self.names]
+        for k, (coeffs, sense, _) in enumerate(self.rows):
+            for i, c in coeffs:
                 self.var_rows[i].append(k)
+                lo_slot, hi_slot = 2 * k, 2 * k + 1
+                if c < 0:
+                    lo_slot, hi_slot = hi_slot, lo_slot
+                self.lo_terms[i].append((lo_slot, c))
+                self.hi_terms[i].append((hi_slot, c))
+                # a rising least shrinks a <= slack, a falling most a >= one
+                if sense != (GE if c > 0 else LE):
+                    self.lo_wakes[i].append(k)
+                if sense != (LE if c > 0 else GE):
+                    self.hi_wakes[i].append(k)
         self.objective: List[Tuple[int, int]] = []
         if program.objective is not None:
-            acc: Dict[int, int] = {}
-            for v, c in program.objective.coeffs:
-                acc[self.index[v]] = acc.get(self.index[v], 0) + c
-            self.objective = sorted(acc.items())
+            self.objective = sorted(
+                self._summed(program.objective.coeffs).items()
+            )
             self.obj_sign = 1 if program.objective.sense == "min" else -1
             self.obj_const = program.objective.constant
         else:
             self.obj_sign = 1
             self.obj_const = 0
+
+    def _summed(self, coeffs: Sequence[Tuple[str, int]]) -> Dict[int, int]:
+        acc: Dict[int, int] = {}
+        for v, c in coeffs:
+            acc[self.index[v]] = acc.get(self.index[v], 0) + c
+        return acc
 
     def assignment_from(self, lo: Sequence[int]) -> Dict[str, int]:
         return {name: lo[i] for i, name in enumerate(self.names)}
@@ -145,14 +178,37 @@ class _Compiled:
         """Objective coefficient list in minimization sense."""
         return [(i, self.obj_sign * c) for i, c in self.objective]
 
+    def activities(self, lo: Sequence[int], hi: Sequence[int]) -> List[int]:
+        """Each row's least and greatest activity over the box lo..hi,
+        interleaved: row k's are at 2k and 2k + 1."""
+        act = []
+        for coeffs, _, _ in self.rows:
+            least = most = 0
+            for i, c in coeffs:
+                if c > 0:
+                    least += c * lo[i]
+                    most += c * hi[i]
+                else:
+                    least += c * hi[i]
+                    most += c * lo[i]
+            act += (least, most)
+        return act
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+    def shift(self, act: List[int], i: int, dlo: int, dhi: int) -> None:
+        """Move the activities ``act`` by variable ``i``'s lower bound
+        moving ``dlo`` and its upper bound ``dhi``."""
+        if dlo:
+            for j, c in self.lo_terms[i]:
+                act[j] += c * dlo
+        if dhi:
+            for j, c in self.hi_terms[i]:
+                act[j] += c * dhi
 
 
 def propagate(
     comp: _Compiled, lo: List[int], hi: List[int],
     changed: Optional[int] = None,
+    activity: Optional[List[int]] = None,
 ) -> bool:
     """Tighten bounds to a fixpoint; False when a domain empties.
 
@@ -160,63 +216,57 @@ def propagate(
     were last at a fixpoint: only its rows are queued at first.  Without
     it every row is.  The fixpoint is unique, so both reach the same
     bounds.
+
+    ``activity`` holds each row's least and greatest activity over
+    ``lo``/``hi`` (``_Compiled.activities``); it is kept in step with
+    every bound moved, also when the result is False.  Without it, it
+    is computed from the bounds.  A row's slack is ``rhs - least`` on
+    its ``<=`` side and ``most - rhs`` on its ``>=`` side; a negative
+    slack fails.  A variable with coefficient ``c`` narrows only when
+    ``|c|·(hi - lo)`` exceeds the slack, to ``slack // |c|`` past its
+    other bound, so a row's terms are walked only when ``most - least``
+    does.  A moved bound requeues only the rows whose slack it shrinks.
     """
+    rows = comp.rows
+    act = comp.activities(lo, hi) if activity is None else activity
+
+    def move(i: int, dlo: int, dhi: int) -> None:
+        lo[i] += dlo
+        hi[i] += dhi
+        comp.shift(act, i, dlo, dhi)
+        pending.update(comp.lo_wakes[i] if dlo else comp.hi_wakes[i])
+
     if changed is None:
-        pending = set(range(len(comp.rows)))
+        pending = set(range(len(rows)))
     else:
         pending = set(comp.var_rows[changed])
     while pending:
         k = pending.pop()
-        coeffs, sense, rhs = comp.rows[k]
-        min_lhs = 0
-        max_lhs = 0
-        for i, c in coeffs:
-            if c > 0:
-                min_lhs += c * lo[i]
-                max_lhs += c * hi[i]
-            else:
-                min_lhs += c * hi[i]
-                max_lhs += c * lo[i]
-        if sense in (LE, EQ):
-            if min_lhs > rhs:
+        coeffs, sense, rhs = rows[k]
+        if sense != GE:
+            slack = rhs - act[2 * k]
+            if slack < 0:
                 return False
-            for i, c in coeffs:
-                if c > 0:
-                    rest = min_lhs - c * lo[i]
-                    new_hi = (rhs - rest) // c
-                    if new_hi < hi[i]:
-                        if new_hi < lo[i]:
-                            return False
-                        hi[i] = new_hi
-                        pending.update(comp.var_rows[i])
-                else:
-                    rest = min_lhs - c * hi[i]
-                    new_lo = _ceil_div(rhs - rest, c)
-                    if new_lo > lo[i]:
-                        if new_lo > hi[i]:
-                            return False
-                        lo[i] = new_lo
-                        pending.update(comp.var_rows[i])
-        if sense in (GE, EQ):
-            if max_lhs < rhs:
+            # these narrowings move only ``most``: the slack holds
+            if act[2 * k + 1] - act[2 * k] > slack:
+                for i, c in coeffs:
+                    if c > 0:
+                        if c * (hi[i] - lo[i]) > slack:
+                            move(i, 0, lo[i] + slack // c - hi[i])
+                    elif c * (lo[i] - hi[i]) > slack:
+                        move(i, hi[i] - slack // -c - lo[i], 0)
+        if sense != LE:
+            slack = act[2 * k + 1] - rhs
+            if slack < 0:
                 return False
-            for i, c in coeffs:
-                if c > 0:
-                    rest = max_lhs - c * hi[i]
-                    new_lo = _ceil_div(rhs - rest, c)
-                    if new_lo > lo[i]:
-                        if new_lo > hi[i]:
-                            return False
-                        lo[i] = new_lo
-                        pending.update(comp.var_rows[i])
-                else:
-                    rest = max_lhs - c * lo[i]
-                    new_hi = (rhs - rest) // c
-                    if new_hi < hi[i]:
-                        if new_hi < lo[i]:
-                            return False
-                        hi[i] = new_hi
-                        pending.update(comp.var_rows[i])
+            # these narrowings move only ``least``: the slack holds
+            if act[2 * k + 1] - act[2 * k] > slack:
+                for i, c in coeffs:
+                    if c > 0:
+                        if c * (hi[i] - lo[i]) > slack:
+                            move(i, hi[i] - slack // c - lo[i], 0)
+                    elif c * (lo[i] - hi[i]) > slack:
+                        move(i, 0, lo[i] + slack // -c - hi[i])
     return True
 
 
@@ -258,9 +308,10 @@ class Clock:
         return SolveStats(self.nodes, self.elapsed())
 
 
-# a search node: bounds, and the variable branched on to reach it (None at
-# the root, whose bounds have not been propagated yet)
-_Node = Tuple[List[int], List[int], Optional[int]]
+# a search node: bounds, their row activities, and the variable branched
+# on to reach it (None at the root, whose bounds have not been propagated
+# yet)
+_Node = Tuple[List[int], List[int], List[int], Optional[int]]
 
 
 def solve_min(
@@ -300,16 +351,19 @@ def enumerate_assignments(
     solutions: List[Dict[str, int]] = []
     complete = True
 
-    stack: List[_Node] = [(list(comp.lo), list(comp.hi), None)]
+    lo, hi = list(comp.lo), list(comp.hi)
+    stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
-        lo, hi, changed = stack.pop()
+        lo, hi, act, changed = stack.pop()
         if not clock.tick():
             complete = False
             break
-        if not propagate(comp, lo, hi, changed):
+        if not propagate(comp, lo, hi, changed, act):
             continue
+        # the variables before the one branched on are fixed already
+        start = 0 if changed is None else changed
         branch_i = next(
-            (i for i in range(len(lo)) if lo[i] < hi[i]), None
+            (i for i in range(start, len(lo)) if lo[i] < hi[i]), None
         )
         if branch_i is None:
             solutions.append(comp.assignment_from(lo))
@@ -320,7 +374,11 @@ def enumerate_assignments(
             child_lo = list(lo)
             child_hi = list(hi)
             child_lo[branch_i] = child_hi[branch_i] = value
-            stack.append((child_lo, child_hi, branch_i))
+            child_act = list(act)
+            comp.shift(
+                child_act, branch_i, value - lo[branch_i], value - hi[branch_i]
+            )
+            stack.append((child_lo, child_hi, child_act, branch_i))
 
     stats = SolveStats(clock.nodes - first_node, time.monotonic() - started)
     return solutions, complete, stats

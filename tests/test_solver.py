@@ -341,6 +341,144 @@ class TestPropagation:
         comp = _Compiled(with_min_polymers(build(intro_tbn, 2), 2))
         assert not propagate(comp, list(comp.lo), list(comp.hi))
 
+    def test_repeated_variable_terms_are_summed(self):
+        program = IntegerProgram(
+            (Variable("x", 0, 1),),
+            (Constraint((("x", 1), ("x", 1)), LE, 1, "twice"),),
+        )
+        comp = _Compiled(program)
+        lo, hi = list(comp.lo), list(comp.hi)
+        assert propagate(comp, lo, hi)
+        assert (lo, hi) == ([0], [0])
+
+    @pytest.mark.parametrize("sense, feasible", [(LE, True), (GE, False)])
+    def test_terms_summing_to_zero_leave_an_empty_row(self, sense, feasible):
+        program = IntegerProgram(
+            (Variable("x", 0, 1),),
+            (Constraint((("x", 2), ("x", -2)), sense, 1, "cancels"),),
+        )
+        comp = _Compiled(program)
+        # 0 <= 1 holds and the row is dropped; 0 >= 1 never holds
+        assert comp.rows == ([] if feasible else [((), GE, 1)])
+        assert propagate(comp, list(comp.lo), list(comp.hi)) == feasible
+
+
+def random_propagation_program(rng: random.Random) -> IntegerProgram:
+    """A small bounded program whose rows may repeat a variable or cancel
+    it.  Each right-hand side is a row's value at a random point of the
+    box, or one more, so some boxes hold no solution."""
+    variables = []
+    for k in range(rng.randint(3, 6)):
+        lower = rng.randint(-3, 2)
+        variables.append(Variable(f"x{k}", lower, lower + rng.randint(0, 4)))
+    point = {v.name: rng.randint(v.lower, v.upper) for v in variables}
+    constraints = []
+    for r in range(rng.randint(2, 4)):
+        coeffs = tuple(
+            (rng.choice(list(point)), rng.randint(-3, 3))
+            for _ in range(rng.randint(2, 4))
+        )
+        rhs = sum(c * point[v] for v, c in coeffs) + rng.randint(0, 1)
+        constraints.append(
+            Constraint(coeffs, rng.choice([LE, GE, EQ]), rhs, f"r{r}")
+        )
+    return IntegerProgram(tuple(variables), tuple(constraints))
+
+
+def plain_fixpoint(program: IntegerProgram, lo, hi):
+    """The propagation fixpoint of ``program`` from the box lo..hi, or None
+    once a domain empties: every variable of every row is bounded by the
+    least activity of the rest of the row, recomputed from scratch, until
+    no bound moves."""
+    index = {v.name: k for k, v in enumerate(program.variables)}
+    rows = []  # each side of each row as sum(a[j] * x[j]) <= b
+    for con in program.constraints:
+        a = {}
+        for name, c in con.coeffs:
+            a[index[name]] = a.get(index[name], 0) + c
+        if con.sense in (LE, EQ):
+            rows.append((a, con.rhs))
+        if con.sense in (GE, EQ):
+            rows.append(({j: -c for j, c in a.items()}, -con.rhs))
+    lo, hi = list(lo), list(hi)
+    moved = True
+    while moved:
+        moved = False
+        for a, b in rows:
+            if all(c == 0 for c in a.values()) and b < 0:
+                return None
+            for j, c in a.items():
+                if c == 0:
+                    continue
+                rest = sum(
+                    min(d * lo[l], d * hi[l]) for l, d in a.items() if l != j
+                )
+                if c > 0:
+                    bound = (b - rest) // c
+                    if bound < hi[j]:
+                        hi[j], moved = bound, True
+                else:
+                    bound = -((b - rest) // -c)  # ceil((b - rest) / c)
+                    if bound > lo[j]:
+                        lo[j], moved = bound, True
+                if lo[j] > hi[j]:
+                    return None
+    return lo, hi
+
+
+class TestPropagationAgainstPlainFixpoint:
+    """``propagate`` from the root box, and from one variable fixed at a
+    fixpoint with and without carried activities, against
+    ``plain_fixpoint``."""
+
+    def check(self, comp, program, lo, hi, changed=None, act=None):
+        want = plain_fixpoint(program, lo, hi)
+        ok = propagate(comp, lo, hi, changed, act)
+        assert ok == (want is not None), program
+        if ok:
+            assert (lo, hi) == want, program
+        if act is not None:
+            assert act == comp.activities(lo, hi), program
+        return ok
+
+    def fix(self, comp, program, node, i, value):
+        """The child of the fixpoint ``node`` with variable ``i`` fixed to
+        ``value``, propagated both ways; None when it is infeasible."""
+        lo, hi, act = (list(x) for x in node)
+        comp.shift(act, i, value - lo[i], value - hi[i])
+        lo[i] = hi[i] = value
+        bare_lo, bare_hi = list(lo), list(hi)
+        bare_ok = self.check(comp, program, bare_lo, bare_hi, i)
+        ok = self.check(comp, program, lo, hi, i, act)
+        assert ok == bare_ok
+        return (lo, hi, act) if ok else None
+
+    def test_random_programs(self):
+        rng = random.Random(1018)
+        seen = {"root": [0, 0], "fixed": [0, 0]}  # [feasible, infeasible]
+        for _ in range(400):
+            program = random_propagation_program(rng)
+            comp = _Compiled(program)
+            lo, hi = list(comp.lo), list(comp.hi)
+            act = comp.activities(lo, hi)
+            ok = self.check(comp, program, lo, hi, None, act)
+            seen["root"][not ok] += 1
+            node = (lo, hi, act) if ok else None
+            # every single fix of a free variable, then down one feasible
+            # child, as the search goes
+            while node is not None:
+                children = [
+                    self.fix(comp, program, node, i, value)
+                    for i in range(len(node[0]))
+                    if node[0][i] < node[1][i]
+                    for value in range(node[0][i], node[1][i] + 1)
+                ]
+                for child in children:
+                    seen["fixed"][child is None] += 1
+                feasible = [child for child in children if child is not None]
+                node = rng.choice(feasible) if feasible else None
+        assert min(seen["root"] + seen["fixed"]) >= 30, seen
+
 
 class TestEnumeration:
     def test_deterministic_order(self, intro_tbn):
