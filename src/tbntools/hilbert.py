@@ -18,6 +18,7 @@ points up to a norm cap and keeps the indecomposable ones.
 from __future__ import annotations
 
 import json
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import solver
@@ -74,6 +75,21 @@ def hilbert_basis(
     Each level's children are checked against every solution known when
     they are made, so the re-filter at the end of a level tests only the
     solutions found during that level.
+
+    That check reads an index, not the whole basis.  A frontier vector
+    ``y`` of level ``L`` is dominated by no solution known when the level
+    began: its children were checked and then re-filtered.  So a known
+    solution ``b <= y + e_k`` has ``b_k == y_k + 1``.  A solution found
+    during level ``L`` is a child, so it has the 1-norm ``L + 2`` of
+    ``y + e_k``, and ``b <= y + e_k`` means ``b == y + e_k``, again with
+    ``b_k == y_k + 1``.  The solutions are therefore indexed by
+    coordinate and value, and the child ``y + e_k`` is tested only
+    against those whose coordinate ``k`` is ``y_k + 1``: the same prunes
+    as a scan of the whole basis.
+
+    The descent directions of a vector, those with ``value . column_k <
+    0``, depend only on its value ``A x - s``, so they are found once per
+    value and reused by every vector that has it.
     """
     clock = solver.Clock.of(budget)
     if n is None:
@@ -96,12 +112,27 @@ def hilbert_basis(
     units = [1 << (width * k) for k in range(dims)]
     guard = sum(u << (width - 1) for u in units)
 
-    directions = [
-        (units[k], col, tuple((i, c) for i, c in enumerate(col) if c))
-        for k, col in enumerate(columns)
-    ]
+    mask = (1 << width) - 1
     zero_value = (0,) * m
     basis: List[int] = []
+    # by_coord[k][v]: the known solutions whose coordinate k is v > 0
+    by_coord: List[Dict[int, List[int]]] = [{} for _ in range(dims)]
+    # direction k: its column's nonzeros, then its step: the shift and
+    # unit of coordinate k, the index by_coord[k] and the column
+    directions = [
+        (tuple((i, c) for i, c in enumerate(col) if c),
+         (width * k, units[k], by_coord[k], col))
+        for k, col in enumerate(columns)
+    ]
+    # per value: the steps of its descent directions
+    descents: Dict[Tuple[int, ...], Tuple[Tuple, ...]] = {}
+
+    def record(b: int) -> None:
+        basis.append(b)
+        for k in range(dims):
+            v = (b >> (width * k)) & mask
+            if v:
+                by_coord[k].setdefault(v, []).append(b)
 
     def dominated(y: int, candidates: Sequence[int]) -> bool:
         yg = y | guard
@@ -110,7 +141,7 @@ def hilbert_basis(
     frontier: List[Tuple[int, Tuple[int, ...]]] = []
     for k in range(dims):
         if columns[k] == zero_value:
-            basis.append(units[k])
+            record(units[k])
         else:
             frontier.append((units[k], columns[k]))
 
@@ -119,20 +150,26 @@ def hilbert_basis(
         next_level: Dict[int, Tuple[int, ...]] = {}
         for y, value in frontier:
             clock.spend("polymer basis completion")
-            for unit, column, nonzeros in directions:
-                dot = 0
-                for i, c in nonzeros:
-                    dot += value[i] * c
-                if dot >= 0:
-                    continue
+            moves = descents.get(value)
+            if moves is None:
+                moves = descents[value] = tuple(
+                    step for nonzeros, step in directions
+                    if sum(value[i] * c for i, c in nonzeros) < 0)
+            for shift, unit, index, col in moves:
                 child = y + unit
-                if child in next_level or dominated(child, basis):
+                if child in next_level:
                     continue
-                child_value = tuple(a + b for a, b in zip(value, column))
-                if child_value == zero_value:
-                    basis.append(child)
+                # a known solution <= child has the child's coordinate k
+                cg = child | guard
+                for b in index.get((child >> shift) & mask, ()):
+                    if (cg - b) & guard == guard:
+                        break
                 else:
-                    next_level[child] = child_value
+                    child_value = tuple(map(add, value, col))
+                    if child_value == zero_value:
+                        record(child)
+                    else:
+                        next_level[child] = child_value
         # re-filter: every child was checked against the solutions known
         # when it was made, so only this level's later finds can prune it
         found = basis[found_before:]
@@ -141,7 +178,6 @@ def hilbert_basis(
             if not dominated(y, found)
         ]
 
-    mask = (1 << width) - 1
     projected = sorted(
         tuple((y >> (width * k)) & mask for k in range(n)) for y in basis
     )
@@ -268,11 +304,12 @@ def stable_via_basis(
 
     A saturated full configuration is a multiset of basis polymers using
     every monomer exactly; minimizing merges means maximizing the number
-    of polymers.  The level scan of ``solver`` finds every maximizer of
-    the coefficient IP.  Returns the same EnumerationResult as the direct
-    solver.  One budget covers the whole call, the basis included when it
-    is not given; when it runs out the result has ``complete=False``, no
-    solutions and ``optimum=None``.
+    of polymers.  Basis elements that need more copies of a monomer than
+    ``t`` holds are dropped; the level scan of ``solver`` finds every
+    maximizer of the coefficient IP over the rest.  Returns the same
+    EnumerationResult as the direct solver.  One budget covers the whole
+    call, the basis included when it is not given; when it runs out the
+    result has ``complete=False``, no solutions and ``optimum=None``.
     """
     if not t.is_finite:
         raise BasisError("basis counting needs a fully finite TBN")
@@ -286,6 +323,12 @@ def stable_via_basis(
         empty = PartialConfiguration.from_polymers([], t)
         return solver.EnumerationResult(0, [empty], True)
 
+    # an element holding more copies of a monomer than t has fits in no
+    # configuration; in the IP it would be a variable fixed at 0
+    basis = [
+        b for b in basis
+        if all(c <= limit for c, limit in zip(b.counts, t.counts))
+    ]
     program = _basis_cover_program(t, basis)
     status, best, assignments = solver.scan_levels(program, clock, True)
     if status == solver.BUDGET_EXCEEDED:

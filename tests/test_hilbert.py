@@ -1,4 +1,6 @@
 import random
+import string
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,16 @@ from tbntools.solver import (
 )
 
 from conftest import TRANSLATOR_TBN_TEXT
+
+
+def translator_text(k):
+    """Circular translator cascade of length k (k = 6 is the fixture's)."""
+    names = string.ascii_lowercase[:k]
+    trios = [names[i] + names[(i + 1) % k] + names[(i + 2) % k]
+             for i in range(k)]
+    lines = [f"T_{s}: {' '.join(s)}" for s in trios]
+    lines += [f"G_{s[:2]}: {s[0]}* {s[1]}*" for s in trios]
+    return "\n".join(lines) + "\n"
 
 
 class TestMatrixRepresentation:
@@ -111,6 +123,17 @@ class TestPolymerBasis:
         assert len(basis) == 57
         assert all(is_self_saturated(p, translator_tbn) for p in basis)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k, size, nodes", [(5, 45, 5810), (6, 57, 34769)])
+    def test_translator_completion_nodes(self, k, size, nodes):
+        # the completion's frontier is fixed by which children are pruned,
+        # so its node count pins the pruning, not just the answer
+        assert translator_text(6) == TRANSLATOR_TBN_TEXT
+        clock = Clock()
+        basis = polymer_basis(parse_tbn(translator_text(k)), clock)
+        assert len(basis) == size
+        assert clock.nodes == nodes
+
     def test_empty_tbn(self):
         assert polymer_basis(parse_tbn("")) == []
 
@@ -156,6 +179,26 @@ class TestStableViaBasis:
     def test_infinite_tbn_rejected(self, excess_tbn):
         with pytest.raises(BasisError):
             stable_via_basis(excess_tbn)
+
+    def test_basis_beyond_the_counts_is_dropped(self, translator_tbn):
+        basis = polymer_basis(translator_tbn)
+        within = [
+            b for b in basis
+            if all(c <= n for c, n in zip(b.counts, translator_tbn.counts))
+        ]
+        assert len(within) < len(basis)
+        full = stable_via_basis(translator_tbn, basis)
+        filtered = stable_via_basis(translator_tbn, within)
+        assert full.optimum == filtered.optimum == 6
+        assert full.solutions == filtered.solutions
+        assert full.stats.nodes == filtered.stats.nodes
+
+    def test_monomer_only_beyond_its_count_rejected(self, intro_tbn):
+        # a*b* sits only in an element that needs two copies of it
+        basis = [Polymer((2, 2, 0, 2)), Polymer((0, 1, 0, 0)),
+                 Polymer((0, 0, 1, 0)), Polymer((0, 0, 0, 1))]
+        with pytest.raises(BasisError, match="appears in no basis polymer"):
+            stable_via_basis(intro_tbn, basis)
 
 
 def assert_exhausted(result):
@@ -255,6 +298,25 @@ class TestOracleEquivalence:
             basis = hilbert_basis(rows, n)
             small = sorted(x for x in basis if sum(x) <= cap)
             assert small == brute_force_hilbert(rows, n, cap), rows
+
+    def test_random_cones_with_shared_coordinate_values(self):
+        # children are tested only against solutions whose coordinate k
+        # is one more than the parent's; here several solutions sit on
+        # the same coordinate value
+        cap = 6
+        rng = random.Random(20261018)
+        shared = 0
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(2, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            basis = hilbert_basis(rows, n)
+            small = sorted(x for x in basis if sum(x) <= cap)
+            assert small == brute_force_hilbert(rows, n, cap), rows
+            values = Counter(
+                (k, x[k]) for x in basis for k in range(n) if x[k]
+            )
+            shared += max(values.values(), default=0) > 1
+        assert shared >= 10
 
     def test_random_tbn_bases_are_minimal_cone_points(self):
         rng = random.Random(20240911)

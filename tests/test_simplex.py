@@ -277,8 +277,16 @@ class TestWorkloadRootLps:
         basis = polymer_basis(t)
         root = self.root_lp(monkeypatch, lambda: stable_via_basis(t, basis))
         assert root.objective == -5
-        ones = {12, 25, 33, 36, 38}
-        assert root.x == [Q(int(i in ones)) for i in range(45)]
+        # one variable per basis element within the counts (40 of 45),
+        # in basis order; five T + G pairs are at 1
+        within = [b.counts for b in basis if max(b.counts) <= 1]
+        assert len(basis) == 45 and len(within) == 40
+        ones = {
+            (1, 0, 0, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 1, 0, 0, 1, 0, 0),
+        }
+        assert root.x == [Q(int(b in ones)) for b in within]
 
 
 class TestFractionHelpers:
