@@ -3,23 +3,28 @@
 
 Run from anywhere, with two checkouts of the repository side by side:
 
-  python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --parent-commit abc1234 \\
+  python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \\
       --workloads gridgate,random-oracle,translator --seeds 601-610 \\
       --out BENCH_prN.json
 
 For each workload and seed it runs ``perfbench/run.py --trace 0`` once in
-each checkout, one after the other; the side that runs first alternates
-from seed to seed.  Runs are sequential, one process at a time.  The
-output file is rewritten after every run, so an interrupted series keeps
-the pairs it finished.  Its schema: ``command``, ``parent``, ``notes``
-and ``runs``, one entry per run with ``side``, ``workload``, ``seed``,
-``passes`` and ``machine`` (from perfbench's ``detail:`` line) and
-``final`` (perfbench's last output line).  A summary of the end-to-end
-metrics is printed at the end: each side's median and quartiles and how
-many pairs the change won.
+each checkout, one after the other, for perfbench's own run length; the
+side that runs first alternates from seed to seed.  Runs are sequential,
+one process at a time.  The output file is rewritten after every run, so
+an interrupted series keeps the pairs it finished.  Its schema:
+``command``, ``parent``, ``notes`` and ``runs``, one entry per run with
+``side``, ``workload``, ``seed``, ``passes`` and ``machine`` (from
+perfbench's ``detail:`` line) and ``final`` (perfbench's last output
+line).  ``parent`` is the commit perfbench reads in the parent checkout.
+Both checkouts must be git checkouts at different commits, each staying
+at its commit for the whole series; the series stops at the first run
+that shows otherwise.  A summary of the end-to-end metrics is printed at
+the end: each side's median and quartiles and how many pairs the change
+won.
 
 Uses only the standard library.  Exit codes: 0 every run measured and
-correct, 1 some run printed no result or a wrong answer, 2 bad arguments.
+correct, 1 some run printed no result or a wrong answer, 2 bad arguments
+or a checkout whose commit is unreadable, moves, or equals the other's.
 """
 
 from __future__ import annotations
@@ -47,13 +52,10 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir", type=Path)
     p.add_argument("change_dir", type=Path)
-    p.add_argument("--parent-commit", required=True,
-                   help="the parent's commit, recorded as 'parent'")
     p.add_argument("--workloads", required=True,
                    help="comma-separated perfbench workload names")
     p.add_argument("--seeds", required=True, type=parse_seeds,
                    help="a range such as 601-610, or a comma list")
-    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
     for d in (args.parent_dir, args.change_dir):
@@ -62,11 +64,11 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     return args
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> Tuple[Optional[Dict], Optional[Dict]]:
+def run_once(checkout: Path, workload: str,
+             seed: int) -> Tuple[Optional[Dict], Optional[Dict]]:
     """perfbench's detail line and last line, or None where missing."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     detail = final = None
     lines = proc.stdout.splitlines()
@@ -78,6 +80,19 @@ def run_once(checkout: Path, workload: str, seed: int,
     if final is None:
         sys.stderr.write(proc.stderr)
     return detail, final
+
+
+def commit_error(commits: Dict[str, str], side: str, checkout: Path,
+                 detail: Dict) -> Optional[str]:
+    """Record the commit a run reports; say what is wrong with it."""
+    commit = detail["machine"]["commit"]
+    if commit is None:
+        return f"perfbench read no commit in {checkout}: not a git checkout"
+    if commits.setdefault(side, commit) != commit:
+        return f"{checkout} moved from {commits[side]} to {commit}"
+    if commits.get("parent") == commits.get("change"):
+        return f"both checkouts are at {commit}"
+    return None
 
 
 def quartiles(values: List[float]) -> List[float]:
@@ -134,9 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     seeds = args.seeds
     report = {
-        "command": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "parent": args.parent_commit,
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "parent": None,
         "notes": (
             f"Alternating parent/change pairs on one machine, seeds "
             f"{seeds[0]}-{seeds[-1]} per workload; the first side of each "
@@ -144,13 +158,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"'machine' and 'passes' come from its detail line."),
         "runs": [],
     }
+    commits: Dict[str, str] = {}
     ok = True
     for workload in args.workloads.split(","):
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                detail, final = run_once(dirs[side], workload, seed,
-                                         args.seconds)
+                detail, final = run_once(dirs[side], workload, seed)
+                if detail is not None:
+                    error = commit_error(commits, side, dirs[side], detail)
+                    if error:
+                        sys.stderr.write(f"bench_pairs: {error}\n")
+                        return 2
+                    report["parent"] = commits.get("parent")
                 ok = ok and final is not None and final["correct"]
                 report["runs"].append({
                     "side": side,
