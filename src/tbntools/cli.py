@@ -217,7 +217,8 @@ def cmd_stable(args) -> int:
     }
     report = make_report(
         "stable", results, {"millis": round(elapsed * 1000, 3),
-                            "nodes": result.stats.nodes}
+                            "nodes": result.stats.nodes,
+                            "route": result.stats.route}
     )
 
     lines = []

@@ -9,7 +9,10 @@ Every saturated configuration is a multiset of basis polymers.
 
 The basis is computed with the Contejean-Devie completion procedure on
 the slack-extended equality system ``A x - s = 0``; minimal solutions of
-that system project one-to-one onto the cone's Hilbert basis.
+that system project one-to-one onto the cone's Hilbert basis.  A
+configuration uses at most ``t.counts[i]`` copies of monomer ``i``, so the
+basis route of ``stable_via_basis`` computes only the elements within the
+counts, by a completion truncated there.
 
 ``brute_force_hilbert`` is an independent oracle that enumerates cone
 points up to a norm cap and keeps the indecomposable ones.
@@ -41,14 +44,25 @@ def hilbert_basis(
     rows: Sequence[Sequence[int]],
     n: Optional[int] = None,
     budget: solver.Budget | solver.Clock | None = None,
+    upper: Optional[Sequence[Optional[int]]] = None,
 ) -> List[Tuple[int, ...]]:
-    """Hilbert basis of ``{x in N^n : rows . x >= 0}``.
+    """Hilbert basis of ``{x in N^n : rows . x >= 0}``, or with ``upper``
+    its elements with ``x_k <= upper[k]`` for every capped ``k``.
 
     Completion procedure on the slack-extended system: lifted vectors are
     ``(x, s)`` with value ``A x - s``; unit vectors seed the frontier and
     a vector grows along directions that reduce the value's norm.  Each
     exact solution found is minimal; grown vectors dominating a known
     solution are pruned.
+
+    ``upper`` caps the ``n`` cone coordinates; a ``None`` entry, and
+    every slack coordinate, stays uncapped.  A child whose coordinate
+    passes its cap is dropped.  The completion reaches every minimal
+    solution ``s`` through vectors ``<= s`` (Contejean & Devie, Inf.
+    Comput. 113, 1994), so every basis element within the caps is still
+    found, and every solution below one of them is too, so the ones
+    found are still minimal: the result is the full basis filtered to
+    the caps.
 
     The domination test is the hot loop, so each lifted vector is held as
     one Python int: coordinate ``k`` sits in bits ``[w*k, w*k + w)``, and
@@ -72,20 +86,17 @@ def hilbert_basis(
     ``2**b`` needs ``b + 1`` bits, one more than ``max_nodes`` itself,
     so ``w = b + 2``.
 
-    Each level's children are checked against every solution known when
-    they are made, so the re-filter at the end of a level tests only the
-    solutions found during that level.
-
-    That check reads an index, not the whole basis.  A frontier vector
-    ``y`` of level ``L`` is dominated by no solution known when the level
-    began: its children were checked and then re-filtered.  So a known
-    solution ``b <= y + e_k`` has ``b_k == y_k + 1``.  A solution found
-    during level ``L`` is a child, so it has the 1-norm ``L + 2`` of
-    ``y + e_k``, and ``b <= y + e_k`` means ``b == y + e_k``, again with
-    ``b_k == y_k + 1``.  The solutions are therefore indexed by
-    coordinate and value, and the child ``y + e_k`` is tested only
-    against those whose coordinate ``k`` is ``y_k + 1``: the same prunes
-    as a scan of the whole basis.
+    Each child is checked against every solution known when it is made,
+    and that check reads an index, not the whole basis.  A frontier
+    vector ``y`` of level ``L`` is dominated by no known solution: those
+    known when it was made were checked, and one found since has a
+    1-norm at least ``y``'s, while a solution of the same 1-norm cannot
+    be ``<=`` a vector whose value is nonzero.  So a known solution
+    ``b <= y + e_k`` has ``b_k == y_k + 1``.  The solutions are therefore
+    indexed by coordinate and value, and the child ``y + e_k`` is tested
+    only against those whose coordinate ``k`` is ``y_k + 1``: the same
+    prunes as a scan of the whole basis.  The cap test reads the same
+    coordinate.
 
     The descent directions of a vector, those with ``value . column_k <
     0``, depend only on its value ``A x - s``, so they are found once per
@@ -113,15 +124,20 @@ def hilbert_basis(
     guard = sum(u << (width - 1) for u in units)
 
     mask = (1 << width) - 1
+    # no coordinate reaches the guard bit, so a cap of mask never binds
+    caps = [mask] * dims
+    for k, cap in enumerate(upper or ()):
+        if cap is not None:
+            caps[k] = cap
     zero_value = (0,) * m
     basis: List[int] = []
     # by_coord[k][v]: the known solutions whose coordinate k is v > 0
     by_coord: List[Dict[int, List[int]]] = [{} for _ in range(dims)]
-    # direction k: its column's nonzeros, then its step: the shift and
-    # unit of coordinate k, the index by_coord[k] and the column
+    # direction k: its column's nonzeros, then its step: the shift, unit
+    # and cap of coordinate k, the index by_coord[k] and the column
     directions = [
         (tuple((i, c) for i, c in enumerate(col) if c),
-         (width * k, units[k], by_coord[k], col))
+         (width * k, units[k], caps[k], by_coord[k], col))
         for k, col in enumerate(columns)
     ]
     # per value: the steps of its descent directions
@@ -134,19 +150,16 @@ def hilbert_basis(
             if v:
                 by_coord[k].setdefault(v, []).append(b)
 
-    def dominated(y: int, candidates: Sequence[int]) -> bool:
-        yg = y | guard
-        return any((yg - b) & guard == guard for b in candidates)
-
     frontier: List[Tuple[int, Tuple[int, ...]]] = []
     for k in range(dims):
+        if caps[k] < 1:
+            continue
         if columns[k] == zero_value:
             record(units[k])
         else:
             frontier.append((units[k], columns[k]))
 
     while frontier:
-        found_before = len(basis)
         next_level: Dict[int, Tuple[int, ...]] = {}
         for y, value in frontier:
             clock.spend("polymer basis completion")
@@ -155,13 +168,16 @@ def hilbert_basis(
                 moves = descents[value] = tuple(
                     step for nonzeros, step in directions
                     if sum(value[i] * c for i, c in nonzeros) < 0)
-            for shift, unit, index, col in moves:
+            for shift, unit, cap, index, col in moves:
                 child = y + unit
                 if child in next_level:
                     continue
+                v = (child >> shift) & mask
+                if v > cap:
+                    continue
                 # a known solution <= child has the child's coordinate k
                 cg = child | guard
-                for b in index.get((child >> shift) & mask, ()):
+                for b in index.get(v, ()):
                     if (cg - b) & guard == guard:
                         break
                 else:
@@ -170,13 +186,7 @@ def hilbert_basis(
                         record(child)
                     else:
                         next_level[child] = child_value
-        # re-filter: every child was checked against the solutions known
-        # when it was made, so only this level's later finds can prune it
-        found = basis[found_before:]
-        frontier = [
-            (y, v) for y, v in next_level.items()
-            if not dominated(y, found)
-        ]
+        frontier = list(next_level.items())
 
     projected = sorted(
         tuple((y >> (width * k)) & mask for k in range(n)) for y in basis
@@ -304,25 +314,42 @@ def stable_via_basis(
 
     A saturated full configuration is a multiset of basis polymers using
     every monomer exactly; minimizing merges means maximizing the number
-    of polymers.  Basis elements that need more copies of a monomer than
-    ``t`` holds are dropped; the level scan of ``solver`` finds every
-    maximizer of the coefficient IP over the rest.  Returns the same
-    EnumerationResult as the direct solver.  One budget covers the whole
-    call, the basis included when it is not given; when it runs out the
-    result has ``complete=False``, no solutions and ``optimum=None``.
+    of polymers.  A configuration holds at most ``t.counts[i]`` copies of
+    monomer ``i``, so only the basis elements within the counts matter:
+    without ``basis``, ``hilbert_basis`` is truncated at the counts, and
+    a given basis is filtered to them.  The level scan of ``solver``
+    finds every maximizer of the coefficient IP over those elements.
+    Returns the same EnumerationResult as the direct solver, with
+    ``stats.route == "basis"``.  One budget covers the whole call, the
+    basis included when it is not given; when it runs out the result has
+    ``complete=False``, no solutions and ``optimum=None``.
     """
+    return _basis_route(t, basis, solver.Clock.of(budget), True)
+
+
+def _basis_route(
+    t: Tbn,
+    basis: Optional[Sequence[Polymer]],
+    clock: solver.Clock,
+    want_all: bool,
+) -> solver.EnumerationResult:
+    """``stable_via_basis`` on a running clock: a witness, or with
+    ``want_all`` every stable configuration."""
     if not t.is_finite:
         raise BasisError("basis counting needs a fully finite TBN")
-    clock = solver.Clock.of(budget)
-    if basis is None:
-        try:
-            basis = polymer_basis(t, clock)
-        except solver.BudgetExhausted:
-            return solver.EnumerationResult(None, [], False, clock.stats())
     if t.n_types == 0:
         empty = PartialConfiguration.from_polymers([], t)
-        return solver.EnumerationResult(0, [empty], True)
-
+        return solver.EnumerationResult(
+            0, [empty], True, clock.stats("basis")
+        )
+    if basis is None:
+        try:
+            vectors = hilbert_basis(t.site_matrix, t.n_types, clock, t.counts)
+        except solver.BudgetExhausted:
+            return solver.EnumerationResult(
+                None, [], False, clock.stats("basis")
+            )
+        basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
     # an element holding more copies of a monomer than t has fits in no
     # configuration; in the IP it would be a variable fixed at 0
     basis = [
@@ -330,9 +357,9 @@ def stable_via_basis(
         if all(c <= limit for c, limit in zip(b.counts, t.counts))
     ]
     program = _basis_cover_program(t, basis)
-    status, best, assignments = solver.scan_levels(program, clock, True)
+    status, best, assignments = solver.scan_levels(program, clock, want_all)
     if status == solver.BUDGET_EXCEEDED:
-        return solver.EnumerationResult(None, [], False, clock.stats())
+        return solver.EnumerationResult(None, [], False, clock.stats("basis"))
     if status != solver.OPTIMAL:
         raise BasisError(f"basis counting IP ended {status}")
     configs = []
@@ -344,7 +371,7 @@ def stable_via_basis(
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
         t.total_monomers() - best, canonical_unique(configs), True,
-        clock.stats(),
+        clock.stats("basis"),
     )
 
 

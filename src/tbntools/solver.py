@@ -16,7 +16,9 @@ root plus every node of every level searched.
 the merge count of the model with lexicographic symmetry-breaking rows,
 which leave one representative per polymer ordering, so the optimal
 level's solutions are every stable configuration; canonicalization plus
-deduplication acts as a safety net.
+deduplication acts as a safety net.  For a finite TBN it searches only
+the first level there; when that level is empty it hands its clock to
+the basis route of ``hilbert`` (``stable_configs`` says why).
 ``solve_min`` freezes a general bounded program's objective with
 ``IntegerProgram.fixed``, and the basis route of
 ``hilbert.stable_via_basis`` calls the scan itself.  The search
@@ -65,6 +67,8 @@ from .simplex import TIME_LIMIT, frac_ceil, is_integral, solve_lp
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
+# the levels searched are empty and higher ones were left unsearched
+OPEN = "open"
 
 _BRUTE_FORCE_MAX_INSTANCES = 16
 
@@ -90,6 +94,9 @@ class Budget:
 class SolveStats:
     nodes: int = 0
     wall_time: float = 0.0
+    # which route answered a stable-configurations question: "direct"
+    # (the slot IP) or "basis" (the cover IP over the polymer basis)
+    route: str = "direct"
 
 
 @dataclass(slots=True)
@@ -304,8 +311,8 @@ class Clock:
         """True once the time limit is reached; ticks nothing."""
         return self.elapsed() >= self.budget.max_time
 
-    def stats(self) -> SolveStats:
-        return SolveStats(self.nodes, self.elapsed())
+    def stats(self, route: str = "direct") -> SolveStats:
+        return SolveStats(self.nodes, self.elapsed(), route)
 
 
 # a search node: bounds, their row activities, and the variable branched
@@ -399,11 +406,23 @@ def stable_configs(
     The slot bound is ``default_bound(t)``, the total count of limiting
     monomers, which holds every stable configuration.  The root LP runs
     on the plain slot model; the levels past it freeze the objective of
-    the symmetry-broken model, built once, on first use.  One budget
-    covers the whole call.  When it runs out the result has
+    the symmetry-broken model, built once, on first use.
+
+    Route rule: for a finite ``t`` only the first level, the ceiling of
+    the root LP, is searched on the slot model.  If it is empty, the
+    call goes on, on the same clock and in the same mode, through the
+    basis route of ``hilbert.stable_via_basis``, with the basis
+    truncated at the counts; there is no way back to the level scan.
+    Proving levels empty repeats nearly the same slot-model search per
+    level, while the basis route's cover IP is small.  A ``t`` with an
+    infinite count scans every level on the slot model.
+    ``stats.route`` says which route answered.
+
+    One budget covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
-    value is never reported.  ``stats.nodes`` counts the root node and
-    every node of every objective level searched.
+    value is never reported.  ``stats.nodes`` counts every node ticked:
+    the root, every node of every objective level searched and, on the
+    basis route, its completion and cover-IP nodes.
     """
     opts = options or StableOptions()
     bound = default_bound(t)
@@ -422,8 +441,14 @@ def stable_configs(
         return symmetric().fixed(value)
 
     status, optimum, found = scan_levels(
-        model.program, clock, opts.all, level, model.decode
+        model.program, clock, opts.all, level, model.decode,
+        max_levels=1 if t.is_finite else None,
     )
+    if status == OPEN:
+        # imported here because hilbert imports this module
+        from .hilbert import _basis_route
+
+        return _basis_route(t, None, clock, opts.all)
     if status == INFEASIBLE:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
@@ -439,6 +464,7 @@ def scan_levels(
     want_all: bool = False,
     level: Optional[Callable[[int], IntegerProgram]] = None,
     decode: Callable[[Dict[str, int]], Any] = lambda a: a,
+    max_levels: Optional[int] = None,
 ) -> Tuple[str, Optional[int], List[Any]]:
     """Status, optimum and decoded optimal solutions of ``program``: a
     witness, or with ``want_all`` all that ``level(optimum)`` admits.
@@ -449,9 +475,11 @@ def scan_levels(
     bounds the objective, in minimization sense, from below.  From it
     upwards, each value's level is searched exhaustively, so the first
     level with a solution is the optimum.  The scan ends at the largest
-    value the propagated root bounds allow.  One clock covers the root
-    LP and every level; when it runs out the status is
-    ``BUDGET_EXCEEDED`` and nothing else is reported.
+    value the propagated root bounds allow, or after ``max_levels``
+    levels; when those are empty and higher values remain, the status is
+    ``OPEN``.  One clock covers the root LP and every level; when it
+    runs out the status is ``BUDGET_EXCEEDED`` and nothing else is
+    reported.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
@@ -476,7 +504,8 @@ def scan_levels(
         return OPTIMAL, comp.obj_sign * first + comp.obj_const, [decode(root)]
 
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
-    for v in range(first, last + 1):
+    stop = last if max_levels is None else min(last, first + max_levels - 1)
+    for v in range(first, stop + 1):
         value = comp.obj_sign * v + comp.obj_const
         assignments, complete, _ = enumerate_assignments(
             level(value), clock, None if want_all else 1
@@ -485,7 +514,7 @@ def scan_levels(
             return BUDGET_EXCEEDED, None, []
         if assignments:
             return OPTIMAL, value, [decode(a) for a in assignments]
-    return INFEASIBLE, None, []
+    return (INFEASIBLE if stop == last else OPEN), None, []
 
 
 def load_external_solution(

@@ -8,6 +8,7 @@ per criterion.
 
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -190,6 +191,9 @@ def random_solution_sets():
 
 def test_criterion_08_oracle_equivalence(random_solution_sets):
     assert len(random_solution_sets) == 200
+    # 69 of the 200 leave the first level empty: both routes are checked
+    routes = Counter(result.stats.route for result in random_solution_sets)
+    assert routes["direct"] >= 120 and routes["basis"] >= 60
     rng = random.Random(20240816)
     cap = 8
     for _ in range(100):

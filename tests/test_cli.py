@@ -54,7 +54,19 @@ class TestStableCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "tbn-report/1"
         assert report["results"]["optimum"] == 1
+        assert report["timings"]["route"] == "direct"
         assert json.loads(json.dumps(report)) == report
+
+    def test_json_report_names_the_basis_route(
+        self, translator_file, capsys
+    ):
+        code = main(["stable", translator_file, "--all", "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == "tbn-report/1"
+        assert report["results"]["optimum"] == 6
+        assert len(report["results"]["configurations"]) == 2
+        assert report["timings"]["route"] == "basis"
 
     def test_nonexistent_file(self, tmp_path, capsys):
         code = main(["stable", str(tmp_path / "nope.tbn")])

@@ -58,6 +58,13 @@ class TestHilbertBasis:
             hilbert_basis([])
         assert hilbert_basis([], 2) == [(0, 1), (1, 0)]
 
+    def test_zero_cap_leaves_the_coordinate_out(self):
+        assert hilbert_basis([[1, 0], [0, 1]], 2, None, [0, None]) == [
+            (0, 1),
+        ]
+        # every element of this cone has a first coordinate
+        assert hilbert_basis([[3, -1], [-1, 2]], 2, None, [0, None]) == []
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExhausted):
             hilbert_basis(
@@ -192,6 +199,14 @@ class TestStableViaBasis:
         assert full.optimum == filtered.optimum == 6
         assert full.solutions == filtered.solutions
         assert full.stats.nodes == filtered.stats.nodes
+        # the basis truncated at the counts is the filtered one
+        t = translator_tbn
+        truncated = hilbert_basis(t.site_matrix, t.n_types, None, t.counts)
+        assert len(truncated) == len(within) == 51
+        assert sorted(truncated, reverse=True) == [b.counts for b in within]
+        computed = stable_via_basis(t)
+        assert computed.solutions == full.solutions
+        assert computed.stats.route == "basis"
 
     def test_monomer_only_beyond_its_count_rejected(self, intro_tbn):
         # a*b* sits only in an element that needs two copies of it
@@ -210,21 +225,19 @@ def assert_exhausted(result):
 class TestStableViaBasisBudget:
     @pytest.fixture(scope="class")
     def translator_basis(self):
-        clock = Clock()
-        basis = polymer_basis(parse_tbn(TRANSLATOR_TBN_TEXT), clock)
-        return basis, clock.nodes
+        return polymer_basis(parse_tbn(TRANSLATOR_TBN_TEXT))
 
     def test_completes_within_default_budget(
         self, translator_tbn, translator_basis
     ):
-        basis, _ = translator_basis
+        basis = translator_basis
         result = stable_via_basis(translator_tbn, basis)
         assert result.complete
         assert result.optimum == 6
         assert len(result.solutions) == 2
 
     def test_zero_time_budget(self, translator_tbn, translator_basis):
-        basis, _ = translator_basis
+        basis = translator_basis
         assert_exhausted(
             stable_via_basis(translator_tbn, basis, Budget(max_time=0))
         )
@@ -235,18 +248,20 @@ class TestStableViaBasisBudget:
     def test_tiny_node_budget_in_the_level_scan(
         self, translator_tbn, translator_basis
     ):
-        basis, _ = translator_basis
+        basis = translator_basis
         result = stable_via_basis(translator_tbn, basis, Budget(max_nodes=5))
         assert_exhausted(result)
         # the root, the four level-search nodes left, and the one that
         # found the budget spent
         assert result.stats.nodes == 6
 
-    def test_one_budget_covers_basis_and_scan(
-        self, translator_tbn, translator_basis
-    ):
-        # enough nodes for the basis and the root, none for a level
-        _, basis_nodes = translator_basis
+    def test_one_budget_covers_basis_and_scan(self, translator_tbn):
+        # enough nodes for the basis and the root, none for a level; the
+        # basis computed here is truncated at the counts
+        t = translator_tbn
+        clock = Clock()
+        hilbert_basis(t.site_matrix, t.n_types, clock, t.counts)
+        basis_nodes = clock.nodes
         result = stable_via_basis(
             translator_tbn, budget=Budget(max_nodes=basis_nodes + 1)
         )
@@ -318,6 +333,28 @@ class TestOracleEquivalence:
             )
             crowded += max(values.values(), default=0) > 1
         assert crowded >= 8
+
+    def test_truncated_bases_of_random_cones(self):
+        # caps of 1, 2 and None mixed per coordinate; the slack
+        # coordinates stay uncapped, and an element at its cap is kept
+        rng = random.Random(20261019)
+        shrunk = 0
+        for _ in range(60):
+            rows, n = random_matrix(rng, max_rows=3, cols=(2, 5))
+            upper = [rng.choice([1, 2, None]) for _ in range(n)]
+
+            def within(x):
+                return all(c is None or v <= c for v, c in zip(x, upper))
+
+            full = hilbert_basis(rows, n)
+            truncated = hilbert_basis(rows, n, None, upper)
+            assert truncated == [x for x in full if within(x)], (rows, upper)
+            oracle = brute_force_hilbert(rows, n, 6)
+            assert [x for x in truncated if sum(x) <= 6] == [
+                x for x in oracle if within(x)
+            ], (rows, upper)
+            shrunk += len(truncated) < len(full)
+        assert shrunk >= 20  # 21 of the 60
 
     def test_random_tbn_bases_are_minimal_cone_points(self):
         rng = random.Random(20240911)

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from tbntools.cli import gen_gridgate
 from tbntools.core import (
     INF,
     PartialConfiguration,
@@ -28,6 +30,7 @@ from tbntools.ipmodel import (
 from tbntools.solver import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
+    OPEN,
     OPTIMAL,
     Budget,
     BruteForceError,
@@ -122,6 +125,8 @@ class TestTranslatorCascade:
         for pc in result.solutions:
             assert pc.n_polymers == 6
             assert all(p.size == 2 for p in pc.polymers)
+        # the first level, the ceiling of the root LP, is empty
+        assert result.stats.route == "basis"
 
     def test_zero_time_budget_reports_no_value(self, translator_tbn):
         result = stable_configs(
@@ -143,6 +148,55 @@ class TestTranslatorCascade:
         # the root node, the 49 nodes left to the level searches, and
         # the one that found the budget spent
         assert result.stats.nodes == 51
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("want_all", [False, True])
+    def test_gridgate_caption_stays_direct(self, want_all):
+        # its root LP is (2n - 1)/2, and the first level, n, holds every
+        # stable configuration
+        t = gen_gridgate(3, 2, caption_literal=True)
+        result = stable_configs(t, StableOptions(all=want_all))
+        assert result.optimum == 3
+        assert len(result.solutions) == (2 if want_all else 1)
+        assert result.stats.route == "direct"
+
+    def test_infinite_count_scans_every_level(self):
+        t = parse_tbn("b* b*, 1\nb, inf\na*, 1\na b, 2")
+        bound = default_bound(t)
+        model = build(t, bound)
+        symmetric = build(t, bound, symmetry_breaking=True).program
+        first = scan_levels(
+            model.program, Clock(), True, symmetric.fixed, max_levels=1
+        )
+        assert first == (OPEN, None, [])
+        result = stable_configs(t, StableOptions(all=True))
+        assert result.stats.route == "direct"
+        want = brute_force_stable(t)
+        assert result.optimum == want.optimum == 3
+        assert polymer_sets(result) == polymer_sets(want)
+
+    def test_budget_spent_on_the_basis_route_reports_no_value(
+        self, translator_tbn
+    ):
+        # a budget that the first level uses up to its last node
+        t = translator_tbn
+        bound = default_bound(t)
+        model = build(t, bound)
+        symmetric = build(t, bound, symmetry_breaking=True).program
+        clock = Clock()
+        first = scan_levels(
+            model.program, clock, True, symmetric.fixed, max_levels=1
+        )
+        assert first == (OPEN, None, [])
+        result = stable_configs(
+            t, StableOptions(all=True, budget=Budget(max_nodes=clock.nodes))
+        )
+        assert not result.complete
+        assert result.optimum is None
+        assert result.solutions == []
+        assert result.stats.route == "basis"
+        assert result.stats.nodes == clock.nodes + 1
 
 
 class _LateClock(Clock):
@@ -558,8 +612,11 @@ def random_tbn(rng: random.Random) -> Tbn:
 
 
 class TestOracleEquivalence:
+    # of the 60 networks, 25 leave the first level empty and take the
+    # basis route in either mode, so the oracle checks both routes
     def test_random_networks_match_oracle(self):
         rng = random.Random(20240902)
+        routes = Counter()
         for _ in range(60):
             t = random_tbn(rng)
             got = stable_configs(t, StableOptions(all=True))
@@ -567,9 +624,12 @@ class TestOracleEquivalence:
             assert got.complete
             assert got.optimum == want.optimum, t
             assert polymer_sets(got) == polymer_sets(want), t
+            routes[got.stats.route] += 1
+        assert routes["direct"] >= 30 and routes["basis"] >= 20
 
     def test_witness_is_an_oracle_configuration(self):
         rng = random.Random(20240902)
+        routes = Counter()
         for _ in range(60):
             t = random_tbn(rng)
             got = stable_configs(t)
@@ -578,3 +638,5 @@ class TestOracleEquivalence:
             assert got.optimum == want.optimum, t
             assert len(got.solutions) == 1
             assert polymer_sets(got) <= polymer_sets(want), t
+            routes[got.stats.route] += 1
+        assert routes["direct"] >= 30 and routes["basis"] >= 20
