@@ -86,10 +86,6 @@ Count = Union[int, _Infinity]
 _FORBIDDEN_NAME_CHARS = set("*,:#")
 
 
-def is_finite(count: Count) -> bool:
-    return count is not INF
-
-
 @dataclass(frozen=True, order=True)
 class SiteType:
     """A named binding site, optionally starred.  ``a*`` complements ``a``."""

@@ -12,7 +12,9 @@ the slack-extended equality system ``A x - s = 0``; minimal solutions of
 that system project one-to-one onto the cone's Hilbert basis.  A
 configuration uses at most ``t.counts[i]`` copies of monomer ``i``, so the
 basis route of ``stable_via_basis`` computes only the elements within the
-counts, by a completion truncated there.
+finite counts, by a completion truncated there.  Its cover IP has a
+variable per element holding a limiting monomer and minimizes the merge
+count, so TBNs with infinite counts take the same route.
 
 ``brute_force_hilbert`` is an independent oracle that enumerates cone
 points up to a norm cap and keeps the indecomposable ones.
@@ -20,12 +22,12 @@ points up to a norm cap and keeps the indecomposable ones.
 
 from __future__ import annotations
 
-import json
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import solver
 from .core import (
+    INF,
     PartialConfiguration,
     Polymer,
     Tbn,
@@ -33,7 +35,7 @@ from .core import (
     canonical_unique,
     is_self_saturated,
 )
-from .ipmodel import EQ, Constraint, IntegerProgram, Objective, Variable
+from .ipmodel import EQ, LE, Constraint, IntegerProgram, Objective, Variable
 
 
 class BasisError(TbnError):
@@ -278,31 +280,45 @@ def decompose(
 def _basis_cover_program(
     t: Tbn, basis: Sequence[Polymer]
 ) -> IntegerProgram:
-    """Coefficient IP: pick basis multiplicities using every monomer."""
-    variables = []
+    """Cover IP: basis multiplicities ``n_b`` of least merge count.
+
+    A variable stands for each basis element that holds a limiting
+    monomer; every other one is a singleton of a non-limiting type, which
+    a partial configuration leaves implied.  Each limiting type is used
+    exactly (``EQ``), each finite non-limiting type at most its count
+    (``LE``), and an infinite type is free.  A variable's upper bound
+    comes from its finite coordinates, which include a limiting one.  The
+    objective ``min sum n_b (|b| - 1)`` is the merge count.
+    """
+    limiting = t.limiting_indices
+    variables, objective = [], []
+    terms: List[List[Tuple[str, int]]] = [[] for _ in range(t.n_types)]
     for idx, b in enumerate(basis):
+        if not any(b.counts[i] for i in limiting):
+            continue
+        name = f"n_{idx}"
         upper = min(
-            t.counts[i] // c for i, c in enumerate(b.counts) if c > 0
+            t.counts[i] // c for i, c in enumerate(b.counts)
+            if c > 0 and t.counts[i] is not INF
         )
-        variables.append(Variable(f"n_{idx}", 0, upper))
+        variables.append(Variable(name, 0, upper))
+        objective.append((name, b.size - 1))
+        for i, c in enumerate(b.counts):
+            if c > 0:
+                terms[i].append((name, c))
     constraints = []
-    for i in range(t.n_types):
-        coeffs = tuple(
-            (f"n_{idx}", b.counts[i])
-            for idx, b in enumerate(basis)
-            if b.counts[i] > 0
-        )
-        if not coeffs:
-            raise BasisError(
-                f"monomer {t.monomer_types[i]} appears in no basis polymer"
+    for i, (mon, count) in enumerate(zip(t.monomer_types, t.counts)):
+        if mon.is_limiting and not terms[i]:
+            raise BasisError(f"monomer {mon} appears in no basis polymer")
+        if mon.is_limiting or count is not INF:
+            sense = EQ if mon.is_limiting else LE
+            constraints.append(
+                Constraint(tuple(terms[i]), sense, count, f"cover_m{i}")
             )
-        constraints.append(
-            Constraint(coeffs, EQ, t.counts[i], f"cover_m{i}")
-        )
-    objective = Objective(
-        "max", tuple((f"n_{idx}", 1) for idx in range(len(basis)))
+    return IntegerProgram(
+        tuple(variables), tuple(constraints),
+        Objective("min", tuple(objective)),
     )
-    return IntegerProgram(tuple(variables), tuple(constraints), objective)
 
 
 def stable_via_basis(
@@ -310,16 +326,18 @@ def stable_via_basis(
     basis: Optional[Sequence[Polymer]] = None,
     budget: solver.Budget | solver.Clock | None = None,
 ) -> solver.EnumerationResult:
-    """Stable configurations of a finite TBN from its polymer basis.
+    """Stable configurations of a TBN from its polymer basis.
 
-    A saturated full configuration is a multiset of basis polymers using
-    every monomer exactly; minimizing merges means maximizing the number
-    of polymers.  A configuration holds at most ``t.counts[i]`` copies of
-    monomer ``i``, so only the basis elements within the counts matter:
-    without ``basis``, ``hilbert_basis`` is truncated at the counts, and
-    a given basis is filtered to them.  The level scan of ``solver``
-    finds every maximizer of the coefficient IP over those elements.
-    Returns the same EnumerationResult as the direct solver, with
+    A saturated configuration is a multiset of basis polymers that uses
+    every limiting monomer and at most the supply of every other one;
+    the monomers left over are implied singletons.  A configuration
+    holds at most ``t.counts[i]`` copies of monomer ``i``, so only the
+    basis elements within the counts matter: without ``basis``,
+    ``hilbert_basis`` is truncated at the finite counts, and a given
+    basis is filtered to them.  The level scan of ``solver`` finds every
+    minimizer of the cover IP (``_basis_cover_program``), whose
+    objective is the merge count, so infinite counts need no special
+    case.  Returns the same EnumerationResult as the direct solver, with
     ``stats.route == "basis"``.  One budget covers the whole call, the
     basis included when it is not given; when it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``.
@@ -335,16 +353,10 @@ def _basis_route(
 ) -> solver.EnumerationResult:
     """``stable_via_basis`` on a running clock: a witness, or with
     ``want_all`` every stable configuration."""
-    if not t.is_finite:
-        raise BasisError("basis counting needs a fully finite TBN")
-    if t.n_types == 0:
-        empty = PartialConfiguration.from_polymers([], t)
-        return solver.EnumerationResult(
-            0, [empty], True, clock.stats("basis")
-        )
     if basis is None:
+        caps = [None if c is INF else c for c in t.counts]
         try:
-            vectors = hilbert_basis(t.site_matrix, t.n_types, clock, t.counts)
+            vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
         except solver.BudgetExhausted:
             return solver.EnumerationResult(
                 None, [], False, clock.stats("basis")
@@ -370,39 +382,8 @@ def _basis_route(
                 polymers.extend([b] * assignment[f"n_{idx}"])
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
-        t.total_monomers() - best, canonical_unique(configs), True,
-        clock.stats("basis"),
+        best, canonical_unique(configs), True, clock.stats("basis")
     )
-
-
-BASIS_SCHEMA = "tbn-polymer-basis/1"
-
-
-def basis_to_json(basis: Sequence[Polymer], t: Tbn) -> str:
-    payload = {
-        "schema": BASIS_SCHEMA,
-        "monomers": [
-            {
-                "label": mon.label,
-                "sites": [str(s) for s in mon.sites],
-            }
-            for mon in t.monomer_types
-        ],
-        "polymers": [list(p.counts) for p in basis],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def basis_from_json(text: str) -> List[Polymer]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BasisError(f"invalid basis JSON: {exc}") from exc
-    if payload.get("schema") != BASIS_SCHEMA:
-        raise BasisError(
-            f"unsupported basis schema {payload.get('schema')!r}"
-        )
-    return [Polymer(tuple(counts)) for counts in payload["polymers"]]
 
 
 def render_basis_table(basis: Sequence[Polymer], t: Tbn) -> str:

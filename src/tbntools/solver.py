@@ -16,9 +16,10 @@ root plus every node of every level searched.
 the merge count of the model with lexicographic symmetry-breaking rows,
 which leave one representative per polymer ordering, so the optimal
 level's solutions are every stable configuration; canonicalization plus
-deduplication acts as a safety net.  For a finite TBN it searches only
-the first level there; when that level is empty it hands its clock to
-the basis route of ``hilbert`` (``stable_configs`` says why).
+deduplication acts as a safety net.  It searches only the first level
+there; when that level is empty it hands its clock to the basis route of
+``hilbert``, for finite and infinite counts alike (``stable_configs``
+says why).
 ``solve_min`` freezes a general bounded program's objective with
 ``IntegerProgram.fixed``, and the basis route of
 ``hilbert.stable_via_basis`` calls the scan itself.  The search
@@ -44,7 +45,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     PartialConfiguration,
@@ -408,15 +409,14 @@ def stable_configs(
     on the plain slot model; the levels past it freeze the objective of
     the symmetry-broken model, built once, on first use.
 
-    Route rule: for a finite ``t`` only the first level, the ceiling of
-    the root LP, is searched on the slot model.  If it is empty, the
-    call goes on, on the same clock and in the same mode, through the
-    basis route of ``hilbert.stable_via_basis``, with the basis
-    truncated at the counts; there is no way back to the level scan.
-    Proving levels empty repeats nearly the same slot-model search per
-    level, while the basis route's cover IP is small.  A ``t`` with an
-    infinite count scans every level on the slot model.
-    ``stats.route`` says which route answered.
+    Route rule: only the first level, the ceiling of the root LP, is
+    searched on the slot model.  If it is empty, the call goes on, on the
+    same clock and in the same mode, through the basis route of
+    ``hilbert.stable_via_basis``, with the basis truncated at the finite
+    counts; there is no way back to the level scan.  Proving levels
+    empty repeats nearly the same slot-model search per level, while the
+    basis route's cover IP is small.  ``stats.route`` says which route
+    answered.
 
     One budget covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
@@ -441,8 +441,7 @@ def stable_configs(
         return symmetric().fixed(value)
 
     status, optimum, found = scan_levels(
-        model.program, clock, opts.all, level, model.decode,
-        max_levels=1 if t.is_finite else None,
+        model.program, clock, opts.all, level, max_levels=1
     )
     if status == OPEN:
         # imported here because hilbert imports this module
@@ -454,7 +453,8 @@ def stable_configs(
             f"no saturated configuration within polymer bound {bound}"
         )
     return EnumerationResult(
-        optimum, canonical_unique(found), status == OPTIMAL, clock.stats()
+        optimum, canonical_unique(map(model.decode, found)),
+        status == OPTIMAL, clock.stats(),
     )
 
 
@@ -463,11 +463,10 @@ def scan_levels(
     budget: Budget | Clock | None = None,
     want_all: bool = False,
     level: Optional[Callable[[int], IntegerProgram]] = None,
-    decode: Callable[[Dict[str, int]], Any] = lambda a: a,
     max_levels: Optional[int] = None,
-) -> Tuple[str, Optional[int], List[Any]]:
-    """Status, optimum and decoded optimal solutions of ``program``: a
-    witness, or with ``want_all`` all that ``level(optimum)`` admits.
+) -> Tuple[str, Optional[int], List[Dict[str, int]]]:
+    """Status, optimum and optimal assignments of ``program``: a witness,
+    or with ``want_all`` all that ``level(optimum)`` admits.
 
     ``level(value)``, by default ``program.fixed(value)``, is a program
     whose solutions satisfy ``program``'s rows with the objective at
@@ -501,7 +500,7 @@ def scan_levels(
     assert relax.x is not None
     if not want_all and all(is_integral(v) for v in relax.x):
         root = comp.assignment_from([int(v) for v in relax.x])
-        return OPTIMAL, comp.obj_sign * first + comp.obj_const, [decode(root)]
+        return OPTIMAL, comp.obj_sign * first + comp.obj_const, [root]
 
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
     stop = last if max_levels is None else min(last, first + max_levels - 1)
@@ -513,7 +512,7 @@ def scan_levels(
         if not complete:
             return BUDGET_EXCEEDED, None, []
         if assignments:
-            return OPTIMAL, value, [decode(a) for a in assignments]
+            return OPTIMAL, value, assignments
     return (INFEASIBLE if stop == last else OPEN), None, []
 
 

@@ -15,7 +15,7 @@ from tbntools.cli import (
 from tbntools.core import INF, parse_tbn, render_tbn
 from tbntools.lpformat import write_lp, write_solution
 from tbntools.ipmodel import build, default_bound
-from tbntools.solver import solve_min
+from tbntools.solver import brute_force_stable, solve_min
 
 from conftest import GRID_TBN_TEXT, INTRO_TBN_TEXT, TRANSLATOR_TBN_TEXT
 
@@ -38,6 +38,17 @@ def grid_file(tmp_path):
 def translator_file(tmp_path):
     path = tmp_path / "translator.tbn"
     path.write_text(TRANSLATOR_TBN_TEXT)
+    return str(path)
+
+
+# an infinite count, and an empty first slot level
+EXCESS_TEXT = "b* b*, 1\nb, inf\na*, 1\na b, 2\n"
+
+
+@pytest.fixture
+def excess_file(tmp_path):
+    path = tmp_path / "excess.tbn"
+    path.write_text(EXCESS_TEXT)
     return str(path)
 
 
@@ -66,6 +77,17 @@ class TestStableCommand:
         assert report["schema"] == "tbn-report/1"
         assert report["results"]["optimum"] == 6
         assert len(report["results"]["configurations"]) == 2
+        assert report["timings"]["route"] == "basis"
+
+    def test_infinite_count_takes_the_basis_route(
+        self, excess_file, capsys
+    ):
+        code = main(["stable", excess_file, "--all", "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        want = brute_force_stable(parse_tbn(EXCESS_TEXT))
+        assert report["results"]["optimum"] == want.optimum == 3
+        assert len(report["results"]["configurations"]) == 4
         assert report["timings"]["route"] == "basis"
 
     def test_nonexistent_file(self, tmp_path, capsys):
@@ -141,6 +163,18 @@ class TestVerifyCommand:
     def test_stable_configuration(self, intro_file, tmp_path, capsys):
         verdicts = self.run_verify(
             intro_file, tmp_path, capsys, "m1 + m2\n...\n"
+        )
+        assert verdicts == {
+            "valid": "true",
+            "saturated": "true",
+            "locally_stable": "true",
+            "stable": "true",
+        }
+
+    def test_infinite_count_configuration(self, excess_file, tmp_path, capsys):
+        # {b* b*} with two {b}, and {a*} with one {a b}
+        verdicts = self.run_verify(
+            excess_file, tmp_path, capsys, "1 + 4 + 4\n2 + 3\n...\n"
         )
         assert verdicts == {
             "valid": "true",

@@ -276,15 +276,18 @@ class TestWorkloadRootLps:
         )
         basis = polymer_basis(t)
         root = self.root_lp(monkeypatch, lambda: stable_via_basis(t, basis))
-        assert root.objective == -5
+        assert root.objective == 5
         # one variable per basis element within the counts (40 of 45),
-        # in basis order; five T + G pairs are at 1
+        # less the five T singletons, which hold no limiting G monomer,
+        # in basis order; five G + T pairs are at 1
         within = [b.counts for b in basis if max(b.counts) <= 1]
         assert len(basis) == 45 and len(within) == 40
+        within = [b for b in within if any(b[i] for i in t.limiting_indices)]
+        assert len(within) == 35
         ones = {
-            (1, 0, 0, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 1, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 0, 0, 1),
-            (0, 0, 0, 0, 1, 0, 0, 1, 0, 0),
+            (1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 1, 0, 0),
+            (0, 0, 1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
         }
         assert root.x == [Q(int(b in ones)) for b in within]
 

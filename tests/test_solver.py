@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from typing import Tuple
 
 import pytest
 
@@ -27,6 +28,7 @@ from tbntools.ipmodel import (
     default_bound,
     exists_var,
 )
+from tbntools.hilbert import stable_via_basis
 from tbntools.solver import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -161,7 +163,7 @@ class TestRoutes:
         assert len(result.solutions) == (2 if want_all else 1)
         assert result.stats.route == "direct"
 
-    def test_infinite_count_scans_every_level(self):
+    def test_infinite_count_takes_the_basis_route(self):
         t = parse_tbn("b* b*, 1\nb, inf\na*, 1\na b, 2")
         bound = default_bound(t)
         model = build(t, bound)
@@ -171,9 +173,10 @@ class TestRoutes:
         )
         assert first == (OPEN, None, [])
         result = stable_configs(t, StableOptions(all=True))
-        assert result.stats.route == "direct"
+        assert result.stats.route == "basis"
         want = brute_force_stable(t)
         assert result.optimum == want.optimum == 3
+        assert len(result.solutions) == 4
         assert polymer_sets(result) == polymer_sets(want)
 
     def test_budget_spent_on_the_basis_route_reports_no_value(
@@ -596,7 +599,9 @@ class TestBruteForceOracle:
             brute_force_stable(big)
 
 
-def random_tbn(rng: random.Random) -> Tbn:
+def random_tbn(rng: random.Random, excess: bool = False) -> Tbn:
+    """A small random network; with ``excess``, each line without a star
+    gets an infinite count with probability 1/2."""
     names = ["a", "b", "c"][: rng.randint(2, 3)]
     lines = []
     budget = rng.randint(3, 8)  # total monomer instances
@@ -606,8 +611,10 @@ def random_tbn(rng: random.Random) -> Tbn:
             rng.choice(names) + rng.choice(["", "*"]) for _ in range(k)
         ]
         count = rng.randint(1, min(2, budget))
-        lines.append(" ".join(sites) + f", {count}")
         budget -= count
+        if excess and not any("*" in s for s in sites) and rng.random() < 0.5:
+            count = "inf"
+        lines.append(" ".join(sites) + f", {count}")
     return parse_tbn("\n".join(lines))
 
 
@@ -640,3 +647,43 @@ class TestOracleEquivalence:
             assert polymer_sets(got) <= polymer_sets(want), t
             routes[got.stats.route] += 1
         assert routes["direct"] >= 30 and routes["basis"] >= 20
+
+
+def full_scan(t: Tbn) -> Tuple:
+    """Optimum and polymer sets of the slot model's scan of every level,
+    which needs neither the first-level rule nor the basis route."""
+    bound = default_bound(t)
+    if bound == 0:
+        return 0, {()}
+    model = build(t, bound)
+    status, optimum, found = scan_levels(
+        model.program, Clock(), True,
+        build(t, bound, symmetry_breaking=True).program.fixed,
+    )
+    assert status == OPTIMAL
+    return optimum, {
+        tuple(p.counts for p in model.decode(a).polymers) for a in found
+    }
+
+
+class TestInfiniteCounts:
+    # of the 40 networks, 21 have an infinite count, and 10 of those
+    # leave the first level empty and take the basis route
+    def test_random_networks_match_the_full_scan(self):
+        rng = random.Random(20261018)
+        routes = Counter()
+        for _ in range(40):
+            t = random_tbn(rng, excess=True)
+            optimum, want = full_scan(t)
+            got = stable_configs(t, StableOptions(all=True))
+            witness = stable_configs(t)
+            via = stable_via_basis(t)
+            for result in (got, witness, via):
+                assert result.complete
+                assert result.optimum == optimum, t
+            assert polymer_sets(got) == polymer_sets(via) == want, t
+            assert len(witness.solutions) == 1
+            assert polymer_sets(witness) <= want, t
+            if not t.is_finite:
+                routes[got.stats.route] += 1
+        assert routes["direct"] >= 8 and routes["basis"] >= 8
