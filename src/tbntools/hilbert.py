@@ -42,12 +42,13 @@ class BasisError(TbnError):
     """Hilbert basis computation failed or was asked for the impossible."""
 
 
+@solver._drained
 def hilbert_basis(
     rows: Sequence[Sequence[int]],
     n: Optional[int] = None,
     budget: solver.Budget | solver.Clock | None = None,
     upper: Optional[Sequence[Optional[int]]] = None,
-) -> List[Tuple[int, ...]]:
+) -> solver.Steps[List[Tuple[int, ...]]]:
     """Hilbert basis of ``{x in N^n : rows . x >= 0}``, or with ``upper``
     its elements with ``x_k <= upper[k]`` for every capped ``k``.
 
@@ -164,6 +165,7 @@ def hilbert_basis(
     while frontier:
         next_level: Dict[int, Tuple[int, ...]] = {}
         for y, value in frontier:
+            yield
             clock.spend("polymer basis completion")
             moves = descents.get(value)
             if moves is None:
@@ -345,18 +347,20 @@ def stable_via_basis(
     return _basis_route(t, basis, solver.Clock.of(budget), True)
 
 
+@solver._drained
 def _basis_route(
     t: Tbn,
     basis: Optional[Sequence[Polymer]],
     clock: solver.Clock,
     want_all: bool,
-) -> solver.EnumerationResult:
+) -> solver.Steps[solver.EnumerationResult]:
     """``stable_via_basis`` on a running clock: a witness, or with
     ``want_all`` every stable configuration."""
     if basis is None:
         caps = [None if c is INF else c for c in t.counts]
+        steps = hilbert_basis.steps(t.site_matrix, t.n_types, clock, caps)
         try:
-            vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
+            vectors = yield from steps
         except solver.BudgetExhausted:
             return solver.EnumerationResult(
                 None, [], False, clock.stats("basis")
@@ -369,7 +373,9 @@ def _basis_route(
         if all(c <= limit for c, limit in zip(b.counts, t.counts))
     ]
     program = _basis_cover_program(t, basis)
-    status, best, assignments = solver.scan_levels(program, clock, want_all)
+    status, best, assignments = yield from solver.scan_levels.steps(
+        program, clock, want_all
+    )
     if status == solver.BUDGET_EXCEEDED:
         return solver.EnumerationResult(None, [], False, clock.stats("basis"))
     if status != solver.OPTIMAL:

@@ -17,9 +17,8 @@ the merge count of the model with lexicographic symmetry-breaking rows,
 which leave one representative per polymer ordering, so the optimal
 level's solutions are every stable configuration; canonicalization plus
 deduplication acts as a safety net.  It searches only the first level
-there; when that level is empty it hands its clock to the basis route of
-``hilbert``, for finite and infinite counts alike (``stable_configs``
-says why).
+there, racing the basis route of ``hilbert`` node by node, so each
+search is a generator (``Steps``) that its public function drains.
 ``solve_min`` freezes a general bounded program's objective with
 ``IntegerProgram.fixed``, and the basis route of
 ``hilbert.stable_via_basis`` calls the scan itself.  The search
@@ -45,7 +44,8 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TypeVar
 
 from .core import (
     PartialConfiguration,
@@ -72,6 +72,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 OPEN = "open"
 
 _BRUTE_FORCE_MAX_INSTANCES = 16
+
+_T = TypeVar("_T")
+# a search that yields before each node it ticks and returns its result
+Steps = Generator[None, None, _T]
 
 
 class BruteForceError(TbnError):
@@ -339,11 +343,28 @@ def solve_min(
     )
 
 
+def _drain(steps: Steps[_T]) -> _T:
+    """Run a search generator to its end; its return value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+def _drained(search: Callable[..., Steps[_T]]) -> Callable[..., _T]:
+    """``search`` run to its result; its generator stays as ``.steps``."""
+    drained = functools.wraps(search)(lambda *a, **k: _drain(search(*a, **k)))
+    drained.steps = search  # type: ignore[attr-defined]
+    return drained
+
+
+@_drained
 def enumerate_assignments(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
-) -> Tuple[List[Dict[str, int]], bool, SolveStats]:
+) -> Steps[Tuple[List[Dict[str, int]], bool, SolveStats]]:
     """All integer solutions of a (typically objective-free) program.
 
     Depth-first search with interval propagation; variables are fixed in
@@ -362,6 +383,7 @@ def enumerate_assignments(
     lo, hi = list(comp.lo), list(comp.hi)
     stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
+        yield
         lo, hi, act, changed = stack.pop()
         if not clock.tick():
             complete = False
@@ -409,20 +431,20 @@ def stable_configs(
     on the plain slot model; the levels past it freeze the objective of
     the symmetry-broken model, built once, on first use.
 
-    Route rule: only the first level, the ceiling of the root LP, is
-    searched on the slot model.  If it is empty, the call goes on, on the
-    same clock and in the same mode, through the basis route of
-    ``hilbert.stable_via_basis``, with the basis truncated at the finite
-    counts; there is no way back to the level scan.  Proving levels
-    empty repeats nearly the same slot-model search per level, while the
-    basis route's cover IP is small.  ``stats.route`` says which route
-    answered.
+    Route rule: a race on one clock between the first level, the root
+    LP's ceiling, on the slot model and ``hilbert.stable_via_basis``
+    over the basis truncated at the finite counts.  The slot side takes
+    its root LP and first two nodes alone, before the basis side builds
+    its completion; then the sides take turns, one node each, and the
+    first to answer wins.  An empty first level leaves the basis side to
+    finish alone.  Node counts, not time, decide, so the route is always
+    the same; ``stats.route`` says which answered.
 
     One budget covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
-    value is never reported.  ``stats.nodes`` counts every node ticked:
-    the root, every node of every objective level searched and, on the
-    basis route, its completion and cover-IP nodes.
+    value is never reported.  ``stats.nodes`` counts every node either
+    side ticked: the root and the first level's nodes, and the basis
+    side's completion and cover-IP nodes.
     """
     opts = options or StableOptions()
     bound = default_bound(t)
@@ -440,14 +462,24 @@ def stable_configs(
     def level(value: int) -> IntegerProgram:
         return symmetric().fixed(value)
 
-    status, optimum, found = scan_levels(
-        model.program, clock, opts.all, level, max_levels=1
-    )
-    if status == OPEN:
-        # imported here because hilbert imports this module
-        from .hilbert import _basis_route
+    # imported here because hilbert imports this module
+    from .hilbert import _basis_route
 
-        return _basis_route(t, None, clock, opts.all)
+    direct = scan_levels.steps(model.program, clock, opts.all, level, 1)
+    basis = _basis_route.steps(t, None, clock, opts.all)
+    # the direct side's start, root LP and first two search nodes, then turns
+    turns = itertools.chain((direct,) * 4, itertools.cycle((basis, direct)))
+    for side in turns:
+        try:
+            next(side)
+        except StopIteration as done:
+            answer = done.value
+            break
+    if side is basis:
+        return answer
+    status, optimum, found = answer
+    if status == OPEN:
+        return _drain(basis)
     if status == INFEASIBLE:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
@@ -458,13 +490,14 @@ def stable_configs(
     )
 
 
+@_drained
 def scan_levels(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     want_all: bool = False,
     level: Optional[Callable[[int], IntegerProgram]] = None,
     max_levels: Optional[int] = None,
-) -> Tuple[str, Optional[int], List[Dict[str, int]]]:
+) -> Steps[Tuple[str, Optional[int], List[Dict[str, int]]]]:
     """Status, optimum and optimal assignments of ``program``: a witness,
     or with ``want_all`` all that ``level(optimum)`` admits.
 
@@ -482,6 +515,7 @@ def scan_levels(
     """
     clock = Clock.of(budget)
     level = level or program.fixed
+    yield
     if not clock.tick():
         return BUDGET_EXCEEDED, None, []
     comp = _Compiled(program)
@@ -506,7 +540,7 @@ def scan_levels(
     stop = last if max_levels is None else min(last, first + max_levels - 1)
     for v in range(first, stop + 1):
         value = comp.obj_sign * v + comp.obj_const
-        assignments, complete, _ = enumerate_assignments(
+        assignments, complete, _ = yield from enumerate_assignments.steps(
             level(value), clock, None if want_all else 1
         )
         if not complete:

@@ -1,3 +1,5 @@
+import string
+
 import pytest
 
 from tbntools.core import parse_tbn
@@ -41,6 +43,16 @@ G_de: d* e*
 G_ef: e* f*
 G_fa: f* a*
 """
+
+
+def translator_text(k):
+    """Circular translator cascade of length k (k = 6 is the fixture's)."""
+    names = string.ascii_lowercase[:k]
+    trios = [names[i] + names[(i + 1) % k] + names[(i + 2) % k]
+             for i in range(k)]
+    lines = [f"T_{s}: {' '.join(s)}" for s in trios]
+    lines += [f"G_{s[:2]}: {s[0]}* {s[1]}*" for s in trios]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import random
-import string
 from collections import Counter
 
 import pytest
@@ -22,17 +21,7 @@ from tbntools.solver import (
     stable_configs,
 )
 
-from conftest import TRANSLATOR_TBN_TEXT
-
-
-def translator_text(k):
-    """Circular translator cascade of length k (k = 6 is the fixture's)."""
-    names = string.ascii_lowercase[:k]
-    trios = [names[i] + names[(i + 1) % k] + names[(i + 2) % k]
-             for i in range(k)]
-    lines = [f"T_{s}: {' '.join(s)}" for s in trios]
-    lines += [f"G_{s[:2]}: {s[0]}* {s[1]}*" for s in trios]
-    return "\n".join(lines) + "\n"
+from conftest import TRANSLATOR_TBN_TEXT, translator_text
 
 
 class TestMatrixRepresentation:
