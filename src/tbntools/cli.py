@@ -57,7 +57,6 @@ from .solver import (
     BudgetExhausted,
     Clock,
     StableOptions,
-    load_external_solution,
     stable_configs,
 )
 
@@ -246,7 +245,8 @@ def _stable_from_solution(args, t: Tbn, notes: Dict) -> int:
             assignment = parse_solution(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {args.solution}: {exc}") from exc
-    pc, value = load_external_solution(model, assignment)
+    pc = model.decode(assignment)
+    value = model.program.objective.evaluate(assignment)
     results = {
         "objective": value,
         "configuration": {

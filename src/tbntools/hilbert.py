@@ -76,8 +76,8 @@ def hilbert_basis(
     borrows from the next and its guard survives iff ``y_k >= b_k``.
     Growing along direction ``k`` adds ``1 << (w*k)``.
 
-    Each frontier vector is one node: it ticks the budget's clock before
-    it is expanded, and ``BudgetExhausted`` is raised once the clock
+    Each frontier vector is one node: it spends one node of the clock
+    before it is expanded, and ``BudgetExhausted`` is raised once the clock
     passes ``Budget.max_nodes`` or ``Budget.max_time``.
 
     Width invariant: the unit vectors are level 0, and a child made at
@@ -113,12 +113,16 @@ def hilbert_basis(
     m = len(rows)
     dims = n + m
 
-    # column k of [A | -I]
+    # column k of [A | -I], and its nonzeros
     columns: List[Tuple[int, ...]] = []
+    nonzeros: List[Tuple[Tuple[int, int], ...]] = []
     for k in range(n):
-        columns.append(tuple(row[k] for row in rows))
+        col = tuple(row[k] for row in rows)
+        columns.append(col)
+        nonzeros.append(tuple((i, c) for i, c in enumerate(col) if c))
     for r in range(m):
-        columns.append(tuple(-int(r == i) for i in range(m)))
+        columns.append((0,) * r + (-1,) + (0,) * (m - r - 1))
+        nonzeros.append(((r, -1),))
 
     # every coordinate is at most max_nodes + 1 (the width invariant
     # above); one more bit per field is its guard
@@ -139,8 +143,7 @@ def hilbert_basis(
     # direction k: its column's nonzeros, then its step: the shift, unit
     # and cap of coordinate k, the index by_coord[k] and the column
     directions = [
-        (tuple((i, c) for i, c in enumerate(col) if c),
-         (width * k, units[k], caps[k], by_coord[k], col))
+        (nonzeros[k], (width * k, units[k], caps[k], by_coord[k], col))
         for k, col in enumerate(columns)
     ]
     # per value: the steps of its descent directions
@@ -344,7 +347,11 @@ def stable_via_basis(
     basis included when it is not given; when it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``.
     """
-    return _basis_route(t, basis, solver.Clock.of(budget), True)
+    clock = solver.Clock.of(budget)
+    try:
+        return _basis_route(t, basis, clock, True)
+    except solver.BudgetExhausted:
+        return solver.EnumerationResult(None, [], False, clock.stats("basis"))
 
 
 @solver._drained
@@ -355,16 +362,13 @@ def _basis_route(
     want_all: bool,
 ) -> solver.Steps[solver.EnumerationResult]:
     """``stable_via_basis`` on a running clock: a witness, or with
-    ``want_all`` every stable configuration."""
+    ``want_all`` every stable configuration.  ``BudgetExhausted`` ends
+    it once the clock runs out."""
     if basis is None:
         caps = [None if c is INF else c for c in t.counts]
-        steps = hilbert_basis.steps(t.site_matrix, t.n_types, clock, caps)
-        try:
-            vectors = yield from steps
-        except solver.BudgetExhausted:
-            return solver.EnumerationResult(
-                None, [], False, clock.stats("basis")
-            )
+        vectors = yield from hilbert_basis.steps(
+            t.site_matrix, t.n_types, clock, caps
+        )
         basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
     # an element holding more copies of a monomer than t has fits in no
     # configuration; in the IP it would be a variable fixed at 0
@@ -376,8 +380,6 @@ def _basis_route(
     status, best, assignments = yield from solver.scan_levels.steps(
         program, clock, want_all
     )
-    if status == solver.BUDGET_EXCEEDED:
-        return solver.EnumerationResult(None, [], False, clock.stats("basis"))
     if status != solver.OPTIMAL:
         raise BasisError(f"basis counting IP ended {status}")
     configs = []

@@ -29,9 +29,6 @@ LE, GE, EQ = "<=", ">=", "="
 
 _DEGENERATE_STREAK_LIMIT = 200
 
-# LpSolution status of a solve stopped by its ``out_of_time`` check
-TIME_LIMIT = "time_limit"
-
 
 class SimplexError(Exception):
     """Internal simplex failure (iteration cap, unexpected unboundedness)."""
@@ -48,7 +45,7 @@ def is_integral(q) -> bool:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | TIME_LIMIT
+    status: str  # "optimal" | "infeasible"
     objective: Optional[object] = None  # exact rational
     x: Optional[List[object]] = None  # exact rationals, one per variable
 
@@ -57,7 +54,7 @@ def solve_lp(
     objective: Sequence[Tuple[int, int]],
     rows: Sequence[Tuple[Sequence[Tuple[int, int]], str, int]],
     bounds: Sequence[Tuple[int, int]],
-    out_of_time: Optional[Callable[[], bool]] = None,
+    check: Optional[Callable[[], None]] = None,
 ) -> LpSolution:
     """Minimize ``sum(c_i x_i)`` subject to linear rows and finite bounds.
 
@@ -65,8 +62,8 @@ def solve_lp(
     ``rows``: (coeff pairs, sense, rhs) triples.
     ``bounds``: inclusive (lower, upper) per variable, all finite.
     Every coefficient, right-hand side and bound is an integer.
-    ``out_of_time``, asked once per pivot, stops the solve with status
-    ``TIME_LIMIT`` when it returns True.
+    ``check`` is called once per pivot; whatever it raises ends the
+    solve.
     """
     n = len(bounds)
     lo = [b[0] for b in bounds]
@@ -115,12 +112,7 @@ def solve_lp(
         z = [Q(u[k]) if c[k] < 0 else Q(0) for k in range(len(active))]
         return _finish(z, active, lo, n, c, obj_const)
 
-    try:
-        return _Simplex(shifted, c, u, out_of_time).run(
-            active, lo, n, obj_const
-        )
-    except _OutOfTime:
-        return LpSolution(TIME_LIMIT)
+    return _Simplex(shifted, c, u, check).run(active, lo, n, obj_const)
 
 
 def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
@@ -130,10 +122,6 @@ def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
         x[i] = lo[i] + z[k]
         value += c[k] * z[k]
     return LpSolution("optimal", value, x)
-
-
-class _OutOfTime(Exception):
-    """The solve's ``out_of_time`` check fired."""
 
 
 def _support(row):
@@ -167,10 +155,10 @@ class _Simplex:
     numerators within one row compares the values.
     """
 
-    def __init__(self, shifted_rows, c, u, out_of_time=None):
+    def __init__(self, shifted_rows, c, u, check=None):
         self.n_struct = len(u)
         self.c = c
-        self.out_of_time = out_of_time
+        self.check = check
         rows = []
         for row, sense, b in shifted_rows:
             if sense == GE:
@@ -330,8 +318,8 @@ class _Simplex:
             iteration += 1
             if iteration > max_iterations:
                 raise SimplexError("iteration cap exceeded")
-            if self.out_of_time is not None and self.out_of_time():
-                raise _OutOfTime
+            if self.check is not None:
+                self.check()
 
             rc = self.rc
             entering = None

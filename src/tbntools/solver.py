@@ -29,10 +29,14 @@ search and moved by ``c·Δ`` with every bound that moves, so a row visit
 reads its slack without walking its terms (Achterberg, *Constraint
 Integer Programming*, 2007).
 
-``Budget`` limits every search of the package: each ticks a ``Clock``
-once per node it expands, and one that runs out reports no value, or
-raises ``BudgetExhausted``, never a partial answer.  The root LP checks
-the clock's time limit once per pivot without ticking it.
+``Budget`` limits every search of the package: each spends one node of
+a ``Clock`` per node it expands, and the clock raises
+``BudgetExhausted`` once the budget is spent.  The root LP checks the
+clock's time limit once per pivot without spending a node.  The
+exception ends every search it passes through; only the entry points
+that return results, ``stable_configs``, ``stable_via_basis`` and
+``solve_min``, turn it into a result with no value, never a partial
+answer.
 
 ``brute_force_stable`` is the independent oracle: exhaustive enumeration
 of partitions into self-saturated polymers, for desk-scale instances only.
@@ -44,8 +48,8 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
-from typing import TypeVar
+from typing import Callable, Dict, Generator, List, NoReturn, Optional
+from typing import Sequence, Tuple, TypeVar
 
 from .core import (
     PartialConfiguration,
@@ -59,14 +63,14 @@ from .ipmodel import (
     GE,
     LE,
     IntegerProgram,
-    StableConfigsModel,
     build,
     default_bound,
 )
-from .simplex import TIME_LIMIT, frac_ceil, is_integral, solve_lp
+from .simplex import frac_ceil, is_integral, solve_lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
+# the status of a ``solve_min`` whose budget ran out
 BUDGET_EXCEEDED = "budget_exceeded"
 # the levels searched are empty and higher ones were left unsearched
 OPEN = "open"
@@ -74,7 +78,7 @@ OPEN = "open"
 _BRUTE_FORCE_MAX_INSTANCES = 16
 
 _T = TypeVar("_T")
-# a search that yields before each node it ticks and returns its result
+# a search that yields before each node it spends and returns its result
 Steps = Generator[None, None, _T]
 
 
@@ -283,7 +287,7 @@ def propagate(
 
 
 class Clock:
-    """Nodes ticked and time spent against one budget; searches given
+    """Nodes spent and time elapsed against one budget; searches given
     the same running clock share it."""
 
     def __init__(self, budget: Optional[Budget] = None):
@@ -296,25 +300,28 @@ class Clock:
         """``budget`` itself when it is a running clock, else a new one."""
         return budget if isinstance(budget, Clock) else Clock(budget)
 
-    def tick(self) -> bool:
-        """Count one node; True while both limits hold."""
-        self.nodes += 1
-        return self.nodes <= self.budget.max_nodes and not self.out_of_time()
-
     def spend(self, search: str) -> None:
-        """Tick, raising ``BudgetExhausted`` once the budget is spent."""
-        if not self.tick():
-            raise BudgetExhausted(
-                f"{search} ran out of budget after {self.nodes - 1} nodes "
-                f"and {self.elapsed():.2f} s"
-            )
+        """Count one node of ``search``; raise ``BudgetExhausted``, the
+        node unexpanded, once either limit is reached."""
+        self.nodes += 1
+        if (self.nodes > self.budget.max_nodes
+                or self.elapsed() >= self.budget.max_time):
+            self._exhausted(search, self.nodes - 1)
+
+    def check(self, search: str) -> None:
+        """Raise ``BudgetExhausted`` once the time limit is reached;
+        counts no node."""
+        if self.elapsed() >= self.budget.max_time:
+            self._exhausted(search, self.nodes)
+
+    def _exhausted(self, search: str, expanded: int) -> NoReturn:
+        raise BudgetExhausted(
+            f"{search} ran out of budget after {expanded} nodes "
+            f"and {self.elapsed():.2f} s"
+        )
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
-
-    def out_of_time(self) -> bool:
-        """True once the time limit is reached; ticks nothing."""
-        return self.elapsed() >= self.budget.max_time
 
     def stats(self, route: str = "direct") -> SolveStats:
         return SolveStats(self.nodes, self.elapsed(), route)
@@ -331,13 +338,17 @@ def solve_min(
 ) -> SolveResult:
     """Exact optimum of a bounded integer program, by the level scan.
 
-    When the budget runs out the result carries no objective and no
-    assignment: an unproven value is never reported.
+    When the budget runs out the status is ``BUDGET_EXCEEDED`` and the
+    result carries no objective and no assignment: an unproven value is
+    never reported.
     """
     if program.objective is None:
         raise TbnError("solve_min needs a program with an objective")
     clock = Clock.of(budget)
-    status, value, found = scan_levels(program, clock)
+    try:
+        status, value, found = scan_levels(program, clock)
+    except BudgetExhausted:
+        return SolveResult(BUDGET_EXCEEDED, stats=clock.stats())
     return SolveResult(
         status, value, found[0] if found else None, clock.stats()
     )
@@ -364,30 +375,26 @@ def enumerate_assignments(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
-) -> Steps[Tuple[List[Dict[str, int]], bool, SolveStats]]:
+) -> Steps[List[Dict[str, int]]]:
     """All integer solutions of a (typically objective-free) program.
 
     Depth-first search with interval propagation; variables are fixed in
     declaration order, values tried in ascending order, so the output
     order is deterministic.  The search stops early once it holds
-    ``max_solutions`` solutions; the returned flag is False only when the
-    budget ran out first.  The stats count this search's own nodes and
-    time, also on a clock shared with other searches.
+    ``max_solutions`` solutions.  Each node spends one node of the
+    clock, and ``BudgetExhausted`` ends the search once the budget is
+    spent.
     """
     comp = _Compiled(program)
     clock = Clock.of(budget)
-    first_node, started = clock.nodes, time.monotonic()
     solutions: List[Dict[str, int]] = []
-    complete = True
 
     lo, hi = list(comp.lo), list(comp.hi)
     stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
         yield
         lo, hi, act, changed = stack.pop()
-        if not clock.tick():
-            complete = False
-            break
+        clock.spend("enumeration")
         if not propagate(comp, lo, hi, changed, act):
             continue
         # the variables before the one branched on are fixed already
@@ -409,9 +416,7 @@ def enumerate_assignments(
                 child_act, branch_i, value - lo[branch_i], value - hi[branch_i]
             )
             stack.append((child_lo, child_hi, child_act, branch_i))
-
-    stats = SolveStats(clock.nodes - first_node, time.monotonic() - started)
-    return solutions, complete, stats
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -442,9 +447,10 @@ def stable_configs(
 
     One budget covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
-    value is never reported.  ``stats.nodes`` counts every node either
-    side ticked: the root and the first level's nodes, and the basis
-    side's completion and cover-IP nodes.
+    value is never reported, and ``stats.route`` names the side that
+    found it spent.  ``stats.nodes`` counts every node either side spent:
+    the root and the first level's nodes, and the basis side's
+    completion and cover-IP nodes.
     """
     opts = options or StableOptions()
     bound = default_bound(t)
@@ -469,24 +475,29 @@ def stable_configs(
     basis = _basis_route.steps(t, None, clock, opts.all)
     # the direct side's start, root LP and first two search nodes, then turns
     turns = itertools.chain((direct,) * 4, itertools.cycle((basis, direct)))
-    for side in turns:
-        try:
-            next(side)
-        except StopIteration as done:
-            answer = done.value
-            break
+    try:
+        for side in turns:
+            try:
+                next(side)
+            except StopIteration as done:
+                answer = done.value
+                break
+        if side is direct and answer[0] == OPEN:
+            side = basis
+            answer = _drain(basis)
+    except BudgetExhausted:
+        route = "direct" if side is direct else "basis"
+        return EnumerationResult(None, [], False, clock.stats(route))
     if side is basis:
         return answer
     status, optimum, found = answer
-    if status == OPEN:
-        return _drain(basis)
     if status == INFEASIBLE:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
         )
     return EnumerationResult(
-        optimum, canonical_unique(map(model.decode, found)),
-        status == OPTIMAL, clock.stats(),
+        optimum, canonical_unique(map(model.decode, found)), True,
+        clock.stats(),
     )
 
 
@@ -509,25 +520,22 @@ def scan_levels(
     level with a solution is the optimum.  The scan ends at the largest
     value the propagated root bounds allow, or after ``max_levels``
     levels; when those are empty and higher values remain, the status is
-    ``OPEN``.  One clock covers the root LP and every level; when it
-    runs out the status is ``BUDGET_EXCEEDED`` and nothing else is
-    reported.
+    ``OPEN``.  One clock covers the root, its LP and every level, and
+    ``BudgetExhausted`` ends the scan once it runs out.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
     yield
-    if not clock.tick():
-        return BUDGET_EXCEEDED, None, []
+    clock.spend("level scan")
     comp = _Compiled(program)
     lo, hi = list(comp.lo), list(comp.hi)
     if not propagate(comp, lo, hi):
         return INFEASIBLE, None, []
     objective = comp.min_objective()
     relax = solve_lp(
-        objective, comp.rows, list(zip(lo, hi)), clock.out_of_time
+        objective, comp.rows, list(zip(lo, hi)),
+        lambda: clock.check("root LP"),
     )
-    if relax.status == TIME_LIMIT:
-        return BUDGET_EXCEEDED, None, []
     if relax.status != "optimal":
         return INFEASIBLE, None, []
     first = frac_ceil(relax.objective)
@@ -540,27 +548,12 @@ def scan_levels(
     stop = last if max_levels is None else min(last, first + max_levels - 1)
     for v in range(first, stop + 1):
         value = comp.obj_sign * v + comp.obj_const
-        assignments, complete, _ = yield from enumerate_assignments.steps(
+        assignments = yield from enumerate_assignments.steps(
             level(value), clock, None if want_all else 1
         )
-        if not complete:
-            return BUDGET_EXCEEDED, None, []
         if assignments:
             return OPTIMAL, value, assignments
     return (INFEASIBLE if stop == last else OPEN), None, []
-
-
-def load_external_solution(
-    model: StableConfigsModel, assignment: Dict[str, int]
-) -> Tuple[PartialConfiguration, int]:
-    """Validate a solution produced by an external MILP solver.
-
-    Returns the decoded partial configuration and its objective value;
-    raises if the assignment violates the model.
-    """
-    pc = model.decode(assignment)
-    value = model.program.objective.evaluate(assignment)
-    return pc, value
 
 
 def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:

@@ -34,7 +34,6 @@ from tbntools.solver import (
     Budget,
     StableOptions,
     brute_force_stable,
-    load_external_solution,
     stable_configs,
 )
 
@@ -91,7 +90,8 @@ def test_criterion_03_three_copy_network():
     assignment[count_var(1, 3)] = 1
     assignment[count_var(3, 3)] = 1
     assignment[exists_var(3)] = 1
-    pc, value = load_external_solution(model, assignment)
+    pc = model.decode(assignment)
+    value = model.program.objective.evaluate(assignment)
     assert value == 4
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -288,7 +288,8 @@ def test_criterion_11_lp_export_external_roundtrip(tmp_path):
         )
     )
     assignment = parse_solution(sol_file.read_text())
-    pc, value = load_external_solution(model, assignment)
+    pc = model.decode(assignment)
+    value = model.program.objective.evaluate(assignment)
     assert value == 1
     assert [p.counts for p in pc.polymers] == [(1, 0, 1, 0)]
     ok(11, "external MILP solution re-imported, objective 1")

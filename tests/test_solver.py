@@ -28,7 +28,7 @@ from tbntools.ipmodel import (
     default_bound,
     exists_var,
 )
-from tbntools.hilbert import stable_via_basis
+from tbntools.hilbert import polymer_basis, stable_via_basis
 
 from conftest import translator_text
 from tbntools.solver import (
@@ -38,6 +38,7 @@ from tbntools.solver import (
     OPTIMAL,
     Budget,
     BruteForceError,
+    BudgetExhausted,
     Clock,
     EnumerationResult,
     SolveResult,
@@ -46,7 +47,6 @@ from tbntools.solver import (
     _Compiled,
     brute_force_stable,
     enumerate_assignments,
-    load_external_solution,
     propagate,
     scan_levels,
     solve_min,
@@ -224,7 +224,11 @@ class TestRoutes:
         t = parse_tbn(translator_text(5))
         count = stable_configs(t, StableOptions(all=True)).stats.nodes
         assert count == 1781
-        for max_nodes in (1, 2, 3, 50, 200, count - 1):
+        # the direct side takes the first four steps alone, so a budget
+        # of three nodes runs out there and a larger one on the basis side
+        routes = {1: "direct", 2: "direct", 3: "direct", 50: "basis",
+                  200: "basis", count - 1: "basis"}
+        for max_nodes, route in routes.items():
             result = stable_configs(
                 t, StableOptions(all=True, budget=Budget(max_nodes=max_nodes))
             )
@@ -233,6 +237,7 @@ class TestRoutes:
             assert result.solutions == []
             # the node that found the budget spent counts too
             assert result.stats.nodes == max_nodes + 1
+            assert result.stats.route == route
         result = stable_configs(
             t, StableOptions(all=True, budget=Budget(max_nodes=count))
         )
@@ -277,8 +282,9 @@ class TestRootLpTimeLimit:
         program = build(grid_tbn, default_bound(grid_tbn)).program
         assert scan_levels(program, Clock())[:2] == (OPTIMAL, 2)
         clock = _LateClock()
-        assert scan_levels(program, clock) == (BUDGET_EXCEEDED, None, [])
-        # the time check ticks no node: the root is the only one
+        with pytest.raises(BudgetExhausted):
+            scan_levels(program, clock)
+        # the time check spends no node: the root is the only one
         assert clock.nodes == 1
 
     def test_stable_configs_reports_no_value(self, translator_tbn):
@@ -292,6 +298,17 @@ class TestRootLpTimeLimit:
         # the direct side's root LP ends the race before the basis side starts
         assert result.stats.route == "direct"
         assert clock.nodes == 1
+
+    def test_stable_via_basis_reports_no_value(self, translator_tbn):
+        # with the basis given, the cover IP's root LP is the first
+        # place the clock is read after its root node
+        basis = polymer_basis(translator_tbn)
+        result = stable_via_basis(translator_tbn, basis, _LateClock())
+        assert not result.complete
+        assert result.optimum is None
+        assert result.solutions == []
+        assert result.stats.route == "basis"
+        assert result.stats.nodes == 1
 
     def test_solve_min_reports_no_value(self, intro_tbn):
         program = build(intro_tbn, 1).program
@@ -607,16 +624,16 @@ class TestPropagationAgainstPlainFixpoint:
 class TestEnumeration:
     def test_deterministic_order(self, intro_tbn):
         program = build(intro_tbn, 1, symmetry_breaking=True).program.fixed(1)
-        first = enumerate_assignments(program)[0]
-        second = enumerate_assignments(program)[0]
+        first = enumerate_assignments(program)
+        second = enumerate_assignments(program)
         assert first == second
 
-    def test_budget_marks_incomplete(self, translator_tbn):
+    def test_budget_raises(self, translator_tbn):
         program = build(translator_tbn, 6, symmetry_breaking=True).program
-        _, complete, _ = enumerate_assignments(
-            program.fixed(6), Budget(max_nodes=10)
-        )
-        assert not complete
+        clock = Clock(Budget(max_nodes=10))
+        with pytest.raises(BudgetExhausted):
+            enumerate_assignments(program.fixed(6), clock)
+        assert clock.nodes == 11
 
 
 class TestDefaultBound:
@@ -632,15 +649,14 @@ class TestExternalSolutionImport:
     def test_valid_assignment_roundtrip(self, intro_tbn):
         model = build(intro_tbn, 1)
         assignment = solve_min(model.program).assignment
-        pc, value = load_external_solution(model, assignment)
-        assert value == 1
-        assert merge_count(pc) == 1
+        assert model.program.objective.evaluate(assignment) == 1
+        assert merge_count(model.decode(assignment)) == 1
 
     def test_invalid_assignment_rejected(self, intro_tbn):
         model = build(intro_tbn, 1)
         bogus = {v.name: 0 for v in model.program.variables}
         with pytest.raises(TbnError):
-            load_external_solution(model, bogus)
+            model.decode(bogus)
 
 
 class TestBruteForceOracle:

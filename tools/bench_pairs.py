@@ -19,8 +19,9 @@ line).  ``parent`` is the commit perfbench reads in the parent checkout.
 Both checkouts must be git checkouts at different commits, each staying
 at its commit for the whole series; the series stops at the first run
 that shows otherwise.  A summary of the end-to-end metrics is printed at
-the end: each side's median and quartiles and how many pairs the change
-won.
+the end: each side's median and quartiles, how many pairs the change
+won, and a verdict against the metric's ``bound`` in the change
+checkout's ``BENCHMARK.json`` (see ``verdict``).
 
 Uses only the standard library.  Exit codes: 0 every run measured and
 correct, 1 some run printed no result or a wrong answer, 2 bad arguments
@@ -99,8 +100,34 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: List[Dict]) -> List[str]:
-    """Per workload and end-to-end metric: medians, quartiles, wins."""
+def load_bounds(path: Path) -> Dict[str, Dict]:
+    """Each end-to-end metric of a ``BENCHMARK.json``, by name."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
+def verdict(parent: List[float], change: List[float], bound: float,
+            better: str) -> str:
+    """``worse than bound`` when the change's median is worse than the
+    parent's by more than ``bound``, a fraction of the parent's median.
+    Else ``unresolved`` when the parent's quartile spread is wider than
+    ``bound`` and not every change run beats every parent run, since
+    such a spread hides a move of the bound's size.  Else ``within
+    bound``."""
+    sign = 1 if better == "lower" else -1
+    parent_q = quartiles(parent)
+    if sign * (statistics.median(change) / parent_q[1] - 1) > bound:
+        return "worse than bound"
+    spread = (parent_q[2] - parent_q[0]) / parent_q[1]
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: List[Dict], bounds: Dict[str, Dict]) -> List[str]:
+    """Per workload and end-to-end metric: medians, quartiles, wins, and
+    the ``verdict`` against the metric's entry in ``bounds``."""
     out = []
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     for workload in workloads:
@@ -127,11 +154,15 @@ def summarize(runs: List[Dict]) -> List[str]:
             wins = sum(c < p for p, c in zip(values["parent"],
                                              values["change"]))
             ratio = change_q[1] / parent_q[1] - 1
+            bound = bounds[name]["bound"]
+            ruling = verdict(values["parent"], values["change"], bound,
+                             bounds[name]["better"])
             out.append(
                 f"  {name}: parent {parent_q[1]:.4g} "
                 f"[{parent_q[0]:.4g}-{parent_q[2]:.4g}] -> change "
                 f"{change_q[1]:.4g} [{change_q[0]:.4g}-{change_q[2]:.4g}] "
-                f"({ratio:+.1%}), change lower in {wins}/{len(seeds)}")
+                f"({ratio:+.1%}), change lower in {wins}/{len(seeds)}, "
+                f"{ruling} ({bound:.0%})")
     return out
 
 
@@ -183,7 +214,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 write(args.out, report)
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(final)}", flush=True)
-    for line in summarize(report["runs"]):
+    bounds = load_bounds(args.change_dir / "BENCHMARK.json")
+    for line in summarize(report["runs"], bounds):
         print(line)
     return 0 if ok else 1
 
