@@ -177,6 +177,7 @@ def write(path: Path, report: Dict) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(argv)
+    bounds = load_bounds(args.change_dir / "BENCHMARK.json")
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     seeds = args.seeds
     report = {
@@ -214,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 write(args.out, report)
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(final)}", flush=True)
-    bounds = load_bounds(args.change_dir / "BENCHMARK.json")
     for line in summarize(report["runs"], bounds):
         print(line)
     return 0 if ok else 1
