@@ -10,8 +10,15 @@ reduced costs are one more such row.  A pivot divides the pivot row
 through by its pivot entry, and eliminates the pivot column from each
 other row over the product of the two denominators, dividing out the
 gcd.  When the pivot row's denominator is 1 an elimination keeps the
-row's denominator and touches only the pivot row's nonzeros.  Basic
-values and ratio-test quotients are ``fractions.Fraction``.
+row's denominator and touches only the pivot row's nonzeros.
+
+Each row's last entry is the numerator of its basic value, so a pivot
+updates the values with the rest of the row.  Moving a nonbasic variable
+between its bounds (a bound flip, or a variable entering from or leaving
+to its upper bound) is the integer shift ``row[-1] -= amount * row[j]``.
+The ratio test compares integer pairs (distance, rate) by cross
+multiplication, the row's denominator cancelled.  ``fractions.Fraction``
+appears only in the returned ``LpSolution``.
 
 Pivot selection is Dantzig's rule, switching to Bland's rule permanently
 after a long degenerate streak to guarantee termination.
@@ -105,22 +112,23 @@ def solve_lp(
             continue
         shifted.append((row, sense, b))
 
-    if not active:
-        return LpSolution("optimal", Q(obj_const), [Q(v) for v in lo])
-    if not shifted:
+    if not active or not shifted:
         # box problem: each variable sits at the bound its cost favours
-        z = [Q(u[k]) if c[k] < 0 else Q(0) for k in range(len(active))]
+        z = [(u[k] if c[k] < 0 else 0, 1) for k in range(len(active))]
         return _finish(z, active, lo, n, c, obj_const)
 
     return _Simplex(shifted, c, u, check).run(active, lo, n, obj_const)
 
 
 def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
+    """The solution whose active column k sits at ``z[k]``, a pair
+    (numerator, positive denominator) above its lower bound."""
     x = [Q(v) for v in lo]
     value = Q(obj_const)
     for k, i in enumerate(active):
-        x[i] = lo[i] + z[k]
-        value += c[k] * z[k]
+        zk = Q(*z[k])
+        x[i] += zk
+        value += c[k] * zk
     return LpSolution("optimal", value, x)
 
 
@@ -150,9 +158,12 @@ def _eliminate(row, den, f, prow, pden, support):
 class _Simplex:
     """Bounded-variable two-phase tableau simplex in z-space (lowers at 0).
 
-    Tableau row ``r`` is ``rows[r] / dens[r]``; the reduced costs are
-    ``rc / rc_den``.  Every denominator is positive, so comparing
-    numerators within one row compares the values.
+    Tableau row ``r`` is ``rows[r] / dens[r]``; its last entry is the
+    basic value's numerator.  The reduced costs are ``rc / rc_den``, with
+    a last entry that pricing never reads.  Every denominator is positive,
+    so comparing numerators within one row compares the values.  The value
+    column counts each nonbasic column at its upper bound, so moving one
+    to its other bound is an integer shift of that column (``_shift``).
     """
 
     def __init__(self, shifted_rows, c, u, check=None):
@@ -176,21 +187,20 @@ class _Simplex:
             ncols += 2 if kind == "surplus" else 1
         self.ncols = ncols
 
-        self.ub: List[Optional[object]] = [Q(v) for v in u] + [None] * (
+        self.ub: List[Optional[int]] = list(u) + [None] * (
             ncols - self.n_struct
         )
         self.is_art = [False] * ncols
         self.rows: List[List[int]] = []
         self.dens: List[int] = [1] * self.m
         self.basis: List[int] = []
-        self.xb: List = []
         col = self.n_struct
         for row, kind, b in rows:
             if kind == "surplus":
                 row, b = [-v for v in row], -b
             elif kind == "artificial" and b < 0:
                 row, b = [-v for v in row], -b
-            aug = list(row) + [0] * (ncols - self.n_struct)
+            aug = list(row) + [0] * (ncols - self.n_struct) + [b]
             if kind == "slack":
                 aug[col] = 1
                 self.basis.append(col)
@@ -207,7 +217,6 @@ class _Simplex:
                 self.basis.append(col)
                 col += 1
             self.rows.append(aug)
-            self.xb.append(Q(b))
         self.at_upper = [False] * ncols
         self.in_basis = set(self.basis)
         self.rc: List[int] = []
@@ -218,15 +227,16 @@ class _Simplex:
         self._price([1 if a else 0 for a in self.is_art])
         self._pivot_loop(banned=None)
         if any(
-            self.is_art[self.basis[r]] and self.xb[r] != 0
+            self.is_art[self.basis[r]] and self.rows[r][-1] != 0
             for r in range(self.m)
         ):
             return LpSolution("infeasible")
 
-        # pin artificials at zero and try to drive them out of the basis
+        # pin artificials at zero and try to drive them out of the basis;
+        # each swap is degenerate, so the point does not move
         for j in range(self.ncols):
             if self.is_art[j]:
-                self.ub[j] = Q(0)
+                self.ub[j] = 0
         for r in range(self.m):
             if self.is_art[self.basis[r]]:
                 pivot_col = next(
@@ -238,38 +248,23 @@ class _Simplex:
                     None,
                 )
                 if pivot_col is not None:
-                    out = self.basis[r]
-                    self.in_basis.discard(out)
-                    self.at_upper[out] = False
-                    # degenerate swap: the point does not move, so the new
-                    # basic keeps the value it had while nonbasic
-                    enter_val = (
-                        self.ub[pivot_col]
-                        if self.at_upper[pivot_col]
-                        else Q(0)
-                    )
                     self._pivot(r, pivot_col)
-                    self.xb[r] = enter_val
-                    self.in_basis.add(pivot_col)
-                    self.at_upper[pivot_col] = False
                 # else: redundant row; its entries vanish outside artificials
 
         # phase 2
         self._price(self.c + [0] * (self.ncols - self.n_struct))
         self._pivot_loop(banned=self.is_art)
 
-        z = [Q(0)] * self.n_struct
-        for j in range(self.n_struct):
-            if self.at_upper[j]:
-                z[j] = self.ub[j]
-        for r in range(self.m):
-            if self.basis[r] < self.n_struct:
-                z[self.basis[r]] = self.xb[r]
+        z = [(self.ub[j] if self.at_upper[j] else 0, 1)
+             for j in range(self.n_struct)]
+        for r, j in enumerate(self.basis):
+            if j < self.n_struct:
+                z[j] = (self.rows[r][-1], self.dens[r])
         return _finish(z, active, lo, n, self.c, obj_const)
 
     def _price(self, cost):
         """Set the reduced costs of the integer ``cost`` row."""
-        rc, den = list(cost), 1
+        rc, den = list(cost) + [0], 1
         for r, bj in enumerate(self.basis):
             cb = cost[bj]
             if cb != 0:
@@ -279,9 +274,19 @@ class _Simplex:
                 )
         self.rc, self.rc_den = rc, den
 
-    def _pivot(self, r, j):
-        """Row-reduce so column j becomes basic in row r (tableau only);
-        returns the new pivot row's support."""
+    def _shift(self, j, amount):
+        """Move nonbasic column j by ``amount`` in every basic value."""
+        for row in self.rows:
+            if row[j]:
+                row[-1] -= amount * row[j]
+
+    def _pivot(self, r, j, out_to_upper=False):
+        """Row-reduce so column j, moved to 0 if it sat at its upper bound,
+        becomes basic in row r; the leaving column goes to its upper bound
+        with ``out_to_upper``, else to 0."""
+        if self.at_upper[j]:
+            self.at_upper[j] = False
+            self._shift(j, -self.ub[j])
         rows, dens = self.rows, self.dens
         prow = rows[r]
         a = prow[j]
@@ -296,18 +301,24 @@ class _Simplex:
         rows[r], dens[r] = prow, a
         support = _support(prow)
         for rr in range(self.m):
-            if rr == r:
-                continue
             f = rows[rr][j]
-            if f != 0:
+            if f != 0 and rr != r:
                 rows[rr], dens[rr] = _eliminate(
                     rows[rr], dens[rr], f, prow, a, support
                 )
-        self.basis[r] = j
-        return support
+        if self.rc[j] != 0:
+            self.rc, self.rc_den = _eliminate(
+                self.rc, self.rc_den, self.rc[j], prow, a, support
+            )
+        out, self.basis[r] = self.basis[r], j
+        self.in_basis.discard(out)
+        self.in_basis.add(j)
+        self.at_upper[out] = out_to_upper
+        if out_to_upper:
+            self._shift(out, self.ub[out])
 
     def _pivot_loop(self, banned):
-        rows, dens, basis, xb = self.rows, self.dens, self.basis, self.xb
+        rows, dens, basis = self.rows, self.dens, self.basis
         ub, at_upper, in_basis = self.ub, self.at_upper, self.in_basis
         use_bland = False
         degenerate_streak = 0
@@ -338,73 +349,48 @@ class _Simplex:
             if entering is None:
                 return
 
-            from_upper = at_upper[entering]
-            delta = -1 if from_upper else 1
-            # (row, delta * entry) where the entry is nonzero
-            col = [
-                (r, Q(delta * rows[r][entering], dens[r]))
-                for r in range(self.m)
-                if rows[r][entering] != 0
-            ]
-
-            t = ub[entering]  # step capped by a bound flip; may be None
+            # the step t = tn / td is capped by a bound flip (None: no cap)
+            # and by each basic value reaching a bound, as the integer
+            # pair (distance, rate) with the row's denominator cancelled
+            sign = -1 if at_upper[entering] else 1
+            tn, td = ub[entering], 1
             leaving_row = None
             leaving_to_upper = False
-            for r, d in col:
+            for r in range(self.m):
+                row = rows[r]
+                d = sign * row[entering]
                 if d > 0:
-                    cap = xb[r] / d
-                    to_upper = False
+                    cn, cd, to_upper = row[-1], d, False
+                elif d < 0 and ub[basis[r]] is not None:
+                    cn = ub[basis[r]] * dens[r] - row[-1]
+                    cd, to_upper = -d, True
                 else:
-                    bound = ub[basis[r]]
-                    if bound is None:
-                        continue
-                    cap = (bound - xb[r]) / (-d)
-                    to_upper = True
-                better = (
-                    t is None
-                    or cap < t
+                    continue
+                if (
+                    tn is None
+                    or cn * td < tn * cd
                     or (
-                        cap == t
+                        cn * td == tn * cd
                         and leaving_row is not None
                         and basis[r] < basis[leaving_row]
                     )
-                )
-                if better:
-                    t = cap
+                ):
+                    tn, td = cn, cd
                     leaving_row = r
                     leaving_to_upper = to_upper
-            if t is None:
+            if tn is None:
                 raise SimplexError("unbounded direction in a bounded problem")
 
-            if t == 0:
+            if tn == 0:
                 degenerate_streak += 1
                 if degenerate_streak > _DEGENERATE_STREAK_LIMIT:
                     use_bland = True
             else:
                 degenerate_streak = 0
-                for r, d in col:
-                    xb[r] = xb[r] - t * d
 
-            flip_cap = ub[entering]
-            if leaving_row is None or (
-                flip_cap is not None and t == flip_cap
-            ):
+            if leaving_row is None:
                 # the entering variable reached its other bound: no pivot
-                at_upper[entering] = not from_upper
+                self._shift(entering, sign * ub[entering])
+                at_upper[entering] = not at_upper[entering]
                 continue
-
-            out = basis[leaving_row]
-            in_basis.discard(out)
-            at_upper[out] = leaving_to_upper
-            enter_val = (ub[entering] - t) if from_upper else t
-            support = self._pivot(leaving_row, entering)
-            xb[leaving_row] = enter_val
-            in_basis.add(entering)
-            at_upper[entering] = False
-
-            factor = self.rc[entering]
-            if factor != 0:
-                self.rc, self.rc_den = _eliminate(
-                    self.rc, self.rc_den, factor,
-                    rows[leaving_row], dens[leaving_row], support,
-                )
+            self._pivot(leaving_row, entering, leaving_to_upper)
