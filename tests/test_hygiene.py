@@ -1,0 +1,114 @@
+"""Source hygiene that no lint step checks: every imported name is used.
+
+An AST scan of ``src/tbntools/*.py`` and ``tests/*.py``.  A name counts as
+used when it is read anywhere in its module (as a name or as the base of
+an attribute), listed in the module's ``__all__``, or named in a string
+annotation.  ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(ROOT.glob("src/tbntools/*.py")) + sorted(
+    ROOT.glob("tests/*.py")
+)
+
+
+def imported_names(tree):
+    """(bound name, line) of every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def exported_names(tree):
+    """The string entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            if any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+            ):
+                for elt in ast.walk(node.value):
+                    if isinstance(elt, ast.Constant) and isinstance(
+                        elt.value, str
+                    ):
+                        yield elt.value
+
+
+def annotation_names(tree):
+    """Names read inside string annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]
+            ):
+                if arg is not None:
+                    annotations.append(arg.annotation)
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        if annotation is None:
+            continue
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(
+                const.value, str
+            ):
+                yield from used_names(ast.parse(const.value, mode="eval"))
+
+
+def used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = (
+        set(used_names(tree))
+        | set(exported_names(tree))
+        | set(annotation_names(tree))
+    )
+    return [
+        (name, line) for name, line in imported_names(tree)
+        if name not in used
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
+)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+class TestScan:
+    def test_finds_an_unused_import(self):
+        source = "import os\nfrom typing import List, Tuple\nx: List = []\n"
+        assert unused_imports(source) == [("os", 1), ("Tuple", 2)]
+
+    def test_exempt_uses(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import List, Dict\n"
+            "from .core import Tbn\n"
+            "__all__ = ['Tbn']\n"
+            "def f(x: 'List[int]') -> 'Dict': return os.path.join(x)\n"
+        )
+        assert unused_imports(source) == []

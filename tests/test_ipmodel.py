@@ -1,12 +1,9 @@
 import pytest
 
 from tbntools.core import (
-    INF,
     Monomer,
     PartialConfiguration,
-    Polymer,
     SiteType,
-    Tbn,
     TbnValidationError,
     parse_tbn,
     polymer_from_monomers,
@@ -27,7 +24,6 @@ from tbntools.ipmodel import (
     default_bound,
     exists_var,
     merge_count_coeffs,
-    tied_var,
 )
 
 

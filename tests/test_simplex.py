@@ -245,6 +245,51 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
             solve_lp(*self.gen_problem(rng))
         assert max(pivot_dens) > 1
 
+    def test_reach_every_bound_move(self, monkeypatch):
+        """The value column's integer shifts all run: a bound flip, a
+        variable entering from and leaving to its upper bound, and the
+        phase-1 drive-out of an artificial."""
+        kernel = simplex._Simplex
+        pivot_loop, pivot, shift = (
+            kernel._pivot_loop, kernel._pivot, kernel._shift
+        )
+        inside = set()
+        seen = set()
+
+        def within(name, fn, *args):
+            inside.add(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.discard(name)
+
+        def recording_pivot(self, r, j, out_to_upper=False):
+            if "loop" not in inside:
+                seen.add("drive-out")
+            if self.at_upper[j]:
+                seen.add("enter from upper")
+            if out_to_upper:
+                seen.add("leave to upper")
+            return within("pivot", pivot, self, r, j, out_to_upper)
+
+        def recording_shift(self, j, amount):
+            if "pivot" not in inside:
+                seen.add("bound flip")
+            return shift(self, j, amount)
+
+        monkeypatch.setattr(
+            kernel, "_pivot_loop",
+            lambda self, banned: within("loop", pivot_loop, self, banned),
+        )
+        monkeypatch.setattr(kernel, "_pivot", recording_pivot)
+        monkeypatch.setattr(kernel, "_shift", recording_shift)
+        rng = random.Random(20240817)
+        for _ in range(300):
+            solve_lp(*self.gen_problem(rng))
+        assert seen == {
+            "bound flip", "enter from upper", "leave to upper", "drive-out"
+        }
+
 
 class TestWorkloadRootLps:
     """The root LP of one instance per workload family keeps the exact
@@ -292,6 +337,36 @@ class TestWorkloadRootLps:
             (0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
         }
         assert root.x == [Q(int(b in ones)) for b in within]
+
+
+class TestNoFractionPerPivot:
+    def test_gridgate_root_lp_builds_fractions_for_its_answer_only(
+        self, monkeypatch
+    ):
+        lps = []
+
+        def recording(*args):
+            lps.append(args[:3])
+            return solve_lp(*args)
+
+        monkeypatch.setattr(solver, "solve_lp", recording)
+        solver.stable_configs(gen_gridgate(7, 2, caption_literal=True))
+        [(objective, rows, bounds)] = lps
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Q(*args)
+
+        monkeypatch.setattr(simplex, "Q", counting)
+        pivots = []
+        sol = solve_lp(objective, rows, bounds, lambda: pivots.append(1))
+        assert sol.status == "optimal"
+        # the answer takes at most two per variable (its lower bound and
+        # its offset from it) and one for the objective
+        limit = 2 * len(bounds) + 2
+        assert len(built) <= limit < len(pivots)
 
 
 class TestFractionHelpers:

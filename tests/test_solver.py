@@ -7,7 +7,6 @@ import pytest
 
 from tbntools.cli import gen_gridgate
 from tbntools.core import (
-    INF,
     PartialConfiguration,
     Polymer,
     Tbn,
