@@ -52,6 +52,7 @@ from .hilbert import polymer_basis, render_basis_table
 from .ipmodel import build, default_bound
 from .lpformat import parse_solution, write_lp
 from .pathways import find_pathway, full_configuration, is_locally_stable
+from .simplex import SimplexError
 from .solver import (
     Budget,
     BudgetExhausted,
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=None,
                    help="node budget of the completion procedure, one "
-                   "node per frontier vector (default: TBN_MAX_NODES)")
+                   "node per pair sum examined (default: TBN_MAX_NODES)")
     add_format(p)
     p.set_defaults(func=cmd_basis)
 
@@ -619,6 +620,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TbnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SimplexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ The polymer basis is the Hilbert basis of that cone: the finitely many
 polymers that cannot be split into two smaller self-saturated ones.
 Every saturated configuration is a multiset of basis polymers.
 
-The basis is computed with the Contejean-Devie completion procedure on
-the slack-extended equality system ``A x - s = 0``; minimal solutions of
-that system project one-to-one onto the cone's Hilbert basis.  A
-configuration uses at most ``t.counts[i]`` copies of monomer ``i``, so the
+The basis is computed in monomer space, one site name's inequality at a
+time: each step completes the Hilbert basis of the cone so far into the
+basis of its intersection with the next half-space (``hilbert_basis``).
+A configuration uses at most ``t.counts[i]`` copies of monomer ``i``, so the
 basis route of ``stable_via_basis`` computes only the elements within the
 finite counts, by a completion truncated there.  Its cover IP has a
 variable per element holding a limiting monomer and minimizes the merge
@@ -22,8 +22,9 @@ points up to a norm cap and keeps the indecomposable ones.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from operator import add, le, sub
+from typing import List, Optional, Sequence, Tuple
 
 from . import solver
 from .core import (
@@ -52,153 +53,101 @@ def hilbert_basis(
     """Hilbert basis of ``{x in N^n : rows . x >= 0}``, or with ``upper``
     its elements with ``x_k <= upper[k]`` for every capped ``k``.
 
-    Completion procedure on the slack-extended system: lifted vectors are
-    ``(x, s)`` with value ``A x - s``; unit vectors seed the frontier and
-    a vector grows along directions that reduce the value's norm.  Each
-    exact solution found is minimal; grown vectors dominating a known
-    solution are pruned.
+    The rows are added one at a time (Pottier, RTA 1991; Hemmecke, ICMS
+    2002).  An element is a tuple: its ``x``, then its values of the rows
+    already added, all ``>= 0``; componentwise ``<=`` on these tuples is
+    "the difference lies in the cone so far", so the Hilbert basis is
+    the ``<=``-minimal nonzero tuples.  It starts as the unit vectors.
 
-    ``upper`` caps the ``n`` cone coordinates; a ``None`` entry, and
-    every slack coordinate, stays uncapped.  A child whose coordinate
-    passes its cap is dropped.  The completion reaches every minimal
-    solution ``s`` through vectors ``<= s`` (Contejean & Devie, Inf.
-    Comput. 113, 1994), so every basis element within the caps is still
-    found, and every solution below one of them is too, so the ones
-    found are still minimal: the result is the full basis filtered to
-    the caps.
+    Adding row ``a`` gives each element its value ``λ = a . x``; the
+    elements generate the points of the previous cone, each with its
+    ``λ``.  The completion makes them a generating set in which every
+    point is a sum of elements whose ``λ`` never has the opposite sign
+    of its own.  A pair sum ``p + q`` of a positive and a negative
+    element is reduced: while some element ``g <= s`` has a ``λ`` between
+    0 and ``λ_s``, ``s -= g``.  A nonzero remainder joins the elements
+    and pairs with those of the opposite sign.  Once no pair is left,
+    the elements with ``λ >= 0`` and no smaller one among them, each
+    with ``λ`` appended, are the Hilbert basis of the cone with row
+    ``a``.  The result projects the last basis onto ``x``.  The
+    reduction is one pass over the elements in the order they were
+    made, and a support bit mask rejects most of them before the
+    componentwise test.
 
-    The domination test is the hot loop, so each lifted vector is held as
-    one Python int: coordinate ``k`` sits in bits ``[w*k, w*k + w)``, and
-    the top bit of every field is a guard that the coordinates never
-    reach.  With ``G`` the guard bits of all fields, ``y >= b``
-    componentwise iff ``((y | G) - b) & G == G``: each field computes
-    ``2**(w-1) + y_k - b_k``, which stays in ``[1, 2**w)``, so no field
-    borrows from the next and its guard survives iff ``y_k >= b_k``.
-    Growing along direction ``k`` adds ``1 << (w*k)``.
+    ``upper`` caps the ``x`` coordinates; a ``None`` entry stays
+    uncapped, and a cap of 0 leaves its unit vector out.  A pair sum
+    whose coordinate passes its cap is dropped.  That is exact: a point
+    ``v`` of the cone is reached through pairs of the elements in a sum
+    for ``v``, and through reductions by elements ``<= v``, all with
+    ``x <= x(v)``; so every basis element within the caps is still
+    found, and so is every element below one, and the result is the
+    full basis filtered to the caps.
 
-    Each frontier vector is one node: it spends one node of the clock
-    before it is expanded, and ``BudgetExhausted`` is raised once the clock
-    passes ``Budget.max_nodes`` or ``Budget.max_time``.
-
-    Width invariant: the unit vectors are level 0, and a child made at
-    level ``L`` has 1-norm ``L + 2``.  A level-``L`` vector is expanded
-    only when the clock's node count, at least ``L + 1`` by then, is
-    within ``Budget.max_nodes``, so no coordinate exceeds
-    ``max_nodes + 1``, and ``w`` is one guard bit wider than that value
-    needs.  Mind ``max_nodes = 2**b - 1``: its largest coordinate
-    ``2**b`` needs ``b + 1`` bits, one more than ``max_nodes`` itself,
-    so ``w = b + 2``.
-
-    Each child is checked against every solution known when it is made,
-    and that check reads an index, not the whole basis.  A frontier
-    vector ``y`` of level ``L`` is dominated by no known solution: those
-    known when it was made were checked, and one found since has a
-    1-norm at least ``y``'s, while a solution of the same 1-norm cannot
-    be ``<=`` a vector whose value is nonzero.  So a known solution
-    ``b <= y + e_k`` has ``b_k == y_k + 1``.  The solutions are therefore
-    indexed by coordinate and value, and the child ``y + e_k`` is tested
-    only against those whose coordinate ``k`` is ``y_k + 1``: the same
-    prunes as a scan of the whole basis.  The cap test reads the same
-    coordinate.
-
-    The descent directions of a vector, those with ``value . column_k <
-    0``, depend only on its value ``A x - s``, so they are found once per
-    value and reused by every vector that has it.
+    Each pair sum examined is one node: it spends one node of the clock
+    first, and ``BudgetExhausted`` is raised once the clock passes
+    ``Budget.max_nodes`` or ``Budget.max_time``.
     """
     clock = solver.Clock.of(budget)
     if n is None:
         if not rows:
             raise BasisError("need explicit dimension for an empty system")
         n = len(rows[0])
-    m = len(rows)
-    dims = n + m
-
-    # column k of [A | -I], and its nonzeros
-    columns: List[Tuple[int, ...]] = []
-    nonzeros: List[Tuple[Tuple[int, int], ...]] = []
-    for k in range(n):
-        col = tuple(row[k] for row in rows)
-        columns.append(col)
-        nonzeros.append(tuple((i, c) for i, c in enumerate(col) if c))
-    for r in range(m):
-        columns.append((0,) * r + (-1,) + (0,) * (m - r - 1))
-        nonzeros.append(((r, -1),))
-
-    # every coordinate is at most max_nodes + 1 (the width invariant
-    # above); one more bit per field is its guard
-    width = (max(clock.budget.max_nodes, 0) + 1).bit_length() + 1
-    units = [1 << (width * k) for k in range(dims)]
-    guard = sum(u << (width - 1) for u in units)
-
-    mask = (1 << width) - 1
-    # no coordinate reaches the guard bit, so a cap of mask never binds
-    caps = [mask] * dims
-    for k, cap in enumerate(upper or ()):
-        if cap is not None:
-            caps[k] = cap
-    zero_value = (0,) * m
-    basis: List[int] = []
-    # by_coord[k][v]: the known solutions whose coordinate k is v > 0
-    by_coord: List[Dict[int, List[int]]] = [{} for _ in range(dims)]
-    # direction k: its column's nonzeros, then its step: the shift, unit
-    # and cap of coordinate k, the index by_coord[k] and the column
-    directions = [
-        (nonzeros[k], (width * k, units[k], caps[k], by_coord[k], col))
-        for k, col in enumerate(columns)
+    capped = [(k, c) for k, c in enumerate(upper or ()) if c is not None]
+    basis = [
+        tuple(int(j == k) for j in range(n))
+        for k in range(n) if not upper or upper[k] != 0
     ]
-    # per value: the steps of its descent directions
-    descents: Dict[Tuple[int, ...], Tuple[Tuple, ...]] = {}
-
-    def record(b: int) -> None:
-        basis.append(b)
-        for k in range(dims):
-            v = (b >> (width * k)) & mask
-            if v:
-                by_coord[k].setdefault(v, []).append(b)
-
-    frontier: List[Tuple[int, Tuple[int, ...]]] = []
-    for k in range(dims):
-        if caps[k] < 1:
-            continue
-        if columns[k] == zero_value:
-            record(units[k])
-        else:
-            frontier.append((units[k], columns[k]))
-
-    while frontier:
-        next_level: Dict[int, Tuple[int, ...]] = {}
-        for y, value in frontier:
+    for row in rows:
+        terms = [(j, c) for j, c in enumerate(row) if c]
+        # each element with its value and its support as a bit mask
+        elements = [
+            (v, sum(c * v[j] for j, c in terms), _support(v)) for v in basis
+        ]
+        old = len(elements)
+        positive = [e for e in elements if e[1] > 0]
+        negative = [e for e in elements if e[1] < 0]
+        pairs = deque((p, q) for p in positive for q in negative)
+        while pairs:
+            (p, lp, pm), (q, lq, qm) = pairs.popleft()
             yield
             clock.spend("polymer basis completion")
-            moves = descents.get(value)
-            if moves is None:
-                moves = descents[value] = tuple(
-                    step for nonzeros, step in directions
-                    if sum(value[i] * c for i, c in nonzeros) < 0)
-            for shift, unit, cap, index, col in moves:
-                child = y + unit
-                if child in next_level:
-                    continue
-                v = (child >> shift) & mask
-                if v > cap:
-                    continue
-                # a known solution <= child has the child's coordinate k
-                cg = child | guard
-                for b in index.get(v, ()):
-                    if (cg - b) & guard == guard:
-                        break
-                else:
-                    child_value = tuple(map(add, value, col))
-                    if child_value == zero_value:
-                        record(child)
-                    else:
-                        next_level[child] = child_value
-        frontier = list(next_level.items())
+            s, ls = tuple(map(add, p, q)), lp + lq
+            if any(s[k] > c for k, c in capped):
+                continue
+            # s only shrinks, so an element that cannot reduce it now
+            # never can: one pass finds every reduction
+            outside = ~(pm | qm)
+            for g, lg, gm in elements:
+                while (not gm & outside and (0 <= lg <= ls or ls <= lg <= 0)
+                       and all(map(le, g, s))):
+                    s, ls = tuple(map(sub, s, g)), ls - lg
+                    outside = ~_support(s)
+            if not any(s):
+                continue
+            e = (s, ls, ~outside)
+            if ls > 0:
+                pairs.extend((e, q) for q in negative)
+                positive.append(e)
+            elif ls < 0:
+                pairs.extend((p, e) for p in positive)
+                negative.append(e)
+            elements.append(e)
+        # an old element is irreducible in the cone so far, and a new one
+        # was reduced by every element made before it, so only a later
+        # new element can lie below a kept one
+        basis = [v + (lv,) for v, lv, _ in elements[:old] if lv >= 0]
+        new = [v + (lv,) for v, lv, _ in elements[old:] if lv >= 0]
+        basis += [
+            v for i, v in enumerate(new)
+            if not any(all(map(le, u, v)) for u in new[i + 1:])
+        ]
+    return sorted(v[:n] for v in basis)
 
-    projected = sorted(
-        tuple((y >> (width * k)) & mask for k in range(n)) for y in basis
-    )
-    return [x for x in projected if any(x)]
+
+def _support(v: Sequence[int]) -> int:
+    """Bit ``k`` set for each nonzero ``v[k]``; ``g <= s`` needs ``g``'s
+    support inside ``s``'s."""
+    return sum(1 << k for k, x in enumerate(v) if x)
 
 
 def polymer_basis(

@@ -197,7 +197,6 @@ class StableConfigsModel:
     program: IntegerProgram
     tbn: Tbn
     bound: int
-    big_c: int
     symmetry_breaking: bool
 
     def encode(self, pc: PartialConfiguration) -> Dict[str, int]:
@@ -381,4 +380,4 @@ def build(
 
     objective = Objective("min", merge_count_coeffs(m, bound))
     program = IntegerProgram(tuple(variables), tuple(constraints), objective)
-    return StableConfigsModel(program, t, bound, C, symmetry_breaking)
+    return StableConfigsModel(program, t, bound, symmetry_breaking)

@@ -102,7 +102,6 @@ class Budget:
 @dataclass(slots=True)
 class SolveStats:
     nodes: int = 0
-    wall_time: float = 0.0
     # which route answered a stable-configurations question: "direct"
     # (the slot IP) or "basis" (the cover IP over the polymer basis)
     route: str = "direct"
@@ -324,7 +323,7 @@ class Clock:
         return time.monotonic() - self.start
 
     def stats(self, route: str = "direct") -> SolveStats:
-        return SolveStats(self.nodes, self.elapsed(), route)
+        return SolveStats(self.nodes, route)
 
 
 # a search node: bounds, their row activities, and the variable branched

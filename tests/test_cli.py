@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from tbntools import simplex
 from tbntools.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     CliError,
     env_budget,
@@ -98,6 +100,18 @@ class TestStableCommand:
         bad = tmp_path / "bad.tbn"
         bad.write_text("m1: a b, nonsense\n")
         assert main(["stable", str(bad)]) == EXIT_INPUT
+
+    def test_simplex_failure_is_an_internal_exit(
+        self, intro_file, monkeypatch, capsys
+    ):
+        def failing(self, banned):
+            raise simplex.SimplexError("iteration cap exceeded")
+
+        monkeypatch.setattr(simplex._Simplex, "_pivot_loop", failing)
+        assert main(["stable", intro_file]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: iteration cap exceeded\n"
 
     def test_timeout_partial_report(self, tmp_path, capsys):
         from conftest import TRANSLATOR_TBN_TEXT

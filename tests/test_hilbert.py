@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from tbntools.cli import gen_gridgate
 from tbntools.core import Polymer, is_self_saturated, parse_tbn
 from tbntools.hilbert import (
     BasisError,
@@ -68,7 +69,8 @@ class TestHilbertBasis:
         ],
     )
     def test_large_coordinates_match_oracle(self, rows, cap):
-        # coordinates well above 1 exercise every bit of a packed field
+        # coordinates well above 1 come from chains of pair sums, each
+        # adding one more element to the last sum
         n = len(rows[0])
         basis = hilbert_basis(rows, n)
         assert max(max(x) for x in basis) >= 3
@@ -77,8 +79,8 @@ class TestHilbertBasis:
     @pytest.mark.parametrize("bits", range(1, 6))
     @pytest.mark.parametrize("rows", [[[1, -7]], [[2, -3], [-1, 2]]])
     def test_tiny_budget_exact_or_raises(self, rows, bits):
-        # max_nodes = 2**bits - 1 is the edge where the node cap needs one
-        # bit fewer than the largest coordinate a child can reach
+        # a budget that runs out mid-completion raises; one that does
+        # not gives the exact basis
         n = len(rows[0])
         exact = hilbert_basis(rows, n)
         try:
@@ -89,16 +91,15 @@ class TestHilbertBasis:
             return
         assert basis == exact
 
-    @pytest.mark.parametrize("bits", range(2, 7))
-    def test_budget_at_its_limit_reaches_large_coordinates(self, bits):
-        # the cone of [[1, -k]] takes exactly k + 2 nodes and its basis
-        # reaches coordinate k, so k = 2**bits - 3 spends all of
-        # max_nodes = 2**bits - 1 on a value that fills a bits-wide field
-        k = 2**bits - 3
-        budget = Budget(max_nodes=2**bits - 1)
+    @pytest.mark.parametrize("e", range(2, 7))
+    def test_budget_at_its_limit_reaches_large_coordinates(self, e):
+        # the cone of [[1, -k]] takes exactly k nodes, the pair sums
+        # (j, 1) for j = 1..k, and its basis reaches coordinate k
+        k = 2**e - 3
+        budget = Budget(max_nodes=k)
         assert hilbert_basis([[1, -k]], 2, budget) == [(1, 0), (k, 1)]
         with pytest.raises(BudgetExhausted):
-            hilbert_basis([[1, -k]], 2, Budget(max_nodes=2**bits - 2))
+            hilbert_basis([[1, -k]], 2, Budget(max_nodes=k - 1))
 
 
 class TestPolymerBasis:
@@ -117,11 +118,27 @@ class TestPolymerBasis:
         assert len(basis) == 57
         assert all(is_self_saturated(p, translator_tbn) for p in basis)
 
+    def test_translator_k8_full_basis(self):
+        # 530 pair sums
+        t = parse_tbn(translator_text(8))
+        basis = polymer_basis(t)
+        assert len(basis) == 104
+        assert all(is_self_saturated(p, t) for p in basis)
+
+    def test_gridgate_caption_n5_truncated_at_its_counts(self):
+        # 25 site names against 11 types; 78 pair sums
+        t = gen_gridgate(5, 2, caption_literal=True)
+        basis = hilbert_basis(t.site_matrix, t.n_types, None, t.counts)
+        assert len(basis) == 12
+        assert all(is_self_saturated(Polymer(x), t) for x in basis)
+        assert all(max(x) <= 2 for x in basis)
+
     @pytest.mark.slow
-    @pytest.mark.parametrize("k, size, nodes", [(5, 45, 5810), (6, 57, 34769)])
+    @pytest.mark.parametrize("k, size, nodes", [(5, 45, 165), (6, 57, 203)])
     def test_translator_completion_nodes(self, k, size, nodes):
-        # the completion's frontier is fixed by which children are pruned,
-        # so its node count pins the pruning, not just the answer
+        # the pair sums examined follow from the queue order and from which
+        # sums reduce to 0, so the node count pins the completion, not
+        # just the answer
         assert translator_text(6) == TRANSLATOR_TBN_TEXT
         clock = Clock()
         basis = polymer_basis(parse_tbn(translator_text(k)), clock)
@@ -299,9 +316,9 @@ class TestOracleEquivalence:
         check_random_cones(20240910, cap=8)
 
     def test_random_cones_with_shared_coordinate_values(self):
-        # a child y + e_k is tested only against the solutions whose
-        # coordinate k is y_k + 1; in 8 of these cones (2 of the cones
-        # above) such a value of 2 or more is shared by several solutions
+        # the reduction and the final <= filter compare elements that tie
+        # on a coordinate; in 8 of these cones (2 of the cones above) a
+        # value of 2 or more is shared by several basis elements
         bases = check_random_cones(20261018, cap=6, max_rows=3, cols=(2, 5))
         crowded = 0
         for basis in bases:
@@ -311,14 +328,24 @@ class TestOracleEquivalence:
             crowded += max(values.values(), default=0) > 1
         assert crowded >= 8
 
+    @staticmethod
+    def truncated_cones():
+        """60 cones with caps 1, 2 and None mixed per coordinate, then 60
+        with up to 5 rows and caps 1-4 and None."""
+        for seed, max_rows, choices in [
+            (20261019, 3, [1, 2, None]),
+            (20261020, 5, [1, 2, 3, 4, None]),
+        ]:
+            rng = random.Random(seed)
+            for _ in range(60):
+                rows, n = random_matrix(rng, max_rows=max_rows, cols=(2, 5))
+                yield rows, n, [rng.choice(choices) for _ in range(n)]
+
     def test_truncated_bases_of_random_cones(self):
-        # caps of 1, 2 and None mixed per coordinate; the slack
-        # coordinates stay uncapped, and an element at its cap is kept
-        rng = random.Random(20261019)
+        # a pair sum past a cap is dropped, and an element at its cap is
+        # kept
         shrunk = 0
-        for _ in range(60):
-            rows, n = random_matrix(rng, max_rows=3, cols=(2, 5))
-            upper = [rng.choice([1, 2, None]) for _ in range(n)]
+        for rows, n, upper in self.truncated_cones():
 
             def within(x):
                 return all(c is None or v <= c for v, c in zip(x, upper))
@@ -331,7 +358,7 @@ class TestOracleEquivalence:
                 x for x in oracle if within(x)
             ], (rows, upper)
             shrunk += len(truncated) < len(full)
-        assert shrunk >= 20  # 21 of the 60
+        assert shrunk >= 50  # 52 of the 120
 
     def test_random_tbn_bases_are_minimal_cone_points(self):
         rng = random.Random(20240911)

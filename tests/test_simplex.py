@@ -231,6 +231,13 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
         objective = [(i, rng.randint(-7, 7)) for i in range(n)]
         return objective, rows, bounds
 
+    @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+    def test_matches_scipy_highs(self, monkeypatch, bland):
+        if bland:
+            # Bland's rule from the first degenerate step on
+            monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", 0)
+        super().test_matches_scipy_highs()
+
     def test_rows_reach_denominators_above_one(self, monkeypatch):
         pivot_dens = []
         eliminate = simplex._eliminate

@@ -110,7 +110,9 @@ class TestSlottedRecords:
         pc = PartialConfiguration((p,), intro_tbn)
         assert pc == PartialConfiguration((p,), grid_tbn)
         assert hash(pc) == hash(PartialConfiguration((p,), grid_tbn))
-        assert SolveStats(3, 1.5) == SolveStats(3, 1.5) != SolveStats(4, 1.5)
+        stats = SolveStats(3, "basis")
+        assert stats == SolveStats(3, "basis") != SolveStats(4, "basis")
+        assert stats != SolveStats(3)
         assert EnumerationResult(1, [pc], True) == EnumerationResult(
             1, [pc], True
         )
@@ -222,11 +224,14 @@ class TestRoutes:
     def test_budgets_below_the_race_report_no_value(self):
         t = parse_tbn(translator_text(5))
         count = stable_configs(t, StableOptions(all=True)).stats.nodes
-        assert count == 1781
+        assert count == 399
         # the direct side takes the first four steps alone, so a budget
-        # of three nodes runs out there and a larger one on the basis side
-        routes = {1: "direct", 2: "direct", 3: "direct", 50: "basis",
-                  200: "basis", count - 1: "basis"}
+        # of three nodes runs out there; then the sides alternate, basis
+        # first, until the basis side answers, so an even budget runs out
+        # on the basis side and an odd one on the direct side
+        routes = {1: "direct", 2: "direct", 3: "direct", 4: "basis",
+                  5: "direct", 50: "basis", 51: "direct", 200: "basis",
+                  count - 1: "basis"}
         for max_nodes, route in routes.items():
             result = stable_configs(
                 t, StableOptions(all=True, budget=Budget(max_nodes=max_nodes))
