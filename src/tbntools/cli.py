@@ -13,16 +13,22 @@ limiting-monomer count, which holds every stable configuration.
 ``stable --solution`` checks an external solver's answer to the model
 ``export-lp`` writes.
 
+A configuration file (``verify``, ``pathway``) lists one polymer per
+line, monomer labels or 1-based indices joined by ``+``.  Every monomer
+it does not list is an implied singleton; a ``...`` line, which may be
+left out, says so.
+
 Exit codes: 0 success, 2 input error, 3 budget or timeout exhausted,
 4 internal-consistency failure.  ``verify`` leaves a verdict its budget
 could not decide as ``-`` and exits 0.
 
 Environment: TBN_MAX_NODES and TBN_MAX_SECONDS override the default
 search budget (``solver.Budget``) of every command that searches;
-``--timeout`` sets its seconds and ``basis --cap`` its nodes.  ``verify``
-runs one clock: the local-stability test (one node per polymer half
-tried, ``pathways.is_locally_stable``) spends it first, then the stable
-search.
+``--timeout`` sets its seconds and ``basis --cap`` its nodes.  A
+variable's value that is not a number, or is nan, is an input error.
+``verify`` runs one clock: the local-stability test (one node per
+polymer half tried, ``pathways.is_locally_stable``) spends it first,
+then the stable search.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from .core import (
     Tbn,
     TbnError,
     is_self_saturated,
-    monomer_usage,
+    leftover,
+    merge_count,
     parse_tbn_with_report,
 )
 from .hilbert import polymer_basis, render_basis_table
@@ -75,26 +82,41 @@ class CliError(TbnError):
         self.code = code
 
 
+def _number(text: str, parse, what: str):
+    """``parse(text)``; a malformed value or nan is an input error."""
+    try:
+        value = parse(text)
+        if value == value:
+            return value
+    except ValueError:
+        pass
+    raise CliError(f"{what} must be a number, got {text!r}")
+
+
 def env_budget(timeout: Optional[float] = None) -> Budget:
     """Default search budget, overridable via environment variables."""
     nodes = Budget.max_nodes
     seconds = Budget.max_time
-    if os.environ.get("TBN_MAX_NODES"):
-        nodes = int(os.environ["TBN_MAX_NODES"])
-    if os.environ.get("TBN_MAX_SECONDS"):
-        seconds = float(os.environ["TBN_MAX_SECONDS"])
+    env = os.environ
+    if env.get("TBN_MAX_NODES"):
+        nodes = _number(env["TBN_MAX_NODES"], int, "TBN_MAX_NODES")
+    if env.get("TBN_MAX_SECONDS"):
+        seconds = _number(env["TBN_MAX_SECONDS"], float, "TBN_MAX_SECONDS")
     if timeout is not None:
         seconds = timeout
     return Budget(max_nodes=nodes, max_time=seconds)
 
 
-def load_tbn(path: str) -> Tuple[Tbn, Dict]:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    tbn, report = parse_tbn_with_report(text)
+
+
+def load_tbn(path: str) -> Tuple[Tbn, Dict]:
+    tbn, report = parse_tbn_with_report(_read_text(path))
     notes = {}
     if report.flipped_names:
         notes["star_flipped_sites"] = list(report.flipped_names)
@@ -103,22 +125,17 @@ def load_tbn(path: str) -> Tuple[Tbn, Dict]:
     return tbn, notes
 
 
-def parse_configuration(
-    text: str, t: Tbn
-) -> Tuple[List[Polymer], bool]:
+def parse_configuration(text: str, t: Tbn) -> List[Polymer]:
     """Read a configuration file: one polymer per line.
 
-    Monomer labels or 1-based indices joined by ``+``; a line holding
-    ``...`` stands for the remaining monomers as implied singletons.
+    Monomer labels or 1-based indices joined by ``+``.  Every monomer
+    the file does not list is an implied singleton; a line holding
+    ``...`` says so and is otherwise ignored.
     """
     polymers: List[Polymer] = []
-    has_remainder = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "...":
-            has_remainder = True
+        if not line or line == "...":
             continue
         counts = [0] * t.n_types
         for token in line.split("+"):
@@ -129,7 +146,7 @@ def parse_configuration(
                 )
             counts[t.monomer_by_label(token)] += 1
         polymers.append(Polymer(tuple(counts)))
-    return polymers, has_remainder
+    return polymers
 
 
 def make_report(command: str, results: Dict, timings: Dict) -> Dict:
@@ -155,34 +172,22 @@ def describe_pc(pc: PartialConfiguration, t: Tbn) -> List[str]:
     return [p.describe(t) for p in pc.polymers]
 
 
-def _count_repr(c):
-    return "inf" if c is INF else c
-
-
 def _full_polymer_count(pc: PartialConfiguration, t: Tbn) -> str:
     """Polymer count including implied singletons; infinities symbolic."""
-    usage = monomer_usage(pc.polymers, t)
-    total = pc.n_polymers
-    infinite = False
-    for i, count in enumerate(t.counts):
-        if count is INF:
-            infinite = True
-        else:
-            total += count - usage[i]
-    return f"{total} + inf" if infinite else str(total)
+    left = leftover(pc.polymers, t)
+    total = pc.n_polymers + sum(n for n in left if n is not INF)
+    return f"{total} + inf" if INF in left else str(total)
 
 
 def _singleton_summary(pc: PartialConfiguration, t: Tbn) -> List[str]:
     """Implied singleton remainders, infinite ones reported symbolically."""
-    usage = monomer_usage(pc.polymers, t)
-    lines = []
-    for i, (mon, count) in enumerate(zip(t.monomer_types, t.counts)):
-        name = mon.label or "{" + " ".join(str(s) for s in mon.sites) + "}"
-        if count is INF:
-            lines.append(f"inf x {name}")
-        elif count - usage[i] > 0:
-            lines.append(f"{count - usage[i]} x {name}")
-    return lines
+    left = leftover(pc.polymers, t)
+    return [f"{n} x {mon.name}" for mon, n in zip(t.monomer_types, left) if n]
+
+
+def _slot_model(t: Tbn, symmetry: bool = False):
+    """The slot model ``stable`` and ``export-lp`` share."""
+    return build(t, max(default_bound(t), 1), symmetry)
 
 
 def cmd_stable(args) -> int:
@@ -240,12 +245,8 @@ def cmd_stable(args) -> int:
 
 
 def _stable_from_solution(args, t: Tbn, notes: Dict) -> int:
-    model = build(t, max(default_bound(t), 1))
-    try:
-        with open(args.solution) as fh:
-            assignment = parse_solution(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {args.solution}: {exc}") from exc
+    model = _slot_model(t)
+    assignment = parse_solution(_read_text(args.solution))
     pc = model.decode(assignment)
     value = model.program.objective.evaluate(assignment)
     results = {
@@ -288,12 +289,7 @@ def cmd_basis(args) -> int:
 
 def cmd_verify(args) -> int:
     t, notes = load_tbn(args.file)
-    try:
-        with open(args.config) as fh:
-            config_text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.config}: {exc}") from exc
-
+    polymers = parse_configuration(_read_text(args.config), t)
     verdicts: Dict[str, Optional[bool]] = {
         "valid": None,
         "saturated": None,
@@ -301,32 +297,22 @@ def cmd_verify(args) -> int:
         "stable": None,
     }
     detail = ""
-    polymers, _ = parse_configuration(config_text, t)
 
     # validity: the listed polymers fit within the monomer supply
-    usage = monomer_usage(polymers, t)
-    verdicts["valid"] = True
-    for i, count in enumerate(t.counts):
-        if usage[i] > count:
-            verdicts["valid"] = False
-            detail = (
-                f"monomer {t.monomer_types[i]} used {usage[i]} times, "
-                f"supply is {_count_repr(count)}"
-            )
-            break
-
-    if verdicts["valid"]:
-        # unlisted monomers sit as implied singletons
-        remainder_ok = all(
-            count is INF
-            or count == usage[i]
-            or is_self_saturated(
-                Polymer(tuple(int(k == i) for k in range(t.n_types))), t
-            )
-            for i, count in enumerate(t.counts)
+    left = leftover(polymers, t)
+    over = [i for i, n in enumerate(left) if n < 0]
+    verdicts["valid"] = not over
+    if over:
+        i = over[0]
+        detail = (
+            f"monomer {t.monomer_types[i]} used {t.counts[i] - left[i]} "
+            f"times, supply is {t.counts[i]}"
         )
-        verdicts["saturated"] = remainder_ok and all(
-            is_self_saturated(p, t) for p in polymers
+    else:
+        # unlisted monomers sit as implied singletons
+        singletons = [t.unit(i) for i, n in enumerate(left) if n]
+        verdicts["saturated"] = all(
+            is_self_saturated(p, t) for p in polymers + singletons
         )
         if verdicts["saturated"]:
             # one clock decides both verdicts; once it runs out, a
@@ -342,9 +328,8 @@ def cmd_verify(args) -> int:
             optimum = stable_configs(
                 t, StableOptions(budget=clock)
             ).optimum
-            merges = sum(p.size - 1 for p in polymers)
             if optimum is not None:
-                verdicts["stable"] = merges == optimum
+                verdicts["stable"] = merge_count(listed) == optimum
         else:
             verdicts["locally_stable"] = False
             verdicts["stable"] = False
@@ -365,12 +350,7 @@ def cmd_pathway(args) -> int:
     t, notes = load_tbn(args.file)
     configs = []
     for path in (getattr(args, "from"), args.to):
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
-        polymers, _ = parse_configuration(text, t)
+        polymers = parse_configuration(_read_text(path), t)
         pc = PartialConfiguration.from_polymers(
             [p for p in polymers if p.size >= 2], t
         )
@@ -449,17 +429,19 @@ def gen_gridgate(
 
 
 def _parse_range(spec: str) -> List[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    lo, colon, hi = spec.partition(":")
+    lo = _number(lo, int, "--n-range")
+    hi = _number(hi, int, "--n-range") if colon else lo
+    return list(range(lo, hi + 1))
 
 
 def _parse_fuels(spec: str) -> List:
     fuels = []
     for token in spec.split(","):
         token = token.strip()
-        fuels.append(INF if token == "inf" else int(token))
+        fuels.append(
+            INF if token == "inf" else _number(token, int, "--fuel-range")
+        )
     return fuels
 
 
@@ -514,7 +496,7 @@ def cmd_bench(args) -> int:
 
 def cmd_export_lp(args) -> int:
     t, _ = load_tbn(args.file)
-    program = build(t, max(default_bound(t), 1), args.symmetry).program
+    program = _slot_model(t, args.symmetry).program
     if args.fixed_objective is not None:
         program = program.fixed(args.fixed_objective)
     text = write_lp(program)

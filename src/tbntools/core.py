@@ -86,6 +86,10 @@ Count = Union[int, _Infinity]
 _FORBIDDEN_NAME_CHARS = set("*,:#")
 
 
+def _add(a: Count, b: Count) -> Count:
+    return INF if (a is INF or b is INF) else a + b
+
+
 @dataclass(frozen=True, order=True)
 class SiteType:
     """A named binding site, optionally starred.  ``a*`` complements ``a``."""
@@ -146,6 +150,11 @@ class Monomer:
     def canonical_key(self) -> tuple:
         return (-self.starred_site_count, tuple(str(s) for s in self.sites))
 
+    @property
+    def name(self) -> str:
+        """The label, or the sites in braces."""
+        return self.label or "{" + " ".join(str(s) for s in self.sites) + "}"
+
     def __str__(self) -> str:
         body = " ".join(str(s) for s in self.sites)
         return f"{self.label}: {body}" if self.label else body
@@ -178,8 +187,7 @@ class Tbn:
                     f"monomer count must be >= 1 or inf, got {count!r}"
                 )
             if mon in merged:
-                old = merged[mon]
-                merged[mon] = INF if (old is INF or count is INF) else old + count
+                merged[mon] = _add(merged[mon], count)
                 if order[mon].label is None and mon.label is not None:
                     order[mon] = mon
             else:
@@ -196,18 +204,11 @@ class Tbn:
                 raise TbnValidationError(
                     f"limiting monomer {mon} must have finite count"
                 )
-        # total_site_count of every literal, in one pass over the sites
-        totals: dict = {}
-        for mon, count in zip(self.monomer_types, self.counts):
-            for s in mon.sites:
-                key = (s.name, s.starred)
-                old = totals.get(key, 0)
-                totals[key] = (
-                    INF if (old is INF or count is INF) else old + count
-                )
-        for name in sorted({name for name, _ in totals}):
-            starred = totals.get((name, True), 0)
-            unstarred = totals.get((name, False), 0)
+        totals = _site_totals(
+            (mon.sites, count)
+            for mon, count in zip(self.monomer_types, self.counts)
+        )
+        for name, (unstarred, starred) in totals:
             if starred > unstarred:
                 raise TbnValidationError(
                     f"starred sites of {name!r} exceed unstarred "
@@ -280,6 +281,12 @@ class Tbn:
     def index_of(self, mon: Monomer) -> int:
         return self.monomer_types.index(mon)
 
+    def unit(self, i: int) -> "Polymer":
+        """The one-monomer polymer of type ``i``."""
+        counts = [0] * self.n_types
+        counts[i] = 1
+        return Polymer(tuple(counts))
+
     def with_counts_capped(self, cap: int) -> "Tbn":
         """Replace infinite counts by ``cap`` copies (for brute-force oracles)."""
         counts = tuple(cap if c is INF else c for c in self.counts)
@@ -323,8 +330,7 @@ class Polymer:
     def describe(self, tbn: Tbn) -> str:
         parts = []
         for count, mon in zip(self.counts, tbn.monomer_types):
-            name = mon.label or "{" + " ".join(str(s) for s in mon.sites) + "}"
-            parts.extend([name] * count)
+            parts.extend([mon.name] * count)
         return " + ".join(parts)
 
 
@@ -335,6 +341,14 @@ def monomer_usage(polymers: Iterable[Polymer], t: Tbn) -> List[int]:
         for i, c in enumerate(p.counts):
             usage[i] += c
     return usage
+
+
+def leftover(polymers: Iterable[Polymer], t: Tbn) -> List[Count]:
+    """Per monomer type, the copies of ``t`` that ``polymers`` do not
+    hold: the implied singletons of a configuration.  ``INF`` stays
+    ``INF``; a negative entry means the polymers overuse that type."""
+    usage = monomer_usage(polymers, t)
+    return [c if c is INF else c - u for c, u in zip(t.counts, usage)]
 
 
 def polymer_from_monomers(monomers: Sequence[Monomer], tbn: Tbn) -> Polymer:
@@ -371,26 +385,23 @@ class PartialConfiguration:
                 raise TbnValidationError(
                     "partial configurations hold non-singleton polymers only"
                 )
-        usage = monomer_usage(self.polymers, self.tbn)
-        for i, (mon, count) in enumerate(
-            zip(self.tbn.monomer_types, self.tbn.counts)
+        t = self.tbn
+        left = leftover(self.polymers, t)
+        for i, (mon, count, n) in enumerate(
+            zip(t.monomer_types, t.counts, left)
         ):
-            if usage[i] > count:
+            if n < 0:
                 raise TbnValidationError(
-                    f"monomer {mon} used {usage[i]} times, "
+                    f"monomer {mon} used {count - n} times, "
                     f"TBN supplies only {count!r}"
                 )
-            if mon.is_limiting and usage[i] != count:
-                # leftovers of a limiting type become implied singletons,
-                # which is only coherent if that singleton is self-saturated
-                singleton = Polymer(
-                    tuple(int(j == i) for j in range(self.tbn.n_types))
+            # leftovers of a limiting type become implied singletons,
+            # which is only coherent if that singleton is self-saturated
+            if mon.is_limiting and n and not is_self_saturated(t.unit(i), t):
+                raise TbnValidationError(
+                    f"limiting monomer {mon} used {count - n} times, "
+                    f"TBN supplies {count!r}"
                 )
-                if not is_self_saturated(singleton, self.tbn):
-                    raise TbnValidationError(
-                        f"limiting monomer {mon} used {usage[i]} times, "
-                        f"TBN supplies {count!r}"
-                    )
 
     @property
     def n_polymers(self) -> int:
@@ -462,6 +473,18 @@ class ParseReport:
     merged_duplicate_lines: int = 0
 
 
+def _site_totals(pairs: Iterable) -> list:
+    """``(name, (unstarred, starred))`` per site name, in name order: the
+    copies of each literal over ``(sites, count)`` pairs, ``INF`` where an
+    infinite count holds it."""
+    totals: dict = {}
+    for sites, count in pairs:
+        for s in sites:
+            pair = totals.setdefault(s.name, [0, 0])
+            pair[s.starred] = _add(pair[s.starred], count)
+    return sorted(totals.items())
+
+
 def _tokenize_tbn(text: str):
     """Yield (label, sites, count, line_no) per monomer line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -520,21 +543,10 @@ def parse_tbn_with_report(text: str):
     if not entries:
         return Tbn((), ()), ParseReport()
 
-    starred_total: dict = {}
-    unstarred_total: dict = {}
-    for _, sites, count, _ in entries:
-        for s in sites:
-            bucket = starred_total if s.starred else unstarred_total
-            old = bucket.get(s.name, 0)
-            if old is INF or count is INF:
-                bucket[s.name] = INF
-            else:
-                bucket[s.name] = old + count
-
     flipped = []
-    for name in sorted(set(starred_total) | set(unstarred_total)):
-        st = starred_total.get(name, 0)
-        un = unstarred_total.get(name, 0)
+    for name, (un, st) in _site_totals(
+        (sites, count) for _, sites, count, _ in entries
+    ):
         if st is INF and un is INF:
             raise TbnValidationError(
                 f"site {name!r} has infinite count on both starred and "

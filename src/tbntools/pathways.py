@@ -26,6 +26,7 @@ from .core import (
     Tbn,
     TbnError,
     is_self_saturated,
+    leftover,
     monomer_usage,
 )
 from .solver import Budget, Clock
@@ -90,13 +91,7 @@ class FullConfiguration:
 
 
 def all_singletons(t: Tbn) -> FullConfiguration:
-    if not t.is_finite:
-        raise PathwayError("full configurations require a fully finite TBN")
-    polymers = []
-    for i, count in enumerate(t.counts):
-        unit = Polymer(tuple(int(j == i) for j in range(t.n_types)))
-        polymers.extend([unit] * count)
-    return FullConfiguration.from_polymers(polymers, t)
+    return full_configuration(PartialConfiguration((), t))
 
 
 def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
@@ -104,11 +99,9 @@ def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
     t = pc.tbn
     if not t.is_finite:
         raise PathwayError("full configurations require a fully finite TBN")
-    usage = monomer_usage(pc.polymers, t)
     polymers = list(pc.polymers)
-    for i, (used, count) in enumerate(zip(usage, t.counts)):
-        unit = Polymer(tuple(int(j == i) for j in range(t.n_types)))
-        polymers.extend([unit] * (count - used))
+    for i, n in enumerate(leftover(pc.polymers, t)):
+        polymers.extend([t.unit(i)] * n)
     return FullConfiguration.from_polymers(polymers, t)
 
 

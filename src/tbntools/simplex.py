@@ -232,24 +232,11 @@ class _Simplex:
         ):
             return LpSolution("infeasible")
 
-        # pin artificials at zero and try to drive them out of the basis;
-        # each swap is degenerate, so the point does not move
+        # pin artificials at zero: the ratio test holds one left basic
+        # at 0, and phase 2 never lets one re-enter
         for j in range(self.ncols):
             if self.is_art[j]:
                 self.ub[j] = 0
-        for r in range(self.m):
-            if self.is_art[self.basis[r]]:
-                pivot_col = next(
-                    (
-                        j
-                        for j in range(self.ncols)
-                        if not self.is_art[j] and self.rows[r][j] != 0
-                    ),
-                    None,
-                )
-                if pivot_col is not None:
-                    self._pivot(r, pivot_col)
-                # else: redundant row; its entries vanish outside artificials
 
         # phase 2
         self._price(self.c + [0] * (self.ncols - self.n_struct))

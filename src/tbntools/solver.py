@@ -622,15 +622,10 @@ def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
     if best_cost is None:
         raise TbnError("no saturated partition exists (broken invariant)")
 
-    seen = set()
-    solutions = []
-    for partition in best_partitions:
-        polymers = [Polymer(b) for b in partition if sum(b) >= 2]
-        pc = PartialConfiguration.from_polymers(polymers, finite)
-        key = tuple(p.counts for p in pc.polymers)
-        if key not in seen:
-            seen.add(key)
-            solutions.append(pc)
-    solutions.sort(key=lambda pc: tuple(p.counts for p in pc.polymers),
-                   reverse=True)
+    solutions = canonical_unique(
+        PartialConfiguration.from_polymers(
+            [Polymer(b) for b in partition if sum(b) >= 2], finite
+        )
+        for partition in best_partitions
+    )
     return EnumerationResult(best_cost, solutions, True)

@@ -92,6 +92,22 @@ class TestStableCommand:
         assert len(report["results"]["configurations"]) == 4
         assert report["timings"]["route"] == "basis"
 
+    def test_infinite_count_report(self, excess_file, capsys):
+        # polymer counts and implied singletons with an infinite supply
+        code = main(["stable", excess_file, "--all", "--format", "json"])
+        assert code == EXIT_OK
+        configs = json.loads(capsys.readouterr().out)["results"][
+            "configurations"
+        ]
+        assert [
+            (c["full_polymer_count"], c["singletons"]) for c in configs
+        ] == [
+            ("1 + inf", ["inf x {b}"]),
+            ("2 + inf", ["1 x {a b}", "inf x {b}"]),
+            ("2 + inf", ["inf x {b}"]),
+            ("3 + inf", ["1 x {a b}", "inf x {b}"]),
+        ]
+
     def test_nonexistent_file(self, tmp_path, capsys):
         code = main(["stable", str(tmp_path / "nope.tbn")])
         assert code == EXIT_INPUT
@@ -267,6 +283,20 @@ class TestVerifyCommand:
         )
         assert verdicts["valid"] == "false"
 
+    def test_overuse_detail(self, excess_file, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("2 + 2 + 2\n")
+        argv = ["verify", excess_file, str(cfg), "--format", "json"]
+        assert main(argv) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["detail"] == "monomer a* used 3 times, supply is 1"
+        assert results["verdicts"] == {
+            "valid": False,
+            "saturated": None,
+            "locally_stable": None,
+            "stable": None,
+        }
+
     def test_indices_accepted(self, intro_file, tmp_path, capsys):
         t = parse_tbn(INTRO_TBN_TEXT)
         i1 = t.monomer_by_label("m1") + 1
@@ -399,6 +429,17 @@ class TestBenchCommand:
         code = main(["bench", "--n-range", "1:1", "--fuel-range", "2"])
         assert code == EXIT_BUDGET
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-range", "x"), ("--n-range", "1:x"), ("--fuel-range", "x"),
+    ])
+    def test_malformed_range_is_an_input_error(self, capsys, flag, value):
+        assert main(["bench", flag, value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} must be a number, got {value.split(':')[-1]!r}\n"
+        )
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main([
@@ -443,9 +484,11 @@ class TestExportLp:
 
 class TestConfigurationParsing:
     def test_labels_and_remainder(self):
+        # the "..." line is accepted and changes nothing: unlisted
+        # monomers are implied singletons either way
         t = parse_tbn(INTRO_TBN_TEXT)
-        polymers, remainder = parse_configuration("m1 + m2\n...\n", t)
-        assert remainder
+        polymers = parse_configuration("m1 + m2\n...\n", t)
+        assert parse_configuration("m1 + m2\n", t) == polymers
         assert len(polymers) == 1
         assert polymers[0].size == 2
 
@@ -466,6 +509,22 @@ class TestEnvironmentBudget:
     def test_timeout_argument_wins(self, monkeypatch):
         monkeypatch.setenv("TBN_MAX_SECONDS", "4.5")
         assert env_budget(timeout=9.0).max_time == 9.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("TBN_MAX_NODES", "abc"), ("TBN_MAX_NODES", "1.5"),
+        ("TBN_MAX_SECONDS", "abc"), ("TBN_MAX_SECONDS", "nan"),
+    ])
+    def test_malformed_value_is_an_input_error(
+        self, intro_file, monkeypatch, capsys, name, value
+    ):
+        # nan would never run out: elapsed time >= nan is never true
+        monkeypatch.setenv(name, value)
+        assert main(["stable", intro_file]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {name} must be a number, got {value!r}\n"
+        )
 
     def test_env_limits_whole_run(self, intro_file, monkeypatch, capsys):
         monkeypatch.setenv("TBN_MAX_SECONDS", "0.0000001")

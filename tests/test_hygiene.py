@@ -1,9 +1,9 @@
 """Source hygiene that no lint step checks: every imported name is used.
 
-An AST scan of ``src/tbntools/*.py`` and ``tests/*.py``.  A name counts as
-used when it is read anywhere in its module (as a name or as the base of
-an attribute), listed in the module's ``__all__``, or named in a string
-annotation.  ``from __future__`` imports are exempt.
+An AST scan of ``src/tbntools/*.py``, ``tests/*.py`` and ``tools/*.py``.
+A name counts as used when it is read anywhere in its module (as a name
+or as the base of an attribute), listed in the module's ``__all__``, or
+named in a string annotation.  ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(ROOT.glob("src/tbntools/*.py")) + sorted(
-    ROOT.glob("tests/*.py")
-)
+MODULES = [
+    path
+    for pattern in ("src/tbntools/*.py", "tests/*.py", "tools/*.py")
+    for path in sorted(ROOT.glob(pattern))
+]
 
 
 def imported_names(tree):

@@ -253,13 +253,10 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
         assert max(pivot_dens) > 1
 
     def test_reach_every_bound_move(self, monkeypatch):
-        """The value column's integer shifts all run: a bound flip, a
-        variable entering from and leaving to its upper bound, and the
-        phase-1 drive-out of an artificial."""
+        """The value column's integer shifts all run: a bound flip, and a
+        variable entering from and leaving to its upper bound."""
         kernel = simplex._Simplex
-        pivot_loop, pivot, shift = (
-            kernel._pivot_loop, kernel._pivot, kernel._shift
-        )
+        pivot, shift = kernel._pivot, kernel._shift
         inside = set()
         seen = set()
 
@@ -271,8 +268,6 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
                 inside.discard(name)
 
         def recording_pivot(self, r, j, out_to_upper=False):
-            if "loop" not in inside:
-                seen.add("drive-out")
             if self.at_upper[j]:
                 seen.add("enter from upper")
             if out_to_upper:
@@ -284,18 +279,12 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
                 seen.add("bound flip")
             return shift(self, j, amount)
 
-        monkeypatch.setattr(
-            kernel, "_pivot_loop",
-            lambda self, banned: within("loop", pivot_loop, self, banned),
-        )
         monkeypatch.setattr(kernel, "_pivot", recording_pivot)
         monkeypatch.setattr(kernel, "_shift", recording_shift)
         rng = random.Random(20240817)
         for _ in range(300):
             solve_lp(*self.gen_problem(rng))
-        assert seen == {
-            "bound flip", "enter from upper", "leave to upper", "drive-out"
-        }
+        assert seen == {"bound flip", "enter from upper", "leave to upper"}
 
 
 class TestWorkloadRootLps:
