@@ -7,6 +7,7 @@ of the self-saturation cone), and searches merge/split kinetic pathways.
 
 from .core import (
     INF,
+    Configuration,
     Monomer,
     ParseReport,
     PartialConfiguration,
@@ -16,7 +17,6 @@ from .core import (
     TbnError,
     TbnSyntaxError,
     TbnValidationError,
-    canonicalize,
     exposed_sites,
     is_self_saturated,
     merge_count,
@@ -73,6 +73,7 @@ __all__ = [
     "stable_configs",
     "stable_via_basis",
     "INF",
+    "Configuration",
     "Monomer",
     "ParseReport",
     "PartialConfiguration",
@@ -82,7 +83,6 @@ __all__ = [
     "TbnError",
     "TbnSyntaxError",
     "TbnValidationError",
-    "canonicalize",
     "exposed_sites",
     "is_self_saturated",
     "merge_count",

@@ -25,7 +25,8 @@ could not decide as ``-`` and exits 0.
 Environment: TBN_MAX_NODES and TBN_MAX_SECONDS override the default
 search budget (``solver.Budget``) of every command that searches;
 ``--timeout`` sets its seconds and ``basis --cap`` its nodes.  A
-variable's value that is not a number, or is nan, is an input error.
+variable's or ``--timeout``'s value that is not a number, or is nan, is
+an input error.
 ``verify`` runs one clock: the local-stability test (one node per
 polymer half tried, ``pathways.is_locally_stable``) spends it first,
 then the stable search.
@@ -91,6 +92,16 @@ def _number(text: str, parse, what: str):
     except ValueError:
         pass
     raise CliError(f"{what} must be a number, got {text!r}")
+
+
+def _seconds(text: str) -> float:
+    """Argparse type of ``--timeout``, by ``_number``'s rule.  Argparse
+    reports its error as a usage error (exit 2); a ``CliError`` raised
+    inside argparse would escape ``main``."""
+    try:
+        return _number(text, float, "value")
+    except CliError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def env_budget(timeout: Optional[float] = None) -> Budget:
@@ -318,9 +329,7 @@ def cmd_verify(args) -> int:
             # one clock decides both verdicts; once it runs out, a
             # verdict it could not decide stays undecided
             clock = Clock.of(env_budget())
-            listed = PartialConfiguration.from_polymers(
-                [p for p in polymers if p.size >= 2], t
-            )
+            listed = PartialConfiguration.from_polymers(polymers, t)
             try:
                 verdicts["locally_stable"] = is_locally_stable(listed, clock)
             except BudgetExhausted:
@@ -351,10 +360,9 @@ def cmd_pathway(args) -> int:
     configs = []
     for path in (getattr(args, "from"), args.to):
         polymers = parse_configuration(_read_text(path), t)
-        pc = PartialConfiguration.from_polymers(
-            [p for p in polymers if p.size >= 2], t
+        configs.append(
+            full_configuration(PartialConfiguration.from_polymers(polymers, t))
         )
-        configs.append(full_configuration(pc))
     start, goal = configs
 
     started = time.monotonic()
@@ -528,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--all", action="store_true",
                    help="enumerate every stable configuration")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="wall-clock budget in seconds")
     p.add_argument("--solution", default=None,
                    help="validate an external solver's solution file, "
@@ -563,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", default="1:3")
     p.add_argument("--fuel-range", default="2",
                    help="comma-separated fuel counts; 'inf' allowed")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="wall-clock budget in seconds per instance")
     p.add_argument("--caption-v", action="store_true",
                    help="column fuels with duplicated diagonal sites")

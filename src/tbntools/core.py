@@ -17,9 +17,11 @@ Conventions used throughout the package:
     limiting monomers first, which is what the symmetry-breaking
     constraints of the IP model want.
   - a polymer is a count vector over the TBN's monomer-type ordering.
-  - a partial configuration stores only non-singleton polymers, in
-    non-increasing lexicographic order of their count vectors; the full
-    configuration is implied by adding singletons.
+  - a ``Configuration`` is a multiset of polymers in non-increasing
+    lexicographic order of their count vectors.  A partial one lists the
+    polymers of two or more monomers, and every monomer they do not hold
+    is an implied singleton; a full one (``pathways.FullConfiguration``)
+    lists the singletons too.
 """
 
 from __future__ import annotations
@@ -166,21 +168,27 @@ class Tbn:
 
     ``monomer_types`` is the canonical ordering; ``counts`` is parallel.
     Construct through :meth:`from_monomers`, which sorts, merges duplicate
-    types and validates the model invariants.
+    types and validates the model invariants.  It also sets ``aliases``:
+    a ``(label, index)`` pair for each label of a merged duplicate that
+    its type's monomer does not carry, so :meth:`monomer_by_label`
+    resolves every label of the input.
     """
 
     monomer_types: tuple
     counts: tuple
+    aliases: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def from_monomers(cls, pairs: Iterable) -> "Tbn":
         """Build a TBN from (monomer, count) pairs.
 
         Duplicate monomer types (equal as multisets) are merged; a duplicate
-        with infinite count makes the merged count infinite.
+        with infinite count makes the merged count infinite.  The merged
+        type keeps its first label; later ones become aliases.
         """
         merged: dict = {}
         order: dict = {}
+        labelled = []
         for mon, count in pairs:
             if count is not INF and (not isinstance(count, int) or count < 1):
                 raise TbnValidationError(
@@ -193,8 +201,16 @@ class Tbn:
             else:
                 merged[mon] = count
                 order[mon] = mon
+            if mon.label is not None:
+                labelled.append(mon)
         monomers = sorted(order.values(), key=Monomer.canonical_key)
+        index = {m: i for i, m in enumerate(monomers)}
+        aliases = dict.fromkeys(
+            (mon.label, index[mon]) for mon in labelled
+            if mon.label != order[mon].label
+        )
         tbn = cls(tuple(monomers), tuple(merged[m] for m in monomers))
+        object.__setattr__(tbn, "aliases", tuple(aliases))
         tbn._validate()
         return tbn
 
@@ -297,6 +313,9 @@ class Tbn:
         for i, mon in enumerate(self.monomer_types):
             if mon.label == token:
                 return i
+        for label, i in self.aliases:
+            if label == token:
+                return i
         if token.isdigit():
             idx = int(token) - 1
             if 0 <= idx < self.n_types:
@@ -359,8 +378,10 @@ def polymer_from_monomers(monomers: Sequence[Monomer], tbn: Tbn) -> Polymer:
 
 
 @dataclass(frozen=True, slots=True)
-class PartialConfiguration:
-    """The non-singleton polymers of a configuration, canonically ordered."""
+class Configuration:
+    """Polymers of one TBN in non-increasing lexicographic order of their
+    count vectors, the one canonical order: equal multisets make equal
+    configurations with equal :meth:`key`."""
 
     polymers: tuple
     tbn: Tbn = field(compare=False)
@@ -368,24 +389,48 @@ class PartialConfiguration:
     @classmethod
     def from_polymers(
         cls, polymers: Iterable[Polymer], tbn: Tbn, validate: bool = True
-    ) -> "PartialConfiguration":
-        polys = tuple(
-            sorted(polymers, key=lambda p: p.counts, reverse=True)
-        )
-        pc = cls(polys, tbn)
+    ):
+        config = cls(tuple(sorted(
+            cls._listed(polymers), key=lambda p: p.counts, reverse=True
+        )), tbn)
         if validate:
-            pc._validate()
-        return pc
+            config._validate()
+        return config
+
+    @staticmethod
+    def _listed(polymers: Iterable[Polymer]) -> Iterable[Polymer]:
+        """The polymers this kind of configuration lists."""
+        return polymers
+
+    @property
+    def n_polymers(self) -> int:
+        return len(self.polymers)
+
+    def key(self) -> tuple:
+        """The polymers' count vectors, in the canonical order."""
+        return tuple(p.counts for p in self.polymers)
+
+    def merge_count(self) -> int:
+        """Pairwise merges that build the polymers from singletons."""
+        return sum(p.size for p in self.polymers) - self.n_polymers
+
+    def describe(self) -> str:
+        return " | ".join(p.describe(self.tbn) for p in self.polymers)
+
+
+@dataclass(frozen=True, slots=True)
+class PartialConfiguration(Configuration):
+    """The polymers of two or more monomers of a configuration; every
+    monomer they do not hold is an implied singleton, listed or not."""
+
+    @staticmethod
+    def _listed(polymers: Iterable[Polymer]) -> Iterable[Polymer]:
+        return (p for p in polymers if p.size >= 2)
 
     def _validate(self) -> None:
-        for p in self.polymers:
-            if len(p.counts) != self.tbn.n_types:
-                raise TbnValidationError("polymer has wrong dimension")
-            if p.size < 2:
-                raise TbnValidationError(
-                    "partial configurations hold non-singleton polymers only"
-                )
         t = self.tbn
+        if any(len(p.counts) != t.n_types for p in self.polymers):
+            raise TbnValidationError("polymer has wrong dimension")
         left = leftover(self.polymers, t)
         for i, (mon, count, n) in enumerate(
             zip(t.monomer_types, t.counts, left)
@@ -402,10 +447,6 @@ class PartialConfiguration:
                     f"limiting monomer {mon} used {count - n} times, "
                     f"TBN supplies {count!r}"
                 )
-
-    @property
-    def n_polymers(self) -> int:
-        return len(self.polymers)
 
 
 def exposed_sites(p: Polymer, t: Tbn) -> Counter:
@@ -444,24 +485,19 @@ def is_self_saturated(p: Polymer, t: Tbn) -> bool:
     return True
 
 
-def merge_count(pc: PartialConfiguration) -> int:
+def merge_count(pc: Configuration) -> int:
     """Pairwise merges needed to build the configuration from singletons."""
-    return sum(p.size for p in pc.polymers) - pc.n_polymers
-
-
-def canonicalize(pc: PartialConfiguration) -> PartialConfiguration:
-    """Sort polymers non-increasing lexicographically.  Idempotent."""
-    return PartialConfiguration.from_polymers(pc.polymers, pc.tbn, validate=False)
+    return pc.merge_count()
 
 
 def canonical_unique(
-    configs: Iterable[PartialConfiguration],
-) -> List[PartialConfiguration]:
+    configs: Iterable[Configuration],
+) -> List[Configuration]:
     """One configuration per distinct polymer multiset (the first seen),
-    in non-increasing order of their polymer count tuples."""
+    in non-increasing order of their keys."""
     unique = {}
     for pc in configs:
-        unique.setdefault(tuple(p.counts for p in pc.polymers), pc)
+        unique.setdefault(pc.key(), pc)
     return [unique[key] for key in sorted(unique, reverse=True)]
 
 

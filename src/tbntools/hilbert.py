@@ -331,12 +331,12 @@ def _basis_route(
     )
     if status != solver.OPTIMAL:
         raise BasisError(f"basis counting IP ended {status}")
+    # an element without a variable is a non-limiting singleton: implied
     configs = []
     for assignment in assignments:
         polymers = []
         for idx, b in enumerate(basis):
-            if b.size >= 2:
-                polymers.extend([b] * assignment[f"n_{idx}"])
+            polymers.extend([b] * assignment.get(f"n_{idx}", 0))
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
         best, canonical_unique(configs), True, clock.stats("basis")

@@ -236,18 +236,15 @@ class StableConfigsModel:
         """Inverse of encode; validates against the program first.
 
         Slots holding a single monomer are folded back into implied
-        singletons.
+        singletons by ``PartialConfiguration.from_polymers``.
         """
         self.program.check(assignment)
-        polymers: List[Polymer] = []
-        for j in range(1, self.bound + 1):
-            counts = tuple(
-                assignment.get(count_var(i, j), 0)
-                for i in range(self.tbn.n_types)
-            )
-            if sum(counts) >= 2:
-                polymers.append(Polymer(counts))
-        return PartialConfiguration.from_polymers(polymers, self.tbn)
+        m = self.tbn.n_types
+        slots = (
+            tuple(assignment.get(count_var(i, j), 0) for i in range(m))
+            for j in range(1, self.bound + 1)
+        )
+        return PartialConfiguration.from_polymers(map(Polymer, slots), self.tbn)
 
 
 def build(

@@ -105,7 +105,6 @@ def parse_lp(text: str) -> IntegerProgram:
     bounds: Dict[str, Tuple[int, int]] = {}
     generals: List[str] = []
 
-    current_label: Optional[str] = None
     for raw in text.splitlines():
         line = raw.split("\\", 1)[0].strip()
         if not line:
@@ -135,7 +134,6 @@ def parse_lp(text: str) -> IntegerProgram:
             if ":" in line:
                 label, _, line = line.partition(":")
                 constraint_rows.append((label.strip(), line.strip()))
-                current_label = label.strip()
             elif constraint_rows and not re.search(r"[<>=]", constraint_rows[-1][1]):
                 label, body = constraint_rows.pop()
                 constraint_rows.append((label, body + " " + line))

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .core import (
+    Configuration,
     PartialConfiguration,
     Polymer,
     Tbn,
@@ -36,34 +37,14 @@ class PathwayError(TbnError):
     """Ill-formed pathway request or broken step sequence."""
 
 
-@dataclass(frozen=True)
-class FullConfiguration:
-    """Every monomer instance assigned to a polymer; finite TBNs only.
-
-    Polymers (singletons included) are kept in non-increasing
-    lexicographic order of their count vectors.
-    """
-
-    polymers: Tuple[Polymer, ...]
-    tbn: Tbn = field(compare=False)
-
-    @classmethod
-    def from_polymers(
-        cls, polymers, tbn: Tbn, validate: bool = True
-    ) -> "FullConfiguration":
-        polys = tuple(
-            sorted(polymers, key=lambda p: p.counts, reverse=True)
-        )
-        config = cls(polys, tbn)
-        if validate:
-            config._validate()
-        return config
+@dataclass(frozen=True, slots=True)
+class FullConfiguration(Configuration):
+    """Every monomer instance assigned to a polymer, singletons included;
+    finite TBNs only."""
 
     def _validate(self) -> None:
         if not self.tbn.is_finite:
-            raise PathwayError(
-                "full configurations require a fully finite TBN"
-            )
+            raise PathwayError("full configurations require a fully finite TBN")
         if any(p.size == 0 for p in self.polymers):
             raise PathwayError("empty polymer in a configuration")
         usage = monomer_usage(self.polymers, self.tbn)
@@ -73,21 +54,8 @@ class FullConfiguration:
                 f"TBN supplies {self.tbn.counts}"
             )
 
-    @property
-    def n_polymers(self) -> int:
-        return len(self.polymers)
-
-    def merge_count(self) -> int:
-        return sum(p.size for p in self.polymers) - self.n_polymers
-
     def is_saturated(self) -> bool:
         return all(is_self_saturated(p, self.tbn) for p in self.polymers)
-
-    def key(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(p.counts for p in self.polymers)
-
-    def describe(self) -> str:
-        return " | ".join(p.describe(self.tbn) for p in self.polymers)
 
 
 def all_singletons(t: Tbn) -> FullConfiguration:
@@ -138,17 +106,17 @@ def _splittable(p: Polymer, t: Tbn, clock: Clock) -> bool:
 
 
 def is_locally_stable(
-    config: FullConfiguration | PartialConfiguration,
+    config: Configuration,
     budget: Budget | Clock | None = None,
 ) -> bool:
     """No polymer of a saturated configuration can split without
     breaking a bond; equivalently, every polymer is a basis element.
 
-    ``config`` is a ``FullConfiguration`` or a ``PartialConfiguration``;
-    the implied singletons of a validated partial configuration are
-    self-saturated, and a singleton never splits.  Each distinct polymer
-    is tested once.  Each half of a polymer tried is one node of the
-    budget, and ``BudgetExhausted`` is raised once it runs out.
+    ``config`` is full or partial: the implied singletons of a validated
+    partial configuration are self-saturated, and a singleton never
+    splits.  Each distinct polymer is tested once.  Each half of a polymer
+    tried is one node of the budget, and ``BudgetExhausted`` is raised
+    once it runs out.
     """
     t = config.tbn
     if not all(is_self_saturated(p, t) for p in config.polymers):

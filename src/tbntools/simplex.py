@@ -94,14 +94,12 @@ def solve_lp(
     for coeffs, sense, rhs in rows:
         row = [0] * len(active)
         shift = 0
-        nonzero = False
         for i, coeff in coeffs:
             shift += coeff * lo[i]
             if i in col_of:
                 row[col_of[i]] += coeff
-                nonzero = nonzero or coeff != 0
         b = rhs - shift
-        if not nonzero or all(v == 0 for v in row):
+        if all(v == 0 for v in row):
             ok = (
                 (sense == LE and b >= 0)
                 or (sense == GE and b <= 0)
@@ -170,21 +168,21 @@ class _Simplex:
         self.n_struct = len(u)
         self.c = c
         self.check = check
+        # each row is negated at most once, to ``b >= 0`` (a GE row with
+        # ``b == 0`` too, so that it takes a slack); then an LE row takes
+        # a slack column, a GE row a surplus and an artificial, and an
+        # EQ row an artificial
         rows = []
         for row, sense, b in shifted_rows:
-            if sense == GE:
-                row, sense, b = [-v for v in row], LE, -b
-            if sense == LE and b < 0:
-                rows.append((row, "surplus", b))  # flipped during build
-            elif sense == LE:
-                rows.append((row, "slack", b))
-            else:
-                rows.append((row, "artificial", b))
+            if b < 0 or (b == 0 and sense == GE):
+                row, b = [-v for v in row], -b
+                sense = {LE: GE, GE: LE, EQ: EQ}[sense]
+            rows.append((row, sense, b))
         self.m = len(rows)
 
         ncols = self.n_struct
-        for _, kind, _ in rows:
-            ncols += 2 if kind == "surplus" else 1
+        for _, sense, _ in rows:
+            ncols += 2 if sense == GE else 1
         self.ncols = ncols
 
         self.ub: List[Optional[int]] = list(u) + [None] * (
@@ -195,17 +193,13 @@ class _Simplex:
         self.dens: List[int] = [1] * self.m
         self.basis: List[int] = []
         col = self.n_struct
-        for row, kind, b in rows:
-            if kind == "surplus":
-                row, b = [-v for v in row], -b
-            elif kind == "artificial" and b < 0:
-                row, b = [-v for v in row], -b
-            aug = list(row) + [0] * (ncols - self.n_struct) + [b]
-            if kind == "slack":
+        for row, sense, b in rows:
+            aug = row + [0] * (ncols - self.n_struct) + [b]
+            if sense == LE:
                 aug[col] = 1
                 self.basis.append(col)
                 col += 1
-            elif kind == "surplus":
+            elif sense == GE:
                 aug[col] = -1
                 aug[col + 1] = 1
                 self.is_art[col + 1] = True

@@ -623,9 +623,7 @@ def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
         raise TbnError("no saturated partition exists (broken invariant)")
 
     solutions = canonical_unique(
-        PartialConfiguration.from_polymers(
-            [Polymer(b) for b in partition if sum(b) >= 2], finite
-        )
+        PartialConfiguration.from_polymers(map(Polymer, partition), finite)
         for partition in best_partitions
     )
     return EnumerationResult(best_cost, solutions, True)

@@ -90,7 +90,7 @@ def test_criterion_03_three_copy_network():
     assignment[count_var(1, 3)] = 1
     assignment[count_var(3, 3)] = 1
     assignment[exists_var(3)] = 1
-    pc = model.decode(assignment)
+    model.decode(assignment)  # validates the assignment
     value = model.program.objective.evaluate(assignment)
     assert value == 4
     elapsed = time.monotonic() - started

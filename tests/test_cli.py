@@ -306,6 +306,14 @@ class TestVerifyCommand:
         )
         assert verdicts["stable"] == "true"
 
+    def test_every_label_of_merged_duplicates(self, tmp_path, capsys):
+        # r and r2 are one type with count 2; both labels resolve to it
+        tbn = tmp_path / "dup.tbn"
+        tbn.write_text("r: b\nr2: b\nq: b*\n")
+        verdicts = self.run_verify(str(tbn), tmp_path, capsys, "q + r + r2\n")
+        assert verdicts["valid"] == "true"
+        assert verdicts["saturated"] == "true"
+
 
 class TestPathwayCommand:
     def test_swap(self, tmp_path, capsys):
@@ -524,6 +532,19 @@ class TestEnvironmentBudget:
         assert captured.out == ""
         assert captured.err == (
             f"error: {name} must be a number, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "abc"])
+    @pytest.mark.parametrize("command", ["stable", "bench"])
+    def test_malformed_timeout_is_an_input_error(
+        self, intro_file, capsys, command, value
+    ):
+        argv = [command, intro_file] if command == "stable" else [command]
+        assert main(argv + ["--timeout", value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"argument --timeout: value must be a number, got {value!r}\n"
         )
 
     def test_env_limits_whole_run(self, intro_file, monkeypatch, capsys):

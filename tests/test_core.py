@@ -11,7 +11,6 @@ from tbntools.core import (
     TbnError,
     TbnSyntaxError,
     TbnValidationError,
-    canonicalize,
     exposed_sites,
     is_self_saturated,
     merge_count,
@@ -104,6 +103,13 @@ class TestParse:
         t = parse_tbn("a b, 2\na b, 3\na*")
         by_mon = dict(zip(t.monomer_types, t.counts))
         assert by_mon[mono("a", "b")] == 5
+
+    def test_duplicate_lines_keep_every_label(self):
+        t = parse_tbn("x: a b\ny: b a, 2\nz: a* b*\nx2: a b")
+        i = t.index_of(mono("a", "b"))
+        assert t.monomer_types[i].label == "x"
+        assert [t.monomer_by_label(s) for s in ("x", "y", "x2")] == [i] * 3
+        assert t.with_counts_capped(1).monomer_by_label("x") == i
 
     def test_star_convention_flip(self):
         # a* outnumbers a: the star must flip to keep starred sites limiting
@@ -300,26 +306,40 @@ class TestPartialConfiguration:
                 intro_tbn,
             )
 
-    def test_singletons_rejected(self, intro_tbn):
-        bad = polymer_from_monomers([mono("a*", "b*")], intro_tbn)
-        good = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")],
+    def test_listed_singleton_is_left_implied(self, intro_tbn):
+        pair = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")],
                                      intro_tbn)
-        with pytest.raises(TbnValidationError):
-            PartialConfiguration.from_polymers([bad], intro_tbn)
-        PartialConfiguration.from_polymers([good], intro_tbn)
+        single_a = polymer_from_monomers([mono("a")], intro_tbn)
+        implied = PartialConfiguration.from_polymers([pair], intro_tbn)
+        listed = PartialConfiguration.from_polymers([single_a, pair],
+                                                    intro_tbn)
+        assert listed == implied
+        assert listed.polymers == (pair,)
+        assert listed.key() == implied.key()
 
-    def test_canonicalize_sorts_and_is_idempotent(self, intro_tbn):
+    def test_singletons_rejected(self, intro_tbn):
+        # a limiting singleton left over, listed or implied, exposes both
+        # starred sites
+        alone = polymer_from_monomers([mono("a*", "b*")], intro_tbn)
+        for polymers in ([alone], []):
+            with pytest.raises(TbnValidationError):
+                PartialConfiguration.from_polymers(polymers, intro_tbn)
+
+    def test_from_polymers_sorts_and_is_idempotent(self, intro_tbn):
         a = Polymer((0, 1, 1, 0))
         b = Polymer((1, 1, 0, 0))
-        pc = PartialConfiguration((a, b), intro_tbn)
-        canon = canonicalize(pc)
-        assert canon.polymers == (b, a)
-        assert canonicalize(canon) == canon
+        pc = PartialConfiguration.from_polymers((a, b), intro_tbn,
+                                                validate=False)
+        assert pc.polymers == (b, a)
+        again = PartialConfiguration.from_polymers(pc.polymers, intro_tbn,
+                                                   validate=False)
+        assert again == pc
 
-    def test_canonicalize_preserves_duplicates(self, intro_tbn):
-        p = Polymer((1, 1))
-        pc = PartialConfiguration((p, p), intro_tbn)
-        assert canonicalize(pc).polymers == (p, p)
+    def test_from_polymers_preserves_duplicates(self, excess_tbn):
+        pair = polymer_from_monomers([mono("a"), mono("a*")], excess_tbn)
+        pc = PartialConfiguration.from_polymers([pair, pair], excess_tbn)
+        assert pc.polymers == (pair, pair)
+        assert pc.n_polymers == 2
 
 
 class TestInfinity:

@@ -1,9 +1,14 @@
-"""Source hygiene that no lint step checks: every imported name is used.
+"""Source hygiene that no lint step checks: every imported name is used,
+and every local a function assigns is read.
 
 An AST scan of ``src/tbntools/*.py``, ``tests/*.py`` and ``tools/*.py``.
-A name counts as used when it is read anywhere in its module (as a name
-or as the base of an attribute), listed in the module's ``__all__``, or
-named in a string annotation.  ``from __future__`` imports are exempt.
+An imported name counts as used when it is read anywhere in its module
+(as a name or as the base of an attribute), listed in the module's
+``__all__``, or named in a string annotation.  ``from __future__``
+imports are exempt.  A local counts as read when the function, or a
+function nested in it, reads it or updates it in place (``+=``); names
+starting with ``_`` and names declared ``global`` or ``nonlocal`` are
+exempt.
 """
 
 import ast
@@ -92,11 +97,44 @@ def unused_imports(source):
     ]
 
 
+def unread_locals(source):
+    """(function, name, line) of each local assigned and never read."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                else:
+                    stored.setdefault(node.id, node.lineno)
+        unread.extend(
+            (fn.name, name, line) for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        )
+    return unread
+
+
 @pytest.mark.parametrize(
     "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
+)
+def test_every_local_is_read(path):
+    assert unread_locals(path.read_text()) == []
 
 
 class TestScan:
@@ -114,3 +152,27 @@ class TestScan:
             "def f(x: 'List[int]') -> 'Dict': return os.path.join(x)\n"
         )
         assert unused_imports(source) == []
+
+    def test_finds_an_unread_local(self):
+        source = (
+            "def f(xs):\n"
+            "    total = 0\n"
+            "    label = None\n"
+            "    for x in xs:\n"
+            "        total += 1\n"
+            "    return 1\n"
+        )
+        assert unread_locals(source) == [("f", "label", 3), ("f", "x", 4)]
+
+    def test_exempt_locals(self):
+        source = (
+            "count = 0\n"
+            "def f(pairs):\n"
+            "    global count\n"
+            "    count = 1\n"
+            "    for _k, v in pairs:\n"
+            "        def g():\n"
+            "            return v\n"
+            "    return g\n"
+        )
+        assert unread_locals(source) == []
