@@ -27,9 +27,9 @@ search budget (``solver.Budget``) of every command that searches;
 ``--timeout`` sets its seconds and ``basis --cap`` its nodes.  A
 variable's or ``--timeout``'s value that is not a number, or is nan, is
 an input error.
-``verify`` runs one clock: the local-stability test (one node per
-polymer half tried, ``pathways.is_locally_stable``) spends it first,
-then the stable search.
+``verify`` runs one clock: the local-stability test (one node per node
+of a polymer's split search, ``pathways.is_locally_stable``) spends it
+first, then the stable search.
 """
 
 from __future__ import annotations

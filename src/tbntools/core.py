@@ -444,8 +444,8 @@ class PartialConfiguration(Configuration):
             # which is only coherent if that singleton is self-saturated
             if mon.is_limiting and n and not is_self_saturated(t.unit(i), t):
                 raise TbnValidationError(
-                    f"limiting monomer {mon} used {count - n} times, "
-                    f"TBN supplies {count!r}"
+                    f"limiting monomer {mon} is left over as an implied "
+                    f"singleton that exposes a starred site"
                 )
 
 

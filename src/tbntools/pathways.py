@@ -8,17 +8,27 @@ the barrier: the largest excess merge count over the starting
 configuration seen anywhere along the walk.
 
 ``find_pathway`` searches for a minimum-barrier pathway with a best-first
-strategy: states are ordered by the bottleneck barrier reached so far,
-then by multiset distance to the goal.  Each popped state is one node of
-its budget.
+strategy.  The goal's merge count less the start's is a floor under
+every barrier, so states are ordered by the larger of that floor and the
+bottleneck barrier reached so far, then by multiset distance to the
+goal.  Each popped state is one node of its budget.
+
+A polymer's splits come from a depth-first search over its coordinates
+that prunes a value as soon as some site-name row can no longer be
+balanced in both parts (``splits``).  One search splits each distinct
+polymer once, and its split searches check the time limit at every node.
+``is_locally_stable`` stops each polymer's split search at its first
+split; each node of those searches is one node of its budget.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     Configuration,
@@ -31,6 +41,10 @@ from .core import (
     monomer_usage,
 )
 from .solver import Budget, Clock
+
+
+# a polymer's splits, each as its two parts
+_Splits = List[Tuple[Polymer, Polymer]]
 
 
 class PathwayError(TbnError):
@@ -73,36 +87,84 @@ def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
     return FullConfiguration.from_polymers(polymers, t)
 
 
-def _halves(p: Polymer) -> Iterator[Tuple[Polymer, Polymer]]:
-    """Unordered pairs of nonzero count vectors that sum to ``p``, each
-    once, with the lexicographically smaller part first."""
-    for part in itertools.product(*(range(c + 1) for c in p.counts)):
-        other = tuple(c - v for c, v in zip(p.counts, part))
-        if part > other or not any(part) or not any(other):
-            continue
-        yield Polymer(part), Polymer(other)
+def _split_search(
+    p: Polymer, t: Tbn, tick: Optional[Callable[[], None]]
+) -> Iterator[Tuple[Polymer, Polymer]]:
+    """The splits of ``p`` in the order of ``splits``, by a depth-first
+    search that fixes the part's coordinates in index order, each value
+    ascending; ``tick`` is called once per value given, the search's
+    node.  Each row ``A_r`` of the site matrix carries the activity of
+    the part fixed so far; a value is given only if every row through its
+    column can still end within ``0 <= A_r x <= A_r p`` (both parts
+    self-saturated) whatever the free coordinates add.  While the part
+    fixed so far equals its complement, a value is at most half its
+    coordinate, so the smaller part comes first.
+    """
+    counts = p.counts
+    rows = t.site_matrix_nonzeros
+    caps = [sum(a * counts[i] for i, a in row) for row in rows]
+    if sum(counts) < 2 or min(caps, default=0) < 0:
+        return
+    # checks[i]: each row through column i, its entry there, and the
+    # range its fixed activity must lie in once column i is fixed (rows
+    # list their columns in index order, the order they are fixed in)
+    checks: List[List[Tuple[int, int, int, int]]] = [[] for _ in counts]
+    for r, row in enumerate(rows):
+        low, high = 0, caps[r]
+        for i, a in reversed(row):
+            checks[i].append((r, a, low, high))
+            if a > 0:
+                low -= a * counts[i]
+            else:
+                high -= a * counts[i]
+    cols = [i for i, c in enumerate(counts) if c]
+    activity = [0] * len(rows)
+    part = [0] * len(counts)
+
+    def descend(d: int, tie: bool) -> Iterator[Tuple[Polymer, Polymer]]:
+        i = cols[d]
+        c = counts[i]
+        first, last = 0, c // 2 if tie else c
+        for r, a, low, high in checks[i]:
+            f = activity[r]
+            if a > 0:
+                first = max(first, -((f - low) // a))
+                last = min(last, (high - f) // a)
+            else:
+                first = max(first, -((high - f) // -a))
+                last = min(last, (f - low) // -a)
+        for v in range(first, last + 1):
+            if tick is not None:
+                tick()
+            part[i] = v
+            for r, a, _, _ in checks[i]:
+                activity[r] += a * v
+            if d + 1 < len(cols):
+                yield from descend(d + 1, tie and 2 * v == c)
+            elif any(part):
+                x = Polymer(tuple(part))
+                yield x, p - x
+            for r, a, _, _ in checks[i]:
+                activity[r] -= a * v
+        part[i] = 0
+
+    yield from descend(0, True)
 
 
-def splits(p: Polymer, t: Tbn) -> List[Tuple[Polymer, Polymer]]:
-    """All unordered bipartitions of a polymer into self-saturated parts.
+def splits(p: Polymer, t: Tbn, *, clock: Optional[Clock] = None) -> _Splits:
+    """All unordered bipartitions of a polymer into self-saturated parts,
+    the lexicographically smaller part first, in ascending lexicographic
+    order of that part.
 
     Empty exactly when a self-saturated polymer is an element of the
-    polymer basis.  Tries every half of ``p``, about ``prod(c_i + 1) / 2``.
+    polymer basis.  A pruned search finds them (``_split_search``).  With
+    a pathway search's ``clock``, every node of it checks the time limit
+    and counts no node.
     """
-    return [
-        (p1, p2) for p1, p2 in _halves(p)
-        if is_self_saturated(p1, t) and is_self_saturated(p2, t)
-    ]
-
-
-def _splittable(p: Polymer, t: Tbn, clock: Clock) -> bool:
-    """Whether ``splits(p, t)`` is nonempty, stopping at the first split;
-    each half tried is one node of ``clock``."""
-    for p1, p2 in _halves(p):
-        clock.spend("local stability test")
-        if is_self_saturated(p1, t) and is_self_saturated(p2, t):
-            return True
-    return False
+    tick = None if clock is None else functools.partial(
+        clock.check, "pathway search"
+    )
+    return list(_split_search(p, t, tick))
 
 
 def is_locally_stable(
@@ -114,18 +176,19 @@ def is_locally_stable(
 
     ``config`` is full or partial: the implied singletons of a validated
     partial configuration are self-saturated, and a singleton never
-    splits.  Each distinct polymer is tested once.  Each half of a polymer
-    tried is one node of the budget, and ``BudgetExhausted`` is raised
-    once it runs out.
+    splits.  Each distinct polymer is tested once, its split search
+    stopping at the first split.  Each node of that search is one node of
+    the budget, and ``BudgetExhausted`` is raised once it runs out.
     """
     t = config.tbn
     if not all(is_self_saturated(p, t) for p in config.polymers):
         raise PathwayError(
             "local stability is defined for saturated configurations only"
         )
-    clock = Clock.of(budget)
+    tick = functools.partial(Clock.of(budget).spend, "local stability test")
     return not any(
-        _splittable(p, t, clock) for p in dict.fromkeys(config.polymers)
+        next(_split_search(p, t, tick), None)
+        for p in dict.fromkeys(config.polymers)
     )
 
 
@@ -144,16 +207,31 @@ def merge_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
             yield nxt
 
 
-def split_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
-    """All configurations one saturation-preserving binary split away."""
+def split_moves(
+    config: FullConfiguration,
+    *,
+    clock: Optional[Clock] = None,
+    memo: Optional[Dict[tuple, _Splits]] = None,
+) -> Iterator[FullConfiguration]:
+    """All configurations one saturation-preserving binary split away.
+
+    ``clock`` goes to ``splits``.  ``memo`` maps polymer counts to their
+    splits; a search that passes the same dict to every call splits each
+    polymer once.
+    """
+    if memo is None:
+        memo = {}
     seen_polymers = set()
     seen = set()
     for k, poly in enumerate(config.polymers):
         if poly.size < 2 or poly.counts in seen_polymers:
             continue
         seen_polymers.add(poly.counts)
+        parts = memo.get(poly.counts)
+        if parts is None:
+            parts = memo[poly.counts] = splits(poly, config.tbn, clock=clock)
         rest = [p for j, p in enumerate(config.polymers) if j != k]
-        for p1, p2 in splits(poly, config.tbn):
+        for p1, p2 in parts:
             nxt = FullConfiguration.from_polymers(
                 rest + [p1, p2], config.tbn, validate=False
             )
@@ -205,13 +283,11 @@ class Pathway:
         return Pathway(tuple(reversed(self.configurations)))
 
 
-def _distance(a: FullConfiguration, b: FullConfiguration) -> int:
-    """Polymer multiset symmetric difference; 0 iff equal."""
-    from collections import Counter
-
-    ca = Counter(p.counts for p in a.polymers)
-    cb = Counter(p.counts for p in b.polymers)
-    return sum(((ca - cb) + (cb - ca)).values())
+def _distance(a: FullConfiguration, goal: Counter) -> int:
+    """Size of the polymer multiset symmetric difference between ``a``
+    and the goal, given as its count vectors' ``Counter``; 0 iff equal."""
+    shared = Counter(a.key()) & goal
+    return a.n_polymers + goal.total() - 2 * shared.total()
 
 
 def find_pathway(
@@ -222,11 +298,18 @@ def find_pathway(
 ) -> Optional[Pathway]:
     """Minimum-barrier pathway between two saturated configurations.
 
-    Best-first search ordered by (barrier reached, distance to goal);
-    the barrier of a path is the bottleneck, so the first time the goal
-    is popped the barrier is optimal.  Returns None when no pathway
-    exists within ``max_barrier``, and raises ``BudgetExhausted`` when
-    the budget runs out first.
+    Every pathway ends at the goal, so its barrier is at least the
+    floor, the goal's merge count less the start's (or 0).  Best-first
+    search ordered by (rank, distance to goal), where a path's rank is
+    the larger of the floor and the bottleneck barrier reached so far.
+    Ranks never fall along a path and equal the barrier once the goal is
+    reached, so the first time the goal is popped the barrier is optimal.
+    Returns None when no pathway exists within ``max_barrier`` (at once
+    when ``max_barrier`` is below the floor), and raises
+    ``BudgetExhausted`` when the budget runs out first.  Each popped
+    state is one node; the time limit is also checked at each move and
+    at each node of a split search, counting no node.  Each distinct
+    polymer is split once per search.
     """
     if start.tbn.counts != goal.tbn.counts:
         raise PathwayError("start and goal belong to different TBNs")
@@ -235,14 +318,19 @@ def find_pathway(
             raise PathwayError(
                 f"configuration {config.describe()} is not saturated"
             )
-    clock = Clock.of(budget)
     base = start.merge_count()
+    floor = max(0, goal.merge_count() - base)
+    if max_barrier is not None and max_barrier < floor:
+        return None
+    clock = Clock.of(budget)
+    memo: Dict[tuple, _Splits] = {}
+    target = Counter(goal.key())
 
     # a heap entry's last field links its configuration to its
     # predecessor's link, so the path is rebuilt only when the goal pops
     counter = itertools.count()
-    heap = [(0, _distance(start, goal), next(counter), (start, None))]
-    best_barrier = {start.key(): 0}
+    heap = [(floor, _distance(start, target), next(counter), (start, None))]
+    best_barrier = {start.key(): floor}
 
     while heap:
         reached, _, _, link = heapq.heappop(heap)
@@ -252,7 +340,10 @@ def find_pathway(
             return Pathway(_unwind(link))
         if reached > best_barrier.get(config.key(), reached):
             continue
-        for nxt in itertools.chain(merge_moves(config), split_moves(config)):
+        for nxt in itertools.chain(
+            merge_moves(config), split_moves(config, clock=clock, memo=memo)
+        ):
+            clock.check("pathway search")
             nxt_barrier = max(reached, nxt.merge_count() - base)
             if max_barrier is not None and nxt_barrier > max_barrier:
                 continue
@@ -264,7 +355,7 @@ def find_pathway(
                 heap,
                 (
                     nxt_barrier,
-                    _distance(nxt, goal),
+                    _distance(nxt, target),
                     next(counter),
                     (nxt, link),
                 ),

@@ -3,6 +3,7 @@ import string
 import pytest
 
 from tbntools.core import parse_tbn
+from tbntools.solver import Budget, Clock
 
 # Four-monomer introductory network: {a*,b*}, {a,b}, {a}, {b}, one of each.
 INTRO_TBN_TEXT = """\
@@ -53,6 +54,19 @@ def translator_text(k):
     lines = [f"T_{s}: {' '.join(s)}" for s in trios]
     lines += [f"G_{s[:2]}: {s[0]}* {s[1]}*" for s in trios]
     return "\n".join(lines) + "\n"
+
+
+class LateClock(Clock):
+    """A clock whose time limit has passed from its second reading on,
+    so the root tick succeeds and every later time check fails."""
+
+    def __init__(self):
+        super().__init__(Budget(max_time=1.0))
+        self.readings = 0
+
+    def elapsed(self) -> float:
+        self.readings += 1
+        return 0.0 if self.readings == 1 else 2.0
 
 
 @pytest.fixture

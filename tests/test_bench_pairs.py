@@ -77,3 +77,11 @@ def test_higher_is_better_reverses_the_sides():
     assert bench_pairs.verdict(
         STEADY, [v * 1.3 for v in STEADY], 0.25, "higher"
     ) == "within bound"
+
+
+def test_detail_seconds_are_summarized_by_median():
+    out = runs("w", {"wall_s": STEADY}, {"wall_s": STEADY})
+    for r in out:
+        r["seconds"] = {"pathway_s": 0.2 if r["side"] == "parent" else 0.05}
+    lines = bench_pairs.summarize(out, BOUNDS)
+    assert lines[-1] == "  detail.pathway_s: parent 0.2 -> change 0.05"

@@ -237,9 +237,9 @@ class TestVerifyCommand:
     def test_one_clock_covers_both_verdicts(
         self, intro_file, tmp_path, capsys, monkeypatch
     ):
-        # the one half of m1 + m2 spends the only node, so the stable
-        # search starts on a spent clock
-        monkeypatch.setenv("TBN_MAX_NODES", "1")
+        # the split search of m1 + m2 fixes m1 = 0 and then m2 = 0, two
+        # nodes, so the stable search starts on a spent clock
+        monkeypatch.setenv("TBN_MAX_NODES", "2")
         verdicts = self.run_verify(
             intro_file, tmp_path, capsys, "m1 + m2\n...\n"
         )
@@ -250,7 +250,7 @@ class TestVerifyCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         # grid-gate n=4's polymer basis needs far more than 1000 nodes;
-        # the polymer below has 15 halves
+        # the split search of the polymer below takes 5
         tbn = tmp_path / "gridgate4.tbn"
         tbn.write_text(render_tbn(gen_gridgate(4, 2)))
         monkeypatch.setenv("TBN_MAX_NODES", "1000")
@@ -343,6 +343,28 @@ class TestPathwayCommand:
         ])
         assert code == EXIT_OK
         assert "no pathway" in capsys.readouterr().out
+
+    def test_exposed_leftover_singleton_is_named(
+        self, intro_file, tmp_path, capsys
+    ):
+        # m1 is not listed, so it is an implied singleton exposing a* b*
+        src = tmp_path / "from.cfg"
+        src.write_text("m2 + m3\n...\n")
+        dst = tmp_path / "to.cfg"
+        dst.write_text("m1 + m2\n...\n")
+        code = main([
+            "pathway", intro_file, "--from", str(src), "--to", str(dst),
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: limiting monomer m1: a* b* is left over as an implied "
+            "singleton that exposes a starred site\n"
+        )
+        assert main(["verify", intro_file, str(src)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "valid: true\nsaturated: false\nlocally_stable: false\n"
+            "stable: false\n"
+        )
 
     def test_environment_node_budget(self, tmp_path, monkeypatch, capsys):
         tbn = tmp_path / "swap.tbn"

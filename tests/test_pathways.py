@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -10,7 +12,14 @@ from tbntools.core import (
     parse_tbn,
     polymer_from_monomers,
 )
-from tbntools.hilbert import polymer_basis
+from conftest import (
+    GRID_TBN_TEXT,
+    INTRO_TBN_TEXT,
+    LateClock,
+    translator_text,
+)
+from tbntools import pathways
+from tbntools.hilbert import polymer_basis, stable_via_basis
 from tbntools.pathways import (
     FullConfiguration,
     Pathway,
@@ -26,6 +35,7 @@ from tbntools.pathways import (
 from tbntools.solver import (
     Budget,
     BudgetExhausted,
+    Clock,
     StableOptions,
     stable_configs,
 )
@@ -100,6 +110,66 @@ class TestPolymerSplits:
             assert splittable == (p.counts not in basis)
 
 
+def saturated(counts, t) -> bool:
+    """Whether a polymer exposes no starred site, tallied from its
+    monomers' sites."""
+    net = Counter()
+    for c, mon in zip(counts, t.monomer_types):
+        for site in mon.sites:
+            net[site.name] += -c if site.starred else c
+    return all(v >= 0 for v in net.values())
+
+
+def brute_splits(counts, t):
+    """Every part x of the polymer, in product order, with x no larger
+    than ``counts - x``, neither empty and both saturated."""
+    found = []
+    for part in itertools.product(*(range(c + 1) for c in counts)):
+        other = tuple(c - v for c, v in zip(counts, part))
+        if (part <= other and any(part) and any(other)
+                and saturated(part, t) and saturated(other, t)):
+            found.append((part, other))
+    return found
+
+
+def random_small_tbn(rng, max_monomers):
+    """A random network of up to four types, counts up to three, whose
+    first line has only starred sites (the parser may flip them)."""
+    while True:
+        lines = [" ".join(
+            rng.choice("abc") + "*" for _ in range(rng.randint(1, 3))
+        ) + f", {rng.randint(1, 2)}"]
+        for _ in range(rng.randint(1, 3)):
+            sites = [rng.choice("abc") + rng.choice(["", "*"])
+                     for _ in range(rng.randint(1, 3))]
+            lines.append(" ".join(sites) + f", {rng.randint(1, 3)}")
+        t = parse_tbn("\n".join(lines))
+        if sum(t.counts) <= max_monomers:
+            return t
+
+
+class TestSplitSearch:
+    def test_matches_the_brute_force_filter(self):
+        rng = random.Random(20261019)
+        covered = Counter()
+        for _ in range(25):
+            t = random_small_tbn(rng, 10)
+            covered["repeated type"] += max(t.counts) > 1
+            covered["all-starred type"] += any(
+                all(s.starred for s in m.sites) for m in t.monomer_types
+            )
+            for counts in itertools.product(*(range(c + 1) for c in t.counts)):
+                got = [(a.counts, b.counts)
+                       for a, b in splits(Polymer(counts), t)]
+                assert got == brute_splits(counts, t), (t, counts)
+        assert min(covered.values()) >= 5, covered
+
+    @pytest.mark.parametrize("k, count", [(6, 230), (7, 616), (8, 1730)])
+    def test_translator_whole_polymer(self, k, count):
+        t = parse_tbn(translator_text(k))
+        assert len(splits(Polymer(t.counts), t)) == count
+
+
 class TestLocalStability:
     def test_stable_config_is_locally_stable(self, intro_tbn):
         c = full_configuration(stable_configs(intro_tbn).solutions[0])
@@ -139,19 +209,22 @@ class TestLocalStability:
                     lines, counts
                 )
 
-    def test_each_half_tried_is_a_node(self):
-        # the whole polymer is a basis element, so all ten halves are
-        # tried before the answer
+    def test_each_split_search_node_is_a_node(self):
+        # the whole polymer is a basis element; its split search fixes
+        # g = 0, then s = 0, the only value that keeps {a*} x 10 covered
         t = parse_tbn("g: " + " ".join(["a*"] * 10) + "\ns: a, 10")
         c = config(t, (1, 10))
-        assert is_locally_stable(c, Budget(max_nodes=10))
+        clock = Clock()
+        assert is_locally_stable(c, clock)
+        assert clock.nodes == 2
+        assert is_locally_stable(c, Budget(max_nodes=2))
         with pytest.raises(BudgetExhausted):
-            is_locally_stable(c, Budget(max_nodes=5))
+            is_locally_stable(c, Budget(max_nodes=1))
 
     def test_copies_of_a_polymer_are_tested_once(self):
         t = parse_tbn("g: " + " ".join(["a*"] * 10) + ", 3\ns: a, 30")
         c = config(t, (1, 10), (1, 10), (1, 10))
-        assert is_locally_stable(c, Budget(max_nodes=10))
+        assert is_locally_stable(c, Budget(max_nodes=2))
 
 
 class TestMoves:
@@ -237,6 +310,15 @@ def translator_pairs(t, shift):
     return FullConfiguration.from_polymers(polymers, t)
 
 
+def fully_merged(t):
+    return FullConfiguration.from_polymers([Polymer(t.counts)], t)
+
+
+def stable_full_configurations(t):
+    return [full_configuration(pc)
+            for pc in stable_via_basis(t, polymer_basis(t)).solutions]
+
+
 class TestTranslatorPathway:
     def test_zero_time_budget_raises(self, translator_tbn):
         start = translator_pairs(translator_tbn, 0)
@@ -256,3 +338,146 @@ class TestTranslatorPathway:
         assert p.barrier() <= 3
         p.validate()
         assert p.configurations[-1].key() == goal.key()
+
+    def test_split_search_checks_the_time_limit(self, translator_tbn):
+        # the first state is the fully merged polymer; its split search
+        # reads the clock before the first expansion ends
+        goal = stable_full_configurations(translator_tbn)[0]
+        clock = LateClock()
+        with pytest.raises(BudgetExhausted):
+            find_pathway(fully_merged(translator_tbn), goal, budget=clock)
+        assert clock.nodes == 1
+
+    def test_max_barrier_below_the_floor(self):
+        t = parse_tbn(translator_text(5))
+        start, goal = stable_full_configurations(t)[0], fully_merged(t)
+        floor = goal.merge_count() - start.merge_count()
+        clock = Clock()
+        # proven absent before the search starts
+        assert find_pathway(start, goal, floor - 1, clock) is None
+        assert clock.nodes == 0
+        p = find_pathway(start, goal, floor)
+        assert p is not None and p.barrier() == floor
+        p.validate()
+
+    def test_each_polymer_is_split_once(self, translator_tbn, monkeypatch):
+        split_calls = []
+
+        def counted(p, t, **kwargs):
+            split_calls.append(p.counts)
+            return splits(p, t, **kwargs)
+
+        monkeypatch.setattr(pathways, "splits", counted)
+        start = translator_pairs(translator_tbn, 0)
+        goal = translator_pairs(translator_tbn, 1)
+        assert find_pathway(start, goal).barrier() == 2
+        assert split_calls
+        assert len(split_calls) == len(set(split_calls))
+
+
+def saturated_configurations(t):
+    """Every saturated full configuration of ``t``, as a non-increasing
+    tuple of count vectors."""
+
+    def partitions(remaining, largest):
+        if not any(remaining):
+            yield ()
+            return
+        for part in itertools.product(*(range(r + 1) for r in remaining)):
+            if any(part) and part <= largest and saturated(part, t):
+                rest = tuple(r - v for r, v in zip(remaining, part))
+                for tail in partitions(rest, part):
+                    yield (part,) + tail
+
+    return list(partitions(t.counts, t.counts))
+
+
+def barrier_oracle(t):
+    """The minimum barrier between two saturated configurations of
+    ``t``, given as tuples of count vectors: a breadth-first search that
+    admits only states of at most ``b`` merges above the start, for
+    b = 0, 1, ...  Moves are found by brute force: merge any two
+    polymers, or split one into two saturated parts."""
+
+    def merges(key):
+        return sum(map(sum, key)) - len(key)
+
+    @functools.cache
+    def neighbors(key):
+        found = set()
+        for i, j in itertools.combinations(range(len(key)), 2):
+            merged = tuple(a + b for a, b in zip(key[i], key[j]))
+            rest = [q for k, q in enumerate(key) if k not in (i, j)]
+            found.add(tuple(sorted(rest + [merged], reverse=True)))
+        for i, q in enumerate(key):
+            rest = [r for k, r in enumerate(key) if k != i]
+            for part in itertools.product(*(range(c + 1) for c in q)):
+                other = tuple(c - v for c, v in zip(q, part))
+                if (any(part) and any(other) and saturated(part, t)
+                        and saturated(other, t)):
+                    found.add(tuple(sorted(rest + [part, other],
+                                           reverse=True)))
+        return found
+
+    def barrier(start, goal):
+        base = merges(start)
+        for b in range(sum(t.counts)):
+            seen = {start}
+            queue = deque([start])
+            while queue:
+                for nxt in neighbors(queue.popleft()):
+                    if nxt not in seen and merges(nxt) - base <= b:
+                        seen.add(nxt)
+                        queue.append(nxt)
+            if goal in seen:
+                return b
+        return None
+
+    return barrier
+
+
+class TestBarrierOracle:
+    def cases(self):
+        """Each network with its pairs of saturated configurations, by
+        kind: ascents to the fully merged polymer, descents and pairs of
+        equal merge counts.  Every pair of three small fixed networks,
+        then up to three pairs of each kind on seeded random networks."""
+        rng = random.Random(20261019)
+        fixed = [INTRO_TBN_TEXT, GRID_TBN_TEXT, "x: a*\ny: a\nz: a b"]
+        for n in range(len(fixed) + 12):
+            t = (parse_tbn(fixed[n]) if n < len(fixed)
+                 else random_small_tbn(rng, 7))
+            configs = saturated_configurations(t)
+            merges = {c: sum(map(sum, c)) - len(c) for c in configs}
+            whole = (t.counts,)
+            kinds = {
+                "up": [(c, whole) for c in configs if c != whole],
+                "down": [], "level": [],
+            }
+            for a, b in itertools.permutations(configs, 2):
+                if merges[a] > merges[b]:
+                    kinds["down"].append((a, b))
+                elif merges[a] == merges[b]:
+                    kinds["level"].append((a, b))
+            if n >= len(fixed):
+                kinds = {kind: rng.sample(pairs, min(3, len(pairs)))
+                         for kind, pairs in kinds.items()}
+            yield t, kinds
+
+    def test_barriers_match(self):
+        seen = Counter()
+        for t, kinds in self.cases():
+            oracle = barrier_oracle(t)
+            for kind, a, b in ((k, a, b) for k, pairs in kinds.items()
+                               for a, b in pairs):
+                p = find_pathway(config(t, *a), config(t, *b))
+                assert p is not None
+                p.validate()
+                assert p.configurations[0].key() == a
+                assert p.configurations[-1].key() == b
+                want = oracle(a, b)
+                assert p.barrier() == want, (t, a, b)
+                seen[kind, want > 0] += 1
+        # every kind is met with a barrier above zero, descents included
+        for kind in ("up", "down", "level"):
+            assert seen[kind, True] >= 1, seen

@@ -29,7 +29,7 @@ from tbntools.ipmodel import (
 )
 from tbntools.hilbert import polymer_basis, stable_via_basis
 
-from conftest import translator_text
+from conftest import LateClock, translator_text
 from tbntools.solver import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -266,33 +266,20 @@ def mid_size_tbn(seed: int) -> Tbn:
     return parse_tbn("\n".join(lines))
 
 
-class _LateClock(Clock):
-    """A clock whose time limit has passed from its second reading on,
-    so the root tick succeeds and every later time check fails."""
-
-    def __init__(self):
-        super().__init__(Budget(max_time=1.0))
-        self.readings = 0
-
-    def elapsed(self) -> float:
-        self.readings += 1
-        return 0.0 if self.readings == 1 else 2.0
-
-
 class TestRootLpTimeLimit:
     def test_scan_stops_inside_the_root_lp(self, grid_tbn):
         # the root LP is integral, so a witness needs no level search:
         # only the simplex's own time check can end this scan early
         program = build(grid_tbn, default_bound(grid_tbn)).program
         assert scan_levels(program, Clock())[:2] == (OPTIMAL, 2)
-        clock = _LateClock()
+        clock = LateClock()
         with pytest.raises(BudgetExhausted):
             scan_levels(program, clock)
         # the time check spends no node: the root is the only one
         assert clock.nodes == 1
 
     def test_stable_configs_reports_no_value(self, translator_tbn):
-        clock = _LateClock()
+        clock = LateClock()
         result = stable_configs(
             translator_tbn, StableOptions(all=True, budget=clock)
         )
@@ -307,7 +294,7 @@ class TestRootLpTimeLimit:
         # with the basis given, the cover IP's root LP is the first
         # place the clock is read after its root node
         basis = polymer_basis(translator_tbn)
-        result = stable_via_basis(translator_tbn, basis, _LateClock())
+        result = stable_via_basis(translator_tbn, basis, LateClock())
         assert not result.complete
         assert result.optimum is None
         assert result.solutions == []
@@ -316,7 +303,7 @@ class TestRootLpTimeLimit:
 
     def test_solve_min_reports_no_value(self, intro_tbn):
         program = build(intro_tbn, 1).program
-        result = solve_min(program, _LateClock())
+        result = solve_min(program, LateClock())
         assert result.status == BUDGET_EXCEEDED
         assert result.objective is None and result.assignment is None
 

@@ -13,15 +13,17 @@ side that runs first alternates from seed to seed.  Runs are sequential,
 one process at a time.  The output file is rewritten after every run, so
 an interrupted series keeps the pairs it finished.  Its schema:
 ``command``, ``parent``, ``notes`` and ``runs``, one entry per run with
-``side``, ``workload``, ``seed``, ``passes`` and ``machine`` (from
-perfbench's ``detail:`` line) and ``final`` (perfbench's last output
-line).  ``parent`` is the commit perfbench reads in the parent checkout.
+``side``, ``workload``, ``seed``, ``passes``, ``machine`` and
+``seconds`` (from perfbench's ``detail:`` line: its ``*_s`` entries,
+the seconds per kind of call such as ``pathway_s``, and random-oracle's
+per-call ``budget_s``) and ``final`` (perfbench's last output line).  ``parent`` is the commit perfbench reads in the parent checkout.
 Both checkouts must be git checkouts at different commits, each staying
 at its commit for the whole series; the series stops at the first run
 that shows otherwise.  A summary of the end-to-end metrics is printed at
 the end: each side's median and quartiles, how many pairs the change
 won, and a verdict against the metric's ``bound`` in the change
-checkout's ``BENCHMARK.json`` (see ``verdict``).
+checkout's ``BENCHMARK.json`` (see ``verdict``); then each side's
+median of every ``seconds`` entry, which gets no verdict.
 
 Uses only the standard library.  Exit codes: 0 every run measured and
 correct, 1 some run printed no result or a wrong answer, 2 bad arguments
@@ -134,11 +136,12 @@ def summarize(runs: List[Dict], bounds: Dict[str, Dict]) -> List[str]:
         by_side: Dict[str, Dict[int, Dict]] = {side: {} for side in SIDES}
         for r in runs:
             if r["workload"] == workload and r["final"]:
-                by_side[r["side"]][r["seed"]] = r["final"]
+                by_side[r["side"]][r["seed"]] = r
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
         if len(seeds) < 2:
             continue
-        finals = {side: [by_side[side][s] for s in seeds] for side in SIDES}
+        picked = {side: [by_side[side][s] for s in seeds] for side in SIDES}
+        finals = {side: [r["final"] for r in picked[side]] for side in SIDES}
         correct = all(f["correct"] for side in SIDES for f in finals[side])
         failed = {side: sum(f["failed"] for f in finals[side])
                   for side in SIDES}
@@ -163,6 +166,12 @@ def summarize(runs: List[Dict], bounds: Dict[str, Dict]) -> List[str]:
                 f"{change_q[1]:.4g} [{change_q[0]:.4g}-{change_q[2]:.4g}] "
                 f"({ratio:+.1%}), change lower in {wins}/{len(seeds)}, "
                 f"{ruling} ({bound:.0%})")
+        for key in picked["parent"][0].get("seconds") or {}:
+            median = {side: statistics.median(r["seconds"][key]
+                                              for r in picked[side])
+                      for side in SIDES}
+            out.append(f"  detail.{key}: parent {median['parent']:.4g} -> "
+                       f"change {median['change']:.4g}")
     return out
 
 
@@ -209,6 +218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "workload": workload,
                     "seed": seed,
                     "passes": detail["passes"] if detail else None,
+                    "seconds": ({k: v for k, v in detail.items()
+                                 if k.endswith("_s")} if detail else None),
                     "final": final,
                     "machine": detail["machine"] if detail else None,
                 })
