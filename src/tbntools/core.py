@@ -184,11 +184,12 @@ class Tbn:
 
         Duplicate monomer types (equal as multisets) are merged; a duplicate
         with infinite count makes the merged count infinite.  The merged
-        type keeps its first label; later ones become aliases.
+        type keeps its first label; later ones become aliases.  A label
+        that names two different types is a ``TbnValidationError``.
         """
         merged: dict = {}
         order: dict = {}
-        labelled = []
+        named: dict = {}
         for mon, count in pairs:
             if count is not INF and (not isinstance(count, int) or count < 1):
                 raise TbnValidationError(
@@ -201,16 +202,20 @@ class Tbn:
             else:
                 merged[mon] = count
                 order[mon] = mon
-            if mon.label is not None:
-                labelled.append(mon)
+            label = mon.label
+            if label is not None and named.setdefault(label, mon) != mon:
+                raise TbnValidationError(
+                    f"label {label!r} names two different monomer "
+                    f"types: {named[label]} and {mon}"
+                )
         monomers = sorted(order.values(), key=Monomer.canonical_key)
         index = {m: i for i, m in enumerate(monomers)}
-        aliases = dict.fromkeys(
-            (mon.label, index[mon]) for mon in labelled
-            if mon.label != order[mon].label
+        aliases = tuple(
+            (label, index[mon]) for label, mon in named.items()
+            if label != order[mon].label
         )
         tbn = cls(tuple(monomers), tuple(merged[m] for m in monomers))
-        object.__setattr__(tbn, "aliases", tuple(aliases))
+        object.__setattr__(tbn, "aliases", aliases)
         tbn._validate()
         return tbn
 
@@ -353,20 +358,14 @@ class Polymer:
         return " + ".join(parts)
 
 
-def monomer_usage(polymers: Iterable[Polymer], t: Tbn) -> List[int]:
-    """Copies of each monomer type the polymers hold, summed."""
-    usage = [0] * t.n_types
-    for p in polymers:
-        for i, c in enumerate(p.counts):
-            usage[i] += c
-    return usage
-
-
 def leftover(polymers: Iterable[Polymer], t: Tbn) -> List[Count]:
     """Per monomer type, the copies of ``t`` that ``polymers`` do not
     hold: the implied singletons of a configuration.  ``INF`` stays
     ``INF``; a negative entry means the polymers overuse that type."""
-    usage = monomer_usage(polymers, t)
+    usage = [0] * t.n_types
+    for p in polymers:
+        for i, c in enumerate(p.counts):
+            usage[i] += c
     return [c if c is INF else c - u for c, u in zip(t.counts, usage)]
 
 
@@ -616,13 +615,18 @@ def parse_tbn(text: str) -> Tbn:
 
 
 def render_tbn(t: Tbn) -> str:
-    """Canonical .tbn text; ``parse_tbn(render_tbn(t)) == t``."""
+    """Canonical .tbn text; ``parse_tbn(render_tbn(t)) == t``.
+
+    Each alias of a type gets a line of its own with count 1 (``inf``
+    for an infinite count) after the type's line, which keeps the rest,
+    so every label still resolves after parsing.  A merged line held at
+    least one copy, so every finite count stays at least 1.
+    """
     lines = []
-    for mon, count in zip(t.monomer_types, t.counts):
-        line = str(mon)
-        if count is INF:
-            line += ", inf"
-        elif count != 1:
-            line += f", {count}"
-        lines.append(line)
+    for i, (mon, count) in enumerate(zip(t.monomer_types, t.counts)):
+        aliases = [Monomer(mon.sites, a) for a, j in t.aliases if j == i]
+        each = INF if count is INF else 1
+        rest = INF if count is INF else count - len(aliases)
+        for m, n in [(mon, rest)] + [(alias, each) for alias in aliases]:
+            lines.append(str(m) if n == 1 else f"{m}, {n}")
     return "\n".join(lines) + ("\n" if lines else "")

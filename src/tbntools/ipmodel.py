@@ -111,10 +111,6 @@ class IntegerProgram:
                         f"objective references undeclared variable {var!r}"
                     )
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.variables)
-
     def check(self, assignment: Mapping[str, int]) -> None:
         """Raise if the assignment violates bounds or a constraint."""
         for v in self.variables:

@@ -8,7 +8,9 @@ cross-check ours.  Solution files are plain ``name = value`` lines.
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import TbnError
@@ -25,6 +27,10 @@ from .ipmodel import (
 
 class LpFormatError(TbnError):
     """Unparseable LP or solution text."""
+
+
+# how far a solution value may lie from the integer it is read as
+INTEGRALITY_TOLERANCE = Fraction(1, 10**6)
 
 
 def _format_terms(coeffs) -> str:
@@ -193,7 +199,12 @@ def write_solution(assignment: Dict[str, int]) -> str:
 
 
 def parse_solution(text: str) -> Dict[str, int]:
-    """Read a solution file: ``name = value`` or ``name value`` per line."""
+    """Read a solution file: ``name = value`` or ``name value`` per line.
+
+    Each value is read exactly and must lie within
+    ``INTEGRALITY_TOLERANCE`` of an integer, which it is rounded to:
+    solvers print integral values such as ``0.9999999999``.
+    """
     assignment: Dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,9 +217,19 @@ def parse_solution(text: str) -> Dict[str, int]:
             )
         name, value = parts
         try:
-            assignment[name] = int(round(float(value)))
+            # float() first: it reads a value such as 1e999999999 as inf,
+            # which Fraction would expand into a billion-digit integer
+            if not math.isfinite(float(value)):
+                raise ValueError(value)
+            exact = Fraction(value)
         except ValueError as exc:
             raise LpFormatError(
-                f"line {line_no}: non-numeric value {value!r}"
+                f"line {line_no}: value {value!r} is not a finite number"
             ) from exc
+        nearest = round(exact)
+        if abs(exact - nearest) > INTEGRALITY_TOLERANCE:
+            raise LpFormatError(
+                f"line {line_no}: value {value!r} of {name} is not an integer"
+            )
+        assignment[name] = nearest
     return assignment

@@ -3,9 +3,10 @@
 A full configuration of a finite TBN partitions every monomer instance
 into polymers (singletons included).  Kinetics are modeled as a walk on
 saturated full configurations: one step either merges two polymers or
-splits a polymer into two self-saturated parts.  The cost of interest is
-the barrier: the largest excess merge count over the starting
-configuration seen anywhere along the walk.
+splits a polymer into two self-saturated parts, which ``Pathway.validate``
+checks from the polymers the step removes and adds, generating no move.
+The cost of interest is the barrier: the largest excess merge count over
+the starting configuration seen anywhere along the walk.
 
 ``find_pathway`` searches for a minimum-barrier pathway with a best-first
 strategy.  The goal's merge count less the start's is a floor under
@@ -38,7 +39,6 @@ from .core import (
     TbnError,
     is_self_saturated,
     leftover,
-    monomer_usage,
 )
 from .solver import Budget, Clock
 
@@ -61,10 +61,11 @@ class FullConfiguration(Configuration):
             raise PathwayError("full configurations require a fully finite TBN")
         if any(p.size == 0 for p in self.polymers):
             raise PathwayError("empty polymer in a configuration")
-        usage = monomer_usage(self.polymers, self.tbn)
-        if tuple(usage) != self.tbn.counts:
+        left = leftover(self.polymers, self.tbn)
+        if any(left):
+            usage = tuple(c - n for c, n in zip(self.tbn.counts, left))
             raise PathwayError(
-                f"configuration uses monomers {tuple(usage)}, "
+                f"configuration uses monomers {usage}, "
                 f"TBN supplies {self.tbn.counts}"
             )
 
@@ -210,8 +211,8 @@ def merge_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
 def split_moves(
     config: FullConfiguration,
     *,
-    clock: Optional[Clock] = None,
-    memo: Optional[Dict[tuple, _Splits]] = None,
+    clock: Clock,
+    memo: Dict[tuple, _Splits],
 ) -> Iterator[FullConfiguration]:
     """All configurations one saturation-preserving binary split away.
 
@@ -219,8 +220,6 @@ def split_moves(
     splits; a search that passes the same dict to every call splits each
     polymer once.
     """
-    if memo is None:
-        memo = {}
     seen_polymers = set()
     seen = set()
     for k, poly in enumerate(config.polymers):
@@ -262,18 +261,19 @@ class Pathway:
         return max(c.merge_count() - start for c in self.configurations)
 
     def validate(self) -> None:
-        """Replay the pathway, checking every step is a legal move."""
+        """Check that each step is one move, from the polymers it removes
+        (``gone``) and adds (``made``) alone: a merge makes the sum of two
+        gone polymers, and a split is a merge read backwards whose two
+        parts are self-saturated."""
         for prev, cur in zip(self.configurations, self.configurations[1:]):
-            delta = cur.merge_count() - prev.merge_count()
-            if delta == 1:
-                neighbors = merge_moves(prev)
-            elif delta == -1:
-                neighbors = split_moves(prev)
-            else:
-                raise PathwayError(
-                    f"merge count jumps by {delta} between steps"
-                )
-            if cur.key() not in {n.key() for n in neighbors}:
+            before, after = Counter(prev.key()), Counter(cur.key())
+            gone = list((before - after).elements())
+            made = list((after - before).elements())
+            if len(made) == 2 and all(
+                is_self_saturated(Polymer(p), cur.tbn) for p in made
+            ):
+                gone, made = made, gone
+            if len(gone) != 2 or [tuple(map(sum, zip(*gone)))] != made:
                 raise PathwayError(
                     f"{cur.describe()} is not one move from "
                     f"{prev.describe()}"
@@ -311,7 +311,7 @@ def find_pathway(
     at each node of a split search, counting no node.  Each distinct
     polymer is split once per search.
     """
-    if start.tbn.counts != goal.tbn.counts:
+    if start.tbn != goal.tbn:
         raise PathwayError("start and goal belong to different TBNs")
     for config in (start, goal):
         if not config.is_saturated():

@@ -154,6 +154,16 @@ class TestStableCommand:
         code = main(["stable", intro_file, "--solution", str(sol)])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("value", ["inf", "0.5"])
+    def test_non_integral_solution_value_is_an_input_error(
+        self, intro_file, tmp_path, capsys, value
+    ):
+        sol = tmp_path / "bad.sol"
+        sol.write_text(f"E_p1 = {value}\n")
+        code = main(["stable", intro_file, "--solution", str(sol)])
+        assert code == EXIT_INPUT
+        assert "line 1" in capsys.readouterr().err
+
 
 class TestBasisCommand:
     def test_grid(self, grid_file, capsys):
@@ -526,6 +536,16 @@ class TestConfigurationParsing:
         t = parse_tbn(INTRO_TBN_TEXT)
         with pytest.raises(Exception):
             parse_configuration("m1 + nope\n", t)
+
+    def test_label_naming_two_types_is_an_input_error(self, tmp_path, capsys):
+        tbn = tmp_path / "ambiguous.tbn"
+        tbn.write_text("x: a\nx: b\nq: a* b*\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("q + x + x\n")
+        assert main(["verify", str(tbn), str(cfg)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "label 'x'" in captured.err
 
 
 class TestEnvironmentBudget:

@@ -111,6 +111,13 @@ class TestParse:
         assert [t.monomer_by_label(s) for s in ("x", "y", "x2")] == [i] * 3
         assert t.with_counts_capped(1).monomer_by_label("x") == i
 
+    def test_label_naming_two_types_rejected(self):
+        with pytest.raises(TbnValidationError, match="'x'"):
+            parse_tbn("x: a\nx: b\nq: a* b*")
+        # the same label on duplicates of one type stays legal
+        t = parse_tbn("x: a b\nx: b a\nq: a* b*")
+        assert t.monomer_by_label("x") == t.index_of(mono("a", "b"))
+
     def test_star_convention_flip(self):
         # a* outnumbers a: the star must flip to keep starred sites limiting
         t, report = parse_tbn_with_report("a*, 3\na, 1")
@@ -132,6 +139,19 @@ class TestParse:
 
     def test_roundtrip_intro(self, intro_tbn):
         assert parse_tbn(render_tbn(intro_tbn)) == intro_tbn
+
+    @pytest.mark.parametrize("text", [
+        "r: b\nr2: b\nq: b*",
+        "r: b, 2\nr2: b, 3\nr3: b\nr2: b\nq: b*, 2\nc",
+        "r: b, inf\nr2: b\nq: b*\nq2: b*, 4",
+    ])
+    def test_roundtrip_keeps_every_label(self, text):
+        t = parse_tbn(text)
+        again = parse_tbn(render_tbn(t))
+        assert again == t
+        labels = [m.label for m in t.monomer_types] + [a for a, _ in t.aliases]
+        for label in labels:
+            assert again.monomer_by_label(label) == t.monomer_by_label(label)
 
     def test_empty_input(self):
         t = parse_tbn("# nothing\n")

@@ -61,11 +61,11 @@ class TestBounds:
 class TestBuild:
     def test_primary_variable_count(self, intro_tbn):
         model = build(intro_tbn, 2)
-        assert model.program.n_variables == 2 * 4 + 2
+        assert len(model.program.variables) == 2 * 4 + 2
 
     def test_tied_variable_count(self, intro_tbn):
         model = build(intro_tbn, 2, symmetry_breaking=True)
-        assert model.program.n_variables == (2 * 4 + 2) + 2 * 4
+        assert len(model.program.variables) == (2 * 4 + 2) + 2 * 4
 
     def test_bound_must_be_positive(self, intro_tbn):
         with pytest.raises(ModelError):

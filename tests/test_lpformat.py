@@ -58,3 +58,18 @@ def test_solution_accepts_float_text_and_comments():
 def test_solution_rejects_malformed():
     with pytest.raises(LpFormatError):
         parse_solution("x = y = 3")
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("3", 3), ("1e2", 100), ("1.0000000001", 1), ("0.9999999999", 1),
+])
+def test_solution_values_within_the_tolerance_of_an_integer(value, expected):
+    assert parse_solution(f"x = {value}\n") == {"x": expected}
+
+
+@pytest.mark.parametrize(
+    "value", ["inf", "nan", "1e400", "0.5", "0.6", "1.00001"]
+)
+def test_solution_values_off_an_integer_rejected(value):
+    with pytest.raises(LpFormatError, match="line 2"):
+        parse_solution(f"y = 1\nx = {value}\n")

@@ -237,7 +237,7 @@ class TestMoves:
     def test_splits_respect_saturation(self, swap_tbn):
         # polymer x+y+z can drop y or z but never bare x
         c = config(swap_tbn, (1, 1, 1))
-        keys = {n.key() for n in split_moves(c)}
+        keys = {n.key() for n in split_moves(c, clock=Clock(), memo={})}
         assert keys == {
             ((1, 0, 1), (0, 1, 0)),
             ((1, 1, 0), (0, 0, 1)),
@@ -247,7 +247,8 @@ class TestMoves:
         pc = stable_configs(intro_tbn).solutions[0]
         c = full_configuration(pc)
         pair_splits = [
-            n for n in split_moves(c) if n.n_polymers == c.n_polymers + 1
+            n for n in split_moves(c, clock=Clock(), memo={})
+            if n.n_polymers == c.n_polymers + 1
         ]
         assert pair_splits == []
 
@@ -282,6 +283,12 @@ class TestPathway:
         bad = all_singletons(swap_tbn)
         with pytest.raises(PathwayError):
             find_pathway(bad, bad)
+
+    def test_start_and_goal_of_different_tbns(self):
+        # equal counts, different monomer types
+        ends = [parse_tbn(text) for text in ("a*\na", "b*\nb")]
+        with pytest.raises(PathwayError, match="different TBNs"):
+            find_pathway(*[config(t, (1, 1)) for t in ends])
 
     def test_validate_catches_broken_sequence(self, swap_tbn):
         a = config(swap_tbn, (1, 1, 0), (0, 0, 1))
@@ -375,16 +382,17 @@ class TestTranslatorPathway:
         assert len(split_calls) == len(set(split_calls))
 
 
-def saturated_configurations(t):
-    """Every saturated full configuration of ``t``, as a non-increasing
-    tuple of count vectors."""
+def full_configurations(t, keep=saturated):
+    """Every full configuration of ``t`` whose polymers all pass ``keep``,
+    by default the saturated ones, as a non-increasing tuple of count
+    vectors."""
 
     def partitions(remaining, largest):
         if not any(remaining):
             yield ()
             return
         for part in itertools.product(*(range(r + 1) for r in remaining)):
-            if any(part) and part <= largest and saturated(part, t):
+            if any(part) and part <= largest and keep(part, t):
                 rest = tuple(r - v for r, v in zip(remaining, part))
                 for tail in partitions(rest, part):
                     yield (part,) + tail
@@ -447,7 +455,7 @@ class TestBarrierOracle:
         for n in range(len(fixed) + 12):
             t = (parse_tbn(fixed[n]) if n < len(fixed)
                  else random_small_tbn(rng, 7))
-            configs = saturated_configurations(t)
+            configs = full_configurations(t)
             merges = {c: sum(map(sum, c)) - len(c) for c in configs}
             whole = (t.counts,)
             kinds = {
@@ -481,3 +489,83 @@ class TestBarrierOracle:
         # every kind is met with a barrier above zero, descents included
         for kind in ("up", "down", "level"):
             assert seen[kind, True] >= 1, seen
+
+
+def step_kind(a, b):
+    """How many polymers the step from ``a`` to ``b`` removes and adds."""
+    before, after = Counter(a.key()), Counter(b.key())
+    return (before - after).total(), (after - before).total()
+
+
+class TestValidate:
+    def test_uses_no_move_generator(
+        self, swap_tbn, translator_tbn, monkeypatch
+    ):
+        k5 = parse_tbn(translator_text(5))
+        found = [
+            find_pathway(config(swap_tbn, (1, 1, 0), (0, 0, 1)),
+                         config(swap_tbn, (1, 0, 1), (0, 1, 0))),
+            find_pathway(*stable_full_configurations(translator_tbn)),
+            find_pathway(stable_full_configurations(k5)[0], fully_merged(k5)),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate called a move generator")
+
+        for name in ("merge_moves", "split_moves", "splits", "_split_search"):
+            monkeypatch.setattr(pathways, name, forbidden)
+        for p in found:
+            assert p.length > 1
+            p.validate()
+            p.reversed().validate()
+
+    def test_new_polymers_must_sum_to_the_gone_ones(self, swap_tbn):
+        # unvalidated configurations whose totals differ: a merge that
+        # makes more than its two parts, and two saturated parts that sum
+        # to more than the polymer split
+        def loose(*counts):
+            return FullConfiguration.from_polymers(
+                [Polymer(c) for c in counts], swap_tbn, validate=False
+            )
+
+        for a, b in [
+            (loose((1, 1, 0), (0, 0, 1)), loose((1, 2, 1))),
+            (loose((1, 1, 1)), loose((1, 0, 1), (0, 1, 1))),
+        ]:
+            assert b.key() not in {n.key() for n in itertools.chain(
+                merge_moves(a), split_moves(a, clock=Clock(), memo={})
+            )}
+            with pytest.raises(PathwayError, match="not one move"):
+                Pathway((a, b)).validate()
+
+    def test_matches_move_membership(self):
+        # every ordered pair of full configurations of seeded small
+        # networks, saturated or not; the oracle is membership among the
+        # first configuration's merge and split moves
+        rng = random.Random(20261021)
+        seen = Counter()
+        for _ in range(12):
+            t = random_small_tbn(rng, 6)
+            configs = [config(t, *key) for key in
+                       full_configurations(t, keep=lambda part, t: True)]
+            for a in configs:
+                moves = {n.key() for n in itertools.chain(
+                    merge_moves(a), split_moves(a, clock=Clock(), memo={})
+                )}
+                for b in configs:
+                    try:
+                        Pathway((a, b)).validate()
+                        legal = True
+                    except PathwayError:
+                        legal = False
+                    assert legal == (b.key() in moves), (t, a.key(), b.key())
+                    seen[step_kind(a, b), legal, a.is_saturated()] += 1
+        for kind in (
+            ((2, 1), True),  # a merge
+            ((1, 2), True),  # a split
+            ((1, 2), False),  # a split with an unsaturated part
+            ((3, 2), False),  # two new polymers, neither a sum of two gone
+            ((2, 2), False),  # two polymers swapped for two others
+            ((0, 0), False),  # no step at all
+        ):
+            assert seen[kind + (True,)] >= 1, (kind, seen)
