@@ -43,13 +43,12 @@ class BasisError(TbnError):
     """Hilbert basis computation failed or was asked for the impossible."""
 
 
-@solver._drained
 def hilbert_basis(
     rows: Sequence[Sequence[int]],
     n: Optional[int] = None,
     budget: solver.Budget | solver.Clock | None = None,
     upper: Optional[Sequence[Optional[int]]] = None,
-) -> solver.Steps[List[Tuple[int, ...]]]:
+) -> List[Tuple[int, ...]]:
     """Hilbert basis of ``{x in N^n : rows . x >= 0}``, or with ``upper``
     its elements with ``x_k <= upper[k]`` for every capped ``k``.
 
@@ -109,7 +108,6 @@ def hilbert_basis(
         pairs = deque((p, q) for p in positive for q in negative)
         while pairs:
             (p, lp, pm), (q, lq, qm) = pairs.popleft()
-            yield
             clock.spend("polymer basis completion")
             s, ls = tuple(map(add, p, q)), lp + lq
             if any(s[k] > c for k, c in capped):
@@ -303,21 +301,18 @@ def stable_via_basis(
         return solver.EnumerationResult(None, [], False, clock.stats("basis"))
 
 
-@solver._drained
 def _basis_route(
     t: Tbn,
     basis: Optional[Sequence[Polymer]],
     clock: solver.Clock,
     want_all: bool,
-) -> solver.Steps[solver.EnumerationResult]:
+) -> solver.EnumerationResult:
     """``stable_via_basis`` on a running clock: a witness, or with
     ``want_all`` every stable configuration.  ``BudgetExhausted`` ends
     it once the clock runs out."""
     if basis is None:
         caps = [None if c is INF else c for c in t.counts]
-        vectors = yield from hilbert_basis.steps(
-            t.site_matrix, t.n_types, clock, caps
-        )
+        vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
         basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
     # an element holding more copies of a monomer than t has fits in no
     # configuration; in the IP it would be a variable fixed at 0
@@ -326,9 +321,7 @@ def _basis_route(
         if all(c <= limit for c, limit in zip(b.counts, t.counts))
     ]
     program = _basis_cover_program(t, basis)
-    status, best, assignments = yield from solver.scan_levels.steps(
-        program, clock, want_all
-    )
+    status, best, assignments = solver.scan_levels(program, clock, want_all)
     if status != solver.OPTIMAL:
         raise BasisError(f"basis counting IP ended {status}")
     # an element without a variable is a non-limiting singleton: implied

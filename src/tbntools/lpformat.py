@@ -203,9 +203,12 @@ def parse_solution(text: str) -> Dict[str, int]:
 
     Each value is read exactly and must lie within
     ``INTEGRALITY_TOLERANCE`` of an integer, which it is rounded to:
-    solvers print integral values such as ``0.9999999999``.
+    solvers print integral values such as ``0.9999999999``.  A name set
+    on two lines is an error.
     """
     assignment: Dict[str, int] = {}
+    # the line that set each name
+    set_on: Dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,6 +219,11 @@ def parse_solution(text: str) -> Dict[str, int]:
                 f"line {line_no}: expected 'name = value', got {raw!r}"
             )
         name, value = parts
+        if name in set_on:
+            raise LpFormatError(
+                f"line {line_no}: {name} already set on line {set_on[name]}"
+            )
+        set_on[name] = line_no
         try:
             # float() first: it reads a value such as 1e999999999 as inf,
             # which Fraction would expand into a billion-digit integer

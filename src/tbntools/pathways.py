@@ -57,6 +57,8 @@ class FullConfiguration(Configuration):
     finite TBNs only."""
 
     def _validate(self) -> None:
+        if any(len(p.counts) != self.tbn.n_types for p in self.polymers):
+            raise PathwayError("polymer has wrong dimension")
         if not self.tbn.is_finite:
             raise PathwayError("full configurations require a fully finite TBN")
         if any(p.size == 0 for p in self.polymers):

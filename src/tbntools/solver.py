@@ -12,16 +12,15 @@ search driven by interval propagation, with no LP below the root.  The
 first level with a solution is the optimum.  ``stats.nodes`` counts the
 root plus every node of every level searched.
 
-``stable_configs`` solves the root LP on the plain slot model and freezes
-the merge count of the model with lexicographic symmetry-breaking rows,
-which leave one representative per polymer ordering, so the optimal
-level's solutions are every stable configuration; canonicalization plus
-deduplication acts as a safety net.  It searches only the first level
-there, racing the basis route of ``hilbert`` node by node, so each
-search is a generator (``Steps``) that its public function drains.
-``solve_min`` freezes a general bounded program's objective with
-``IntegerProgram.fixed``, and the basis route of
-``hilbert.stable_via_basis`` calls the scan itself.  The search
+``stable_configs`` first probes the slot model: its root LP on the plain
+model, then the levels of the model with lexicographic symmetry-breaking
+rows, which leave one representative per polymer ordering, so the
+optimal level's solutions are every stable configuration;
+canonicalization plus deduplication acts as a safety net.  The probe
+stops after ``PROBE_NODES`` level-search nodes, and the basis route of
+``hilbert`` answers on the same clock.  ``solve_min`` freezes a general
+bounded program's objective with ``IntegerProgram.fixed``, and the basis
+route of ``hilbert.stable_via_basis`` calls the scan itself.  The search
 propagates a child node from the rows of the variable it branched on,
 since its parent is already at a fixpoint.  Each node carries every
 row's least and greatest activity over its bounds, computed once per
@@ -48,8 +47,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, NoReturn, Optional
-from typing import Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .core import (
     PartialConfiguration,
@@ -72,14 +70,13 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 # the status of a ``solve_min`` whose budget ran out
 BUDGET_EXCEEDED = "budget_exceeded"
-# the levels searched are empty and higher ones were left unsearched
-OPEN = "open"
 
 _BRUTE_FORCE_MAX_INSTANCES = 16
 
-_T = TypeVar("_T")
-# a search that yields before each node it spends and returns its result
-Steps = Generator[None, None, _T]
+# level-search nodes the slot-model probe of ``stable_configs`` expands
+# after its root LP: enough for grid-gate, whose witness is the root LP's
+# solution (plain) or lies at its first level's second node (caption)
+PROBE_NODES = 2
 
 
 class BruteForceError(TbnError):
@@ -88,6 +85,10 @@ class BruteForceError(TbnError):
 
 class BudgetExhausted(TbnError):
     """A search spent its budget before it could answer."""
+
+
+class _ProbeCapped(Exception):
+    """The slot-model probe reached its node cap before it could answer."""
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,8 @@ class Clock:
         self.budget = budget or Budget()
         self.start = time.monotonic()
         self.nodes = 0
+        # a node past this count is not expanded and not counted
+        self.cap = float("inf")
 
     @staticmethod
     def of(budget: Budget | Clock | None) -> Clock:
@@ -301,11 +304,15 @@ class Clock:
 
     def spend(self, search: str) -> None:
         """Count one node of ``search``; raise ``BudgetExhausted``, the
-        node unexpanded, once either limit is reached."""
+        node unexpanded, once either limit is reached, and
+        ``_ProbeCapped``, the node uncounted, past ``cap``."""
         self.nodes += 1
         if (self.nodes > self.budget.max_nodes
                 or self.elapsed() >= self.budget.max_time):
             self._exhausted(search, self.nodes - 1)
+        if self.nodes > self.cap:
+            self.nodes -= 1
+            raise _ProbeCapped
 
     def check(self, search: str) -> None:
         """Raise ``BudgetExhausted`` once the time limit is reached;
@@ -353,28 +360,11 @@ def solve_min(
     )
 
 
-def _drain(steps: Steps[_T]) -> _T:
-    """Run a search generator to its end; its return value."""
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
-
-
-def _drained(search: Callable[..., Steps[_T]]) -> Callable[..., _T]:
-    """``search`` run to its result; its generator stays as ``.steps``."""
-    drained = functools.wraps(search)(lambda *a, **k: _drain(search(*a, **k)))
-    drained.steps = search  # type: ignore[attr-defined]
-    return drained
-
-
-@_drained
 def enumerate_assignments(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
-) -> Steps[List[Dict[str, int]]]:
+) -> List[Dict[str, int]]:
     """All integer solutions of a (typically objective-free) program.
 
     Depth-first search with interval propagation; variables are fixed in
@@ -391,7 +381,6 @@ def enumerate_assignments(
     lo, hi = list(comp.lo), list(comp.hi)
     stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
-        yield
         lo, hi, act, changed = stack.pop()
         clock.spend("enumeration")
         if not propagate(comp, lo, hi, changed, act):
@@ -435,21 +424,21 @@ def stable_configs(
     on the plain slot model; the levels past it freeze the objective of
     the symmetry-broken model, built once, on first use.
 
-    Route rule: a race on one clock between the first level, the root
-    LP's ceiling, on the slot model and ``hilbert.stable_via_basis``
-    over the basis truncated at the finite counts.  The slot side takes
-    its root LP and first two nodes alone, before the basis side builds
-    its completion; then the sides take turns, one node each, and the
-    first to answer wins.  An empty first level leaves the basis side to
-    finish alone.  Node counts, not time, decide, so the route is always
-    the same; ``stats.route`` says which answered.
+    Route rule: a probe, then the basis route.  The probe is
+    ``scan_levels`` on the slot model, capped at its root node and
+    ``PROBE_NODES`` level-search nodes.  When it answers within the cap,
+    its answer stands; otherwise ``hilbert.stable_via_basis``, over the
+    basis truncated at the finite counts, answers on the same clock.
+    Node counts, not time, decide, so the route is always the same;
+    ``stats.route`` says which answered: "direct" or "basis".
 
     One budget covers the whole call.  When it runs out the result has
     ``complete=False``, no solutions and ``optimum=None``: an unproven
-    value is never reported, and ``stats.route`` names the side that
-    found it spent.  ``stats.nodes`` counts every node either side spent:
-    the root and the first level's nodes, and the basis side's
-    completion and cover-IP nodes.
+    value is never reported, and ``stats.route`` names the phase that
+    found it spent.  ``stats.nodes`` counts every node expanded, and
+    the node that found the budget spent: the probe's root and
+    level-search nodes, and the basis route's completion and cover-IP
+    nodes.  The node the probe's cap stops is not counted.
     """
     opts = options or StableOptions()
     bound = default_bound(t)
@@ -470,25 +459,14 @@ def stable_configs(
     # imported here because hilbert imports this module
     from .hilbert import _basis_route
 
-    direct = scan_levels.steps(model.program, clock, opts.all, level, 1)
-    basis = _basis_route.steps(t, None, clock, opts.all)
-    # the direct side's start, root LP and first two search nodes, then turns
-    turns = itertools.chain((direct,) * 4, itertools.cycle((basis, direct)))
+    route = "direct"
     try:
-        for side in turns:
-            try:
-                next(side)
-            except StopIteration as done:
-                answer = done.value
-                break
-        if side is direct and answer[0] == OPEN:
-            side = basis
-            answer = _drain(basis)
+        answer = _probe(model.program, clock, opts.all, level)
+        if answer is None:
+            route = "basis"
+            return _basis_route(t, None, clock, opts.all)
     except BudgetExhausted:
-        route = "direct" if side is direct else "basis"
         return EnumerationResult(None, [], False, clock.stats(route))
-    if side is basis:
-        return answer
     status, optimum, found = answer
     if status == INFEASIBLE:
         raise TbnError(
@@ -500,14 +478,34 @@ def stable_configs(
     )
 
 
-@_drained
+def _probe(
+    program: IntegerProgram,
+    clock: Clock,
+    want_all: bool,
+    level: Callable[[int], IntegerProgram],
+) -> Optional[Tuple[str, Optional[int], List[Dict[str, int]]]]:
+    """``scan_levels`` on ``clock``, stopped before the node past its root
+    and ``PROBE_NODES`` more; None when stopped there."""
+    cap, clock.cap = clock.cap, clock.nodes + 1 + PROBE_NODES
+    try:
+        return scan_levels(program, clock, want_all, level)
+    except _ProbeCapped:
+        return None
+    finally:
+        clock.cap = cap
+
+
+# the level scan calls the search by this name, not through the module
+# attribute, which perfbench's hook wraps expecting an older result shape
+_enumerate = enumerate_assignments
+
+
 def scan_levels(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     want_all: bool = False,
     level: Optional[Callable[[int], IntegerProgram]] = None,
-    max_levels: Optional[int] = None,
-) -> Steps[Tuple[str, Optional[int], List[Dict[str, int]]]]:
+) -> Tuple[str, Optional[int], List[Dict[str, int]]]:
     """Status, optimum and optimal assignments of ``program``: a witness,
     or with ``want_all`` all that ``level(optimum)`` admits.
 
@@ -516,15 +514,13 @@ def scan_levels(
     ``value``, in the objective's own sense.  The ceiling of the root LP
     bounds the objective, in minimization sense, from below.  From it
     upwards, each value's level is searched exhaustively, so the first
-    level with a solution is the optimum.  The scan ends at the largest
-    value the propagated root bounds allow, or after ``max_levels``
-    levels; when those are empty and higher values remain, the status is
-    ``OPEN``.  One clock covers the root, its LP and every level, and
-    ``BudgetExhausted`` ends the scan once it runs out.
+    level with a solution is the optimum; when every level up to the
+    largest value the propagated root bounds allow is empty, the status
+    is ``INFEASIBLE``.  One clock covers the root, its LP and every
+    level, and ``BudgetExhausted`` ends the scan once it runs out.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
-    yield
     clock.spend("level scan")
     comp = _Compiled(program)
     lo, hi = list(comp.lo), list(comp.hi)
@@ -544,15 +540,12 @@ def scan_levels(
         return OPTIMAL, comp.obj_sign * first + comp.obj_const, [root]
 
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
-    stop = last if max_levels is None else min(last, first + max_levels - 1)
-    for v in range(first, stop + 1):
+    for v in range(first, last + 1):
         value = comp.obj_sign * v + comp.obj_const
-        assignments = yield from enumerate_assignments.steps(
-            level(value), clock, None if want_all else 1
-        )
+        assignments = _enumerate(level(value), clock, None if want_all else 1)
         if assignments:
             return OPTIMAL, value, assignments
-    return (INFEASIBLE if stop == last else OPEN), None, []
+    return INFEASIBLE, None, []
 
 
 def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:

@@ -191,9 +191,9 @@ def random_solution_sets():
 
 def test_criterion_08_oracle_equivalence(random_solution_sets):
     assert len(random_solution_sets) == 200
-    # 93 of the 200 take the basis route: both routes are checked
+    # 127 of the 200 take the basis route: both routes are checked
     routes = Counter(result.stats.route for result in random_solution_sets)
-    assert routes["direct"] >= 95 and routes["basis"] >= 85
+    assert routes["direct"] >= 70 and routes["basis"] >= 120
     rng = random.Random(20240816)
     cap = 8
     for _ in range(100):

@@ -165,6 +165,16 @@ class TestStableCommand:
         assert "line 1" in capsys.readouterr().err
 
 
+    def test_repeated_solution_variable_is_an_input_error(
+        self, intro_file, tmp_path, capsys
+    ):
+        sol = tmp_path / "twice.sol"
+        sol.write_text("E_p1 = 1\nE_p1 = 0\n")
+        code = main(["stable", intro_file, "--solution", str(sol)])
+        assert code == EXIT_INPUT
+        assert "line 2: E_p1 already set on line 1" in capsys.readouterr().err
+
+
 class TestBasisCommand:
     def test_grid(self, grid_file, capsys):
         assert main(["basis", grid_file]) == EXIT_OK

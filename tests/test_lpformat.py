@@ -60,6 +60,12 @@ def test_solution_rejects_malformed():
         parse_solution("x = y = 3")
 
 
+def test_solution_rejects_a_repeated_name():
+    # the later line would silently win; both line numbers are named
+    with pytest.raises(LpFormatError, match="line 3: x already set on line 1"):
+        parse_solution("x = 1\ny = 0\nx = 2\n")
+
+
 @pytest.mark.parametrize("value, expected", [
     ("3", 3), ("1e2", 100), ("1.0000000001", 1), ("0.9999999999", 1),
 ])

@@ -71,6 +71,13 @@ class TestFullConfiguration:
         with pytest.raises(PathwayError):
             config(intro_tbn, (1, 0, 0, 0))
 
+    @pytest.mark.parametrize("counts", [(1, 1, 1, 0), (1, 1)])
+    def test_rejects_wrong_dimension(self, swap_tbn, counts):
+        # one coordinate too many would index past the TBN's counts, one
+        # too few would read as a supply mismatch
+        with pytest.raises(PathwayError, match="wrong dimension"):
+            config(swap_tbn, counts)
+
     def test_rejects_infinite_tbn(self, excess_tbn):
         with pytest.raises(PathwayError):
             all_singletons(excess_tbn)

@@ -33,8 +33,8 @@ from conftest import LateClock, translator_text
 from tbntools.solver import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
-    OPEN,
     OPTIMAL,
+    PROBE_NODES,
     Budget,
     BruteForceError,
     BudgetExhausted,
@@ -44,6 +44,7 @@ from tbntools.solver import (
     SolveStats,
     StableOptions,
     _Compiled,
+    _probe,
     brute_force_stable,
     enumerate_assignments,
     propagate,
@@ -157,17 +158,20 @@ class TestTranslatorCascade:
 
 class TestRoutes:
     @pytest.mark.parametrize("want_all", [False, True])
-    def test_gridgate_caption_stays_direct(self, want_all):
+    def test_gridgate_caption_route(self, want_all):
         # its root LP is (2n - 1)/2, and the first level, n, holds every
-        # stable configuration
+        # stable configuration; the probe finds a witness there, but not
+        # every configuration
         t = gen_gridgate(3, 2, caption_literal=True)
         result = stable_configs(t, StableOptions(all=want_all))
         assert result.optimum == 3
         assert len(result.solutions) == (2 if want_all else 1)
-        assert result.stats.route == "direct"
-        if not want_all:
-            # the root and the level's first two nodes: the basis side
+        if want_all:
+            assert result.stats.route == "basis"
+        else:
+            # the root and the level's first two nodes: the basis route
             # never starts
+            assert result.stats.route == "direct"
             assert result.stats.nodes == 3
 
     def test_infinite_count_takes_the_basis_route(self):
@@ -175,10 +179,7 @@ class TestRoutes:
         bound = default_bound(t)
         model = build(t, bound)
         symmetric = build(t, bound, symmetry_breaking=True).program
-        first = scan_levels(
-            model.program, Clock(), True, symmetric.fixed, max_levels=1
-        )
-        assert first == (OPEN, None, [])
+        assert _probe(model.program, Clock(), True, symmetric.fixed) is None
         result = stable_configs(t, StableOptions(all=True))
         assert result.stats.route == "basis"
         want = brute_force_stable(t)
@@ -187,7 +188,7 @@ class TestRoutes:
         assert polymer_sets(result) == polymer_sets(want)
 
     def test_plain_gridgate_answers_at_the_root(self):
-        # an integral root LP answers a witness before the basis side starts
+        # an integral root LP answers a witness before the basis route starts
         result = stable_configs(gen_gridgate(7, 2))
         assert result.optimum == 7
         assert result.stats.nodes == 1
@@ -195,14 +196,15 @@ class TestRoutes:
 
     @pytest.mark.parametrize("want_all", [False, True])
     def test_basis_side_answers_past_a_long_first_level(self, want_all):
-        # the first slot level takes over 39,000 nodes to come back OPEN
+        # the first slot level takes over 39,000 nodes to come back empty
         t = parse_tbn(
             "a a* a, 1\nb b*, 3\na* b b, 1\na*, 1\na* b*, 3\na b, inf"
         )
         via = stable_via_basis(t)
         result = stable_configs(t, StableOptions(all=want_all))
         assert result.stats.route == "basis"
-        assert result.stats.nodes <= 2 * via.stats.nodes + 4
+        # the probe's nodes, then at most the basis route's nodes for --all
+        assert result.stats.nodes <= 1 + PROBE_NODES + via.stats.nodes
         assert result.optimum == via.optimum == 5
         if want_all:
             assert polymer_sets(result) == polymer_sets(via)
@@ -221,17 +223,30 @@ class TestRoutes:
         assert result.stats.route == "basis"
         assert len(result.solutions) == (22 if want_all else 1)
 
-    def test_budgets_below_the_race_report_no_value(self):
+    def test_mid_size_all_fits_the_basis_route_budget(self):
+        # 22 monomers: after the probe's three nodes the basis route
+        # answers in 11,675 more; the first slot level alone needs more
+        # than the rest of this budget
+        budget = Budget(max_nodes=15_000, max_time=float("inf"))
+        result = stable_configs(
+            mid_size_tbn(8), StableOptions(all=True, budget=budget)
+        )
+        assert result.complete
+        assert result.optimum == 10
+        assert len(result.solutions) == 1_812
+        assert result.stats.route == "basis"
+
+    def test_budgets_short_of_the_answer_report_no_value(self):
         t = parse_tbn(translator_text(5))
         count = stable_configs(t, StableOptions(all=True)).stats.nodes
-        assert count == 399
-        # the direct side takes the first four steps alone, so a budget
-        # of three nodes runs out there; then the sides alternate, basis
-        # first, until the basis side answers, so an even budget runs out
-        # on the basis side and an odd one on the direct side
+        assert count == 201
+        # the probe expands its root and two level nodes, then the basis
+        # route answers alone
+        assert count == 1 + PROBE_NODES + stable_via_basis(t).stats.nodes
+        # a budget of at most three nodes runs out in the probe, when it
+        # asks for its next node; a larger one in the basis route
         routes = {1: "direct", 2: "direct", 3: "direct", 4: "basis",
-                  5: "direct", 50: "basis", 51: "direct", 200: "basis",
-                  count - 1: "basis"}
+                  5: "basis", 50: "basis", count - 1: "basis"}
         for max_nodes, route in routes.items():
             result = stable_configs(
                 t, StableOptions(all=True, budget=Budget(max_nodes=max_nodes))
@@ -286,7 +301,7 @@ class TestRootLpTimeLimit:
         assert not result.complete
         assert result.optimum is None
         assert result.solutions == []
-        # the direct side's root LP ends the race before the basis side starts
+        # the probe's root LP ends the call before the basis route starts
         assert result.stats.route == "direct"
         assert clock.nodes == 1
 
@@ -693,7 +708,7 @@ def random_tbn(rng: random.Random, excess: bool = False) -> Tbn:
 
 
 class TestOracleEquivalence:
-    # of the 60 networks, 31 take the basis route in --all mode and 25 in
+    # of the 60 networks, 43 take the basis route in --all mode and 27 in
     # witness mode, so the oracle checks both routes
     def test_random_networks_match_oracle(self):
         rng = random.Random(20240902)
@@ -706,7 +721,7 @@ class TestOracleEquivalence:
             assert got.optimum == want.optimum, t
             assert polymer_sets(got) == polymer_sets(want), t
             routes[got.stats.route] += 1
-        assert routes["direct"] >= 25 and routes["basis"] >= 25
+        assert routes["direct"] >= 15 and routes["basis"] >= 40
 
     def test_witness_is_an_oracle_configuration(self):
         rng = random.Random(20240902)
@@ -733,7 +748,7 @@ class TestOracleEquivalence:
 
 def full_scan(t: Tbn) -> Tuple:
     """Optimum and polymer sets of the slot model's scan of every level,
-    which needs neither the first-level rule nor the basis route."""
+    which needs neither the probe's cap nor the basis route."""
     bound = default_bound(t)
     if bound == 0:
         return 0, {()}
@@ -749,7 +764,7 @@ def full_scan(t: Tbn) -> Tuple:
 
 
 class TestInfiniteCounts:
-    # of the 40 networks, 21 have an infinite count, and 12 of those
+    # of the 40 networks, 21 have an infinite count, and 18 of those
     # take the basis route
     def test_random_networks_match_the_full_scan(self):
         rng = random.Random(20261018)
@@ -768,4 +783,4 @@ class TestInfiniteCounts:
             assert polymer_sets(witness) <= want, t
             if not t.is_finite:
                 routes[got.stats.route] += 1
-        assert routes["direct"] >= 8 and routes["basis"] >= 10
+        assert routes["direct"] >= 3 and routes["basis"] >= 15
