@@ -52,9 +52,20 @@ def is_integral(q) -> bool:
 
 @dataclass
 class LpSolution:
+    """An LP's status and, when optimal, its exact optimum.
+
+    ``reduced`` holds each variable's optimal reduced cost: 0 for a
+    basic or fixed variable, ``>= 0`` for one at its lower bound and
+    ``<= 0`` for one at its upper bound.  The objective of any point
+    that meets the rows and bounds is then ``objective`` plus each
+    variable's reduced cost times its distance from its bound at the
+    optimum, plus a term of each row's slack; every term is ``>= 0``.
+    """
+
     status: str  # "optimal" | "infeasible"
     objective: Optional[object] = None  # exact rational
     x: Optional[List[object]] = None  # exact rationals, one per variable
+    reduced: Optional[List[object]] = None  # exact rationals, likewise
 
 
 def solve_lp(
@@ -111,23 +122,28 @@ def solve_lp(
         shifted.append((row, sense, b))
 
     if not active or not shifted:
-        # box problem: each variable sits at the bound its cost favours
+        # box problem: each variable sits at the bound its cost favours,
+        # and its reduced cost is its cost
         z = [(u[k] if c[k] < 0 else 0, 1) for k in range(len(active))]
-        return _finish(z, active, lo, n, c, obj_const)
+        return _finish(z, c, 1, active, lo, n, c, obj_const)
 
     return _Simplex(shifted, c, u, check).run(active, lo, n, obj_const)
 
 
-def _finish(z, active, lo, n, c, obj_const) -> LpSolution:
+def _finish(z, rc, rc_den, active, lo, n, c, obj_const) -> LpSolution:
     """The solution whose active column k sits at ``z[k]``, a pair
-    (numerator, positive denominator) above its lower bound."""
+    (numerator, positive denominator) above its lower bound, and has
+    reduced cost ``rc[k] / rc_den``."""
     x = [Q(v) for v in lo]
+    reduced = [Q(0)] * n
     value = Q(obj_const)
     for k, i in enumerate(active):
         zk = Q(*z[k])
         x[i] += zk
         value += c[k] * zk
-    return LpSolution("optimal", value, x)
+        if rc[k]:
+            reduced[i] = Q(rc[k], rc_den)
+    return LpSolution("optimal", value, x, reduced)
 
 
 def _support(row):
@@ -241,7 +257,9 @@ class _Simplex:
         for r, j in enumerate(self.basis):
             if j < self.n_struct:
                 z[j] = (self.rows[r][-1], self.dens[r])
-        return _finish(z, active, lo, n, self.c, obj_const)
+        return _finish(
+            z, self.rc, self.rc_den, active, lo, n, self.c, obj_const
+        )
 
     def _price(self, cost):
         """Set the reduced costs of the integer ``cost`` row."""

@@ -12,6 +12,18 @@ search driven by interval propagation, with no LP below the root.  The
 first level with a solution is the optimum.  ``stats.nodes`` counts the
 root plus every node of every level searched.
 
+Each level's search starts from the root LP's reduced-cost box
+(reduced-cost fixing; Achterberg, *Constraint Integer Programming*,
+2007).  Let ``z*`` be the LP optimum and ``gap = v - z*`` for level
+``v``.  A variable at its lower bound with reduced cost ``r > 0`` rises
+at most ``⌊gap / r⌋``, and one at its upper bound with ``r < 0`` falls
+at most ``⌊gap / -r⌋``, in integer arithmetic.  This is exact: at the
+optimum, any point that meets the rows within the propagated root box
+has objective ``z*`` plus a sum of terms ``>= 0``, one ``|r|`` times a
+variable's distance from its bound and one per row slack, so no term
+exceeds ``gap``.  The box removes no solution of a level, so the answers
+and their order do not change.
+
 ``stable_configs`` first probes the slot model: its root LP on the plain
 model, then the levels of the model with lexicographic symmetry-breaking
 rows, which leave one representative per polymer ordering, so the
@@ -47,6 +59,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .core import (
@@ -364,21 +377,30 @@ def enumerate_assignments(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
+    bounds: Optional[Dict[str, Tuple[int, int]]] = None,
 ) -> List[Dict[str, int]]:
     """All integer solutions of a (typically objective-free) program.
 
     Depth-first search with interval propagation; variables are fixed in
     declaration order, values tried in ascending order, so the output
-    order is deterministic.  The search stops early once it holds
-    ``max_solutions`` solutions.  Each node spends one node of the
-    clock, and ``BudgetExhausted`` ends the search once the budget is
-    spent.
+    order is deterministic.  ``bounds`` maps some of the program's
+    variable names to inclusive (lower, upper) pairs that the search
+    starts from, intersected with the declared bounds; the caller
+    vouches that no wanted solution lies outside them.  The search
+    stops early once it holds ``max_solutions`` solutions.  Each node
+    spends one node of the clock, and ``BudgetExhausted`` ends the
+    search once the budget is spent.
     """
     comp = _Compiled(program)
     clock = Clock.of(budget)
     solutions: List[Dict[str, int]] = []
 
     lo, hi = list(comp.lo), list(comp.hi)
+    for name, (lower, upper) in (bounds or {}).items():
+        i = comp.index[name]
+        lo[i], hi[i] = max(lo[i], lower), min(hi[i], upper)
+        if lo[i] > hi[i]:
+            return solutions
     stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
         lo, hi, act, changed = stack.pop()
@@ -516,8 +538,14 @@ def scan_levels(
     upwards, each value's level is searched exhaustively, so the first
     level with a solution is the optimum; when every level up to the
     largest value the propagated root bounds allow is empty, the status
-    is ``INFEASIBLE``.  One clock covers the root, its LP and every
-    level, and ``BudgetExhausted`` ends the scan once it runs out.
+    is ``INFEASIBLE``.  Each level's search starts from the propagated
+    root bounds, narrowed by the root LP's reduced costs
+    (``_reduced_cost_box``, exact by the module docstring's argument) and
+    matched to ``level(value)``'s variables by name: a symmetry-broken
+    level adds variables and rows to ``program``, so its solutions are
+    solutions of ``program`` and lie in the box too.  One clock covers
+    the root, its LP and every level, and ``BudgetExhausted`` ends the
+    scan once it runs out.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
@@ -539,13 +567,47 @@ def scan_levels(
         root = comp.assignment_from([int(v) for v in relax.x])
         return OPTIMAL, comp.obj_sign * first + comp.obj_const, [root]
 
+    assert relax.reduced is not None
+    reduced = [(i, r) for i, r in enumerate(relax.reduced) if r]
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
     for v in range(first, last + 1):
         value = comp.obj_sign * v + comp.obj_const
-        assignments = _enumerate(level(value), clock, None if want_all else 1)
+        box = _reduced_cost_box(comp, lo, hi, reduced, v - relax.objective)
+        assignments = _enumerate(
+            level(value), clock, None if want_all else 1, box
+        )
         if assignments:
             return OPTIMAL, value, assignments
     return INFEASIBLE, None, []
+
+
+def _reduced_cost_box(
+    comp: _Compiled,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    reduced: Sequence[Tuple[int, Fraction]],
+    gap: Fraction,
+) -> Dict[str, Tuple[int, int]]:
+    """The bounds, by name, of each variable that the propagated root
+    bounds ``lo..hi`` tighten or its nonzero root reduced cost ``r``
+    narrows: within ``⌊gap / |r|⌋`` of the bound it sat at, ``lo`` when
+    ``r > 0`` and ``hi`` when ``r < 0``.  ``gap`` is a level's distance
+    above the root LP optimum, in minimization sense; the floor divides
+    the two rationals' integer parts.
+    """
+    names = comp.names
+    box = {
+        name: (lo[i], hi[i]) for i, name in enumerate(names)
+        if lo[i] > comp.lo[i] or hi[i] < comp.hi[i]
+    }
+    for i, r in reduced:
+        steps = (gap.numerator * r.denominator
+                 // (gap.denominator * abs(r.numerator)))
+        if steps < hi[i] - lo[i]:
+            box[names[i]] = (
+                (lo[i], lo[i] + steps) if r > 0 else (hi[i] - steps, hi[i])
+            )
+    return box
 
 
 def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:

@@ -97,6 +97,13 @@ class TestHandCases:
         )
         assert sol.status == "optimal"
         assert sol.objective == -4  # x=2, y=2
+        # y is basic; x at its upper bound gains 1/2 per unit it falls
+        assert sol.reduced == [Q(-1, 2), 0]
+
+    def test_box_reduced_costs_are_the_costs(self):
+        sol = solve_lp([(0, 1), (1, -2), (2, 5)], [], [(0, 4), (0, 3), (1, 1)])
+        # the fixed variable has none
+        assert sol.reduced == [1, -2, 0]
 
 
 class TestTimeLimit:
@@ -194,6 +201,9 @@ class TestRandomizedAgainstScipy:
                 assert got.objective == sum(
                     c * got.x[i] for i, c in objective
                 )
+                # optimal reduced costs: none leaves its bound for less
+                for (lo, hi), v, r in zip(bounds, got.x, got.reduced):
+                    assert r == 0 or v == (lo if r > 0 else hi)
                 assert abs(float(got.objective) - ref.fun) < 1e-7, (
                     objective, rows, bounds,
                 )

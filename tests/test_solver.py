@@ -12,6 +12,8 @@ from tbntools.core import (
     Tbn,
     TbnError,
     TbnValidationError,
+    is_self_saturated,
+    leftover,
     merge_count,
     parse_tbn,
 )
@@ -27,7 +29,12 @@ from tbntools.ipmodel import (
     default_bound,
     exists_var,
 )
-from tbntools.hilbert import polymer_basis, stable_via_basis
+from tbntools.hilbert import (
+    _basis_cover_program,
+    polymer_basis,
+    stable_via_basis,
+)
+from tbntools.simplex import frac_ceil, solve_lp
 
 from conftest import LateClock, translator_text
 from tbntools.solver import (
@@ -45,6 +52,7 @@ from tbntools.solver import (
     StableOptions,
     _Compiled,
     _probe,
+    _reduced_cost_box,
     brute_force_stable,
     enumerate_assignments,
     propagate,
@@ -196,7 +204,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("want_all", [False, True])
     def test_basis_side_answers_past_a_long_first_level(self, want_all):
-        # the first slot level takes over 39,000 nodes to come back empty
+        # the first slot level takes over 29,000 nodes to come back empty
         t = parse_tbn(
             "a a* a, 1\nb b*, 3\na* b b, 1\na*, 1\na* b*, 3\na b, inf"
         )
@@ -225,8 +233,9 @@ class TestRoutes:
 
     def test_mid_size_all_fits_the_basis_route_budget(self):
         # 22 monomers: after the probe's three nodes the basis route
-        # answers in 11,675 more; the first slot level alone needs more
-        # than the rest of this budget
+        # answers in 5,164 more; the slot scan's first level is empty
+        # after 98 nodes, but its second, the optimum, needs more than
+        # the rest of this budget
         budget = Budget(max_nodes=15_000, max_time=float("inf"))
         result = stable_configs(
             mid_size_tbn(8), StableOptions(all=True, budget=budget)
@@ -239,7 +248,7 @@ class TestRoutes:
     def test_budgets_short_of_the_answer_report_no_value(self):
         t = parse_tbn(translator_text(5))
         count = stable_configs(t, StableOptions(all=True)).stats.nodes
-        assert count == 201
+        assert count == 141
         # the probe expands its root and two level nodes, then the basis
         # route answers alone
         assert count == 1 + PROBE_NODES + stable_via_basis(t).stats.nodes
@@ -279,6 +288,36 @@ def mid_size_tbn(seed: int) -> Tbn:
         ]
         lines.append(" ".join(sites) + f", {rng.randint(1, 4)}")
     return parse_tbn("\n".join(lines))
+
+
+class TestMidSizeSeedOne:
+    """35 monomers: within reach because the root LP's reduced costs
+    narrow each level's search; the unnarrowed search runs out of a 10 s
+    budget in both modes."""
+
+    @pytest.mark.parametrize("want_all", [False, True])
+    def test_every_stable_configuration(self, want_all):
+        t = mid_size_tbn(1)
+        result = stable_configs(
+            t, StableOptions(all=want_all, budget=Budget(max_time=60))
+        )
+        assert result.complete
+        assert result.optimum == 20
+        assert len(result.solutions) == (430 if want_all else 1)
+        for pc in result.solutions:
+            assert merge_count(pc) == 20
+            assert all(is_self_saturated(p, t) for p in pc.polymers)
+            left = leftover(pc.polymers, t)
+            assert all(left[i] == 0 for i in t.limiting_indices)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_translator_cover_scan_nodes(self, k):
+        # the scan's root and three level-search nodes; 64, 152, 258 and
+        # 588 nodes from k = 5 to 8 without the reduced-cost box
+        t = parse_tbn(translator_text(k))
+        result = stable_via_basis(t, polymer_basis(t))
+        assert (result.optimum, len(result.solutions)) == (k, 2)
+        assert result.stats.nodes == 4
 
 
 class TestRootLpTimeLimit:
@@ -708,7 +747,7 @@ def random_tbn(rng: random.Random, excess: bool = False) -> Tbn:
 
 
 class TestOracleEquivalence:
-    # of the 60 networks, 43 take the basis route in --all mode and 27 in
+    # of the 60 networks, 39 take the basis route in --all mode and 27 in
     # witness mode, so the oracle checks both routes
     def test_random_networks_match_oracle(self):
         rng = random.Random(20240902)
@@ -721,7 +760,7 @@ class TestOracleEquivalence:
             assert got.optimum == want.optimum, t
             assert polymer_sets(got) == polymer_sets(want), t
             routes[got.stats.route] += 1
-        assert routes["direct"] >= 15 and routes["basis"] >= 40
+        assert routes["direct"] >= 15 and routes["basis"] >= 35
 
     def test_witness_is_an_oracle_configuration(self):
         rng = random.Random(20240902)
@@ -764,7 +803,7 @@ def full_scan(t: Tbn) -> Tuple:
 
 
 class TestInfiniteCounts:
-    # of the 40 networks, 21 have an infinite count, and 18 of those
+    # of the 40 networks, 21 have an infinite count, and 17 of those
     # take the basis route
     def test_random_networks_match_the_full_scan(self):
         rng = random.Random(20261018)
@@ -784,3 +823,96 @@ class TestInfiniteCounts:
             if not t.is_finite:
                 routes[got.stats.route] += 1
         assert routes["direct"] >= 3 and routes["basis"] >= 15
+
+
+def cover_program(t: Tbn) -> IntegerProgram:
+    """The basis route's cover IP of ``t``."""
+    basis = [
+        b for b in polymer_basis(t)
+        if all(c <= limit for c, limit in zip(b.counts, t.counts))
+    ]
+    return _basis_cover_program(t, basis)
+
+
+class TestReducedCostBox:
+    """Every solution of a level lies in the box that the root LP's
+    reduced costs give that level, so the scan's search from the box
+    finds the same solutions, in the same order."""
+
+    def check(self, program: IntegerProgram, level) -> Tuple[int, int]:
+        """Solutions checked on the levels from the root LP's ceiling
+        and two above it, and the levels with a solution whose box
+        narrows some variable."""
+        comp = _Compiled(program)
+        lo, hi = list(comp.lo), list(comp.hi)
+        if not propagate(comp, lo, hi):
+            return 0, 0
+        relax = solve_lp(comp.min_objective(), comp.rows, list(zip(lo, hi)))
+        if relax.status != "optimal":
+            return 0, 0
+        # at the optimum, a positive reduced cost sits at its lower
+        # bound and a negative one at its upper bound
+        for i, r in enumerate(relax.reduced):
+            if r > 0:
+                assert relax.x[i] == lo[i], program
+            elif r < 0:
+                assert relax.x[i] == hi[i], program
+        reduced = [(i, r) for i, r in enumerate(relax.reduced) if r]
+        checked = narrowed = 0
+        first = frac_ceil(relax.objective)
+        for v in range(first, first + 3):
+            value = comp.obj_sign * v + comp.obj_const
+            box = _reduced_cost_box(comp, lo, hi, reduced, v - relax.objective)
+            found = enumerate_assignments(level(value))
+            for assignment in found:
+                for name, (lower, upper) in box.items():
+                    assert lower <= assignment[name] <= upper, program
+            assert enumerate_assignments(level(value), bounds=box) == found
+            checked += len(found)
+            narrowed += bool(found) and bool(box)
+        return checked, narrowed
+
+    def test_cover_programs(self):
+        rng = random.Random(20261019)
+        checked = narrowed = infinite = 0
+        for _ in range(250):
+            t = random_tbn(rng, excess=True)
+            if not t.limiting_indices:
+                continue
+            program = cover_program(t)
+            found, cut = self.check(program, program.fixed)
+            checked += found
+            narrowed += cut
+            infinite += not t.is_finite
+        # 224 programs, 100 with an infinite count: 617 solutions, and 19
+        # levels with a solution where the box cuts
+        assert infinite >= 90
+        assert checked >= 550 and narrowed >= 15
+
+    def test_symmetry_broken_slot_levels(self):
+        rng = random.Random(20261019)
+        checked = narrowed = 0
+        for _ in range(100):
+            t = random_tbn(rng)
+            bound = default_bound(t)
+            if bound == 0:
+                continue
+            symmetric = build(t, bound, symmetry_breaking=True).program
+            found, cut = self.check(build(t, bound).program, symmetric.fixed)
+            checked += found
+            narrowed += cut
+        # 87 programs: 897 solutions, and 65 levels with a solution where
+        # the box cuts
+        assert checked >= 800 and narrowed >= 55
+
+    def test_general_programs(self):
+        # both objective senses, negative bounds, variables at either bound
+        rng = random.Random(20261019)
+        checked = narrowed = 0
+        for _ in range(300):
+            program = random_program(rng)
+            found, cut = self.check(program, program.fixed)
+            checked += found
+            narrowed += cut
+        # 629 solutions, and 308 levels with a solution where the box cuts
+        assert checked >= 550 and narrowed >= 250
