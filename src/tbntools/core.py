@@ -29,7 +29,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 
 class TbnError(Exception):
@@ -448,6 +450,16 @@ class PartialConfiguration(Configuration):
                 )
 
 
+def _net_sites(p: Polymer, t: Tbn) -> List[int]:
+    """``t.site_matrix . p.counts``, one entry per site name; a polymer
+    of the wrong dimension is an error."""
+    counts = p.counts
+    if len(counts) != t.n_types:
+        raise TbnValidationError("polymer has wrong dimension")
+    rows = t.site_matrix_nonzeros
+    return [sum(a * counts[i] for i, a in row) for row in rows]
+
+
 def exposed_sites(p: Polymer, t: Tbn) -> Counter:
     """Leftover sites of a polymer after cancelling complementary pairs.
 
@@ -468,20 +480,73 @@ def exposed_sites(p: Polymer, t: Tbn) -> Counter:
 
 
 def is_self_saturated(p: Polymer, t: Tbn) -> bool:
-    """True iff the polymer exposes no starred site.
+    """True iff the polymer exposes no starred site, as
+    ``t.site_matrix . p.counts >= 0`` (``_net_sites``)."""
+    return min(_net_sites(p, t), default=0) >= 0
 
-    Equivalent to ``not any(s.starred for s in exposed_sites(p, t))``,
-    evaluated as ``t.site_matrix . p.counts >= 0`` row by row over the
-    nonzero entries.
+
+def split_search(
+    p: Polymer, t: Tbn, tick: Optional[Callable[[], None]] = None
+) -> Iterator[Tuple[Polymer, Polymer]]:
+    """The splits of ``p`` into two nonempty self-saturated parts, the
+    lexicographically smaller part first, in ascending order of it; none
+    when ``p`` is a polymer basis element or is not self-saturated.
+
+    A depth-first search fixes the part's coordinates in index order,
+    each value ascending, calling ``tick`` once per value, its node.  A
+    value is given only if every site-matrix row ``A_r`` through its
+    column can still end within ``0 <= A_r x <= A_r p``; while the part
+    equals its complement, it is at most half its coordinate.
     """
     counts = p.counts
-    for row in t.site_matrix_nonzeros:
-        net = 0
-        for i, a in row:
-            net += a * counts[i]
-        if net < 0:
-            return False
-    return True
+    caps = _net_sites(p, t)
+    if sum(counts) < 2 or min(caps, default=0) < 0:
+        return iter(())
+    # checks[i]: each row through column i, its entry there, and the
+    # range its fixed activity must lie in once column i is fixed (rows
+    # list their columns in index order, the order they are fixed in)
+    checks: List[List[Tuple[int, int, int, int]]] = [[] for _ in counts]
+    for r, row in enumerate(t.site_matrix_nonzeros):
+        low, high = 0, caps[r]
+        for i, a in reversed(row):
+            checks[i].append((r, a, low, high))
+            if a > 0:
+                low -= a * counts[i]
+            else:
+                high -= a * counts[i]
+    cols = [i for i, c in enumerate(counts) if c]
+    search = (p, cols, checks, [0] * len(caps), [0] * len(counts), tick)
+    return _descend(search, 0, True)
+
+
+def _descend(search: tuple, d: int, tie: bool) -> Iterator[tuple]:
+    """``split_search`` from depth ``d``; module-level: no reference cycle."""
+    p, cols, checks, activity, part, tick = search
+    i = cols[d]
+    c = p.counts[i]
+    first, last = 0, c // 2 if tie else c
+    for r, a, low, high in checks[i]:
+        f = activity[r]
+        if a > 0:
+            first = max(first, -((f - low) // a))
+            last = min(last, (high - f) // a)
+        else:
+            first = max(first, -((high - f) // -a))
+            last = min(last, (f - low) // -a)
+    for v in range(first, last + 1):
+        if tick is not None:
+            tick()
+        part[i] = v
+        for r, a, _, _ in checks[i]:
+            activity[r] += a * v
+        if d + 1 < len(cols):
+            yield from _descend(search, d + 1, tie and 2 * v == c)
+        elif any(part):
+            x = Polymer(tuple(part))
+            yield x, p - x
+        for r, a, _, _ in checks[i]:
+            activity[r] -= a * v
+    part[i] = 0
 
 
 def merge_count(pc: Configuration) -> int:

@@ -35,6 +35,7 @@ from .core import (
     TbnError,
     canonical_unique,
     is_self_saturated,
+    split_search,
 )
 from .ipmodel import EQ, LE, Constraint, IntegerProgram, Objective, Variable
 
@@ -84,13 +85,18 @@ def hilbert_basis(
 
     Each pair sum examined is one node: it spends one node of the clock
     first, and ``BudgetExhausted`` is raised once the clock passes
-    ``Budget.max_nodes`` or ``Budget.max_time``.
+    ``Budget.max_nodes`` or ``Budget.max_time``.  A row or ``upper``
+    whose length is not ``n`` is a ``BasisError``.
     """
     clock = solver.Clock.of(budget)
     if n is None:
         if not rows:
             raise BasisError("need explicit dimension for an empty system")
         n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise BasisError(f"every row needs {n} entries, one per coordinate")
+    if upper is not None and len(upper) != n:
+        raise BasisError(f"upper has {len(upper)} entries, not {n}")
     capped = [(k, c) for k, c in enumerate(upper or ()) if c is not None]
     basis = [
         tuple(int(j == k) for j in range(n))
@@ -152,8 +158,6 @@ def polymer_basis(
     t: Tbn, budget: solver.Budget | solver.Clock | None = None
 ) -> List[Polymer]:
     """All self-saturated polymers that cannot split into smaller ones."""
-    if t.n_types == 0:
-        return []
     vectors = hilbert_basis(t.site_matrix, t.n_types, budget)
     return [Polymer(v) for v in sorted(vectors, reverse=True)]
 
@@ -198,35 +202,25 @@ def brute_force_hilbert(
 def decompose(
     p: Polymer, basis: Sequence[Polymer], t: Tbn
 ) -> List[Polymer]:
-    """Write a self-saturated polymer as a sum of basis polymers.
-
-    Depth-first with backtracking, trying basis elements in order, so the
-    result is deterministic.  Raises if no decomposition exists (the
-    polymer is not self-saturated or the basis is not one).
-    """
-    zero = (0,) * t.n_types
-
-    def search(remaining: Tuple[int, ...], start: int):
-        if remaining == zero:
-            return []
-        for idx in range(start, len(basis)):
-            b = basis[idx].counts
-            if not all(a <= r for a, r in zip(b, remaining)):
-                continue
-            rest = tuple(r - a for r, a in zip(remaining, b))
-            if not is_self_saturated(Polymer(rest), t):
-                continue
-            tail = search(rest, idx)
-            if tail is not None:
-                return [basis[idx]] + tail
-        return None
-
-    result = search(tuple(p.counts), 0)
-    if result is None:
-        raise BasisError(
-            f"polymer {p.counts} has no decomposition over the given basis"
-        )
-    return result
+    """Write a self-saturated polymer as a sum of basis polymers, in
+    non-increasing order: split it by ``core.split_search``, then each
+    part, until no part splits.  Raises ``BasisError`` if ``p`` is not
+    self-saturated or a part that does not split is not in ``basis``."""
+    if not is_self_saturated(p, t):
+        raise BasisError(f"polymer {p.counts} is not self-saturated")
+    parts, unsplit = [], [p] if p.size else []
+    while unsplit:
+        q = unsplit.pop()
+        split = next(split_search(q, t), None)
+        if split is not None:
+            unsplit.extend(split)
+        elif q in basis:
+            parts.append(q)
+        else:
+            raise BasisError(
+                f"part {q.counts} of {p.counts} neither splits nor is in basis"
+            )
+    return sorted(parts, key=lambda q: q.counts, reverse=True)
 
 
 def _basis_cover_program(

@@ -216,8 +216,6 @@ class StableConfigsModel:
     def _tied_values(self, assignment: Mapping[str, int]) -> Dict[str, int]:
         values: Dict[str, int] = {}
         m = self.tbn.n_types
-        for i in range(1, m + 1):
-            values[tied_var(i, 1)] = 1  # fixed, compares against no slot
         for j in range(2, self.bound + 1):
             still_tied = True
             for i in range(1, m + 1):
@@ -250,7 +248,7 @@ def build(
     if bound < 1:
         raise ModelError(f"slot bound must be >= 1, got {bound}")
     m = t.n_types
-    n_vars = bound * m + bound + (bound * m if symmetry_breaking else 0)
+    n_vars = bound * (m + 1) + ((bound - 1) * m if symmetry_breaking else 0)
     if n_vars > VARIABLE_BUDGET:
         raise ModelError(
             f"model would need {n_vars} variables, "
@@ -309,9 +307,7 @@ def build(
         constraints.append(Constraint(coeffs, LE, 0, f"converse_p{j}"))
 
     if symmetry_breaking:
-        for i in range(1, m + 1):
-            # slot 1 has no predecessor; pin its Tied column
-            variables.append(Variable(tied_var(i, 1), 1, 1))
+        # slot 1 has no predecessor, so its Tied columns start at slot 2
         for j in range(2, bound + 1):
             for i in range(1, m + 1):
                 variables.append(Variable(tied_var(i, j), 0, 1))

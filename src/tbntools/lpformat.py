@@ -103,7 +103,9 @@ def _parse_terms(text: str) -> Tuple[Tuple[str, int], ...]:
 
 
 def parse_lp(text: str) -> IntegerProgram:
-    """Parse LP text produced by :func:`write_lp` (or equivalent)."""
+    """Parse LP text produced by :func:`write_lp` (or equivalent).  A
+    ``Binaries`` name lies in [0, 1] unless bounded; a ``Generals`` name
+    needs a bounds line, since LP semantics give it [0, inf)."""
     section = None
     objective_sense: Optional[str] = None
     objective_text: List[str] = []
@@ -128,6 +130,7 @@ def parse_lp(text: str) -> IntegerProgram:
             continue
         if lowered in ("generals", "general", "integers", "binaries", "binary"):
             section = "generals"
+            binary = lowered.startswith("bin")
             continue
         if lowered == "end":
             break
@@ -155,6 +158,9 @@ def parse_lp(text: str) -> IntegerProgram:
             bounds[name] = (int(lo), int(hi))
         elif section == "generals":
             generals.extend(line.split())
+            if binary:
+                for name in line.split():
+                    bounds.setdefault(name, (0, 1))
         else:
             raise LpFormatError(f"text outside any section: {line!r}")
 
@@ -175,14 +181,14 @@ def parse_lp(text: str) -> IntegerProgram:
             Constraint(_parse_terms(lhs), match.group(1), rhs, label)
         )
 
-    names: List[str] = []
-    seen = set()
-    for name in list(generals) + list(bounds):
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
+    for name in generals:
+        if name not in bounds:
+            raise LpFormatError(
+                f"general variable {name!r} needs finite bounds, not [0, inf)"
+            )
     variables = tuple(
-        Variable(name, *bounds.get(name, (0, 1))) for name in names
+        Variable(name, *bounds[name])
+        for name in dict.fromkeys(generals + list(bounds))
     )
     objective = None
     if objective_sense is not None and objective_text:

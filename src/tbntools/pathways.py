@@ -14,12 +14,11 @@ every barrier, so states are ordered by the larger of that floor and the
 bottleneck barrier reached so far, then by multiset distance to the
 goal.  Each popped state is one node of its budget.
 
-A polymer's splits come from a depth-first search over its coordinates
-that prunes a value as soon as some site-name row can no longer be
-balanced in both parts (``splits``).  One search splits each distinct
-polymer once, and its split searches check the time limit at every node.
-``is_locally_stable`` stops each polymer's split search at its first
-split; each node of those searches is one node of its budget.
+``splits`` lists a polymer's splits and ``is_locally_stable`` stops at
+the first, both through ``core.split_search``, the one search that
+splits a polymer.  A pathway search splits each distinct polymer once
+and checks the time limit at every node of its split searches; each
+node of ``is_locally_stable``'s is one node of its budget.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     Configuration,
@@ -39,6 +38,7 @@ from .core import (
     TbnError,
     is_self_saturated,
     leftover,
+    split_search,
 )
 from .solver import Budget, Clock
 
@@ -90,84 +90,16 @@ def full_configuration(pc: PartialConfiguration) -> FullConfiguration:
     return FullConfiguration.from_polymers(polymers, t)
 
 
-def _split_search(
-    p: Polymer, t: Tbn, tick: Optional[Callable[[], None]]
-) -> Iterator[Tuple[Polymer, Polymer]]:
-    """The splits of ``p`` in the order of ``splits``, by a depth-first
-    search that fixes the part's coordinates in index order, each value
-    ascending; ``tick`` is called once per value given, the search's
-    node.  Each row ``A_r`` of the site matrix carries the activity of
-    the part fixed so far; a value is given only if every row through its
-    column can still end within ``0 <= A_r x <= A_r p`` (both parts
-    self-saturated) whatever the free coordinates add.  While the part
-    fixed so far equals its complement, a value is at most half its
-    coordinate, so the smaller part comes first.
-    """
-    counts = p.counts
-    rows = t.site_matrix_nonzeros
-    caps = [sum(a * counts[i] for i, a in row) for row in rows]
-    if sum(counts) < 2 or min(caps, default=0) < 0:
-        return
-    # checks[i]: each row through column i, its entry there, and the
-    # range its fixed activity must lie in once column i is fixed (rows
-    # list their columns in index order, the order they are fixed in)
-    checks: List[List[Tuple[int, int, int, int]]] = [[] for _ in counts]
-    for r, row in enumerate(rows):
-        low, high = 0, caps[r]
-        for i, a in reversed(row):
-            checks[i].append((r, a, low, high))
-            if a > 0:
-                low -= a * counts[i]
-            else:
-                high -= a * counts[i]
-    cols = [i for i, c in enumerate(counts) if c]
-    activity = [0] * len(rows)
-    part = [0] * len(counts)
-
-    def descend(d: int, tie: bool) -> Iterator[Tuple[Polymer, Polymer]]:
-        i = cols[d]
-        c = counts[i]
-        first, last = 0, c // 2 if tie else c
-        for r, a, low, high in checks[i]:
-            f = activity[r]
-            if a > 0:
-                first = max(first, -((f - low) // a))
-                last = min(last, (high - f) // a)
-            else:
-                first = max(first, -((high - f) // -a))
-                last = min(last, (f - low) // -a)
-        for v in range(first, last + 1):
-            if tick is not None:
-                tick()
-            part[i] = v
-            for r, a, _, _ in checks[i]:
-                activity[r] += a * v
-            if d + 1 < len(cols):
-                yield from descend(d + 1, tie and 2 * v == c)
-            elif any(part):
-                x = Polymer(tuple(part))
-                yield x, p - x
-            for r, a, _, _ in checks[i]:
-                activity[r] -= a * v
-        part[i] = 0
-
-    yield from descend(0, True)
-
-
 def splits(p: Polymer, t: Tbn, *, clock: Optional[Clock] = None) -> _Splits:
-    """All unordered bipartitions of a polymer into self-saturated parts,
-    the lexicographically smaller part first, in ascending lexicographic
-    order of that part.
-
-    Empty exactly when a self-saturated polymer is an element of the
-    polymer basis.  A pruned search finds them (``_split_search``).  With
-    a pathway search's ``clock``, every node of it checks the time limit
-    and counts no node.
+    """Every split of ``p`` into two self-saturated parts, in the order
+    of ``core.split_search``; empty exactly when a self-saturated polymer
+    is a basis element.  With a pathway search's ``clock``, every node
+    of the search checks the time limit and counts no node.
     """
     tick = None if clock is None else functools.partial(
         clock.check, "pathway search"
     )
-    return list(_split_search(p, t, tick))
+    return list(split_search(p, t, tick))
 
 
 def is_locally_stable(
@@ -190,7 +122,7 @@ def is_locally_stable(
         )
     tick = functools.partial(Clock.of(budget).spend, "local stability test")
     return not any(
-        next(_split_search(p, t, tick), None)
+        next(split_search(p, t, tick), None)
         for p in dict.fromkeys(config.polymers)
     )
 

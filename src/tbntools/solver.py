@@ -67,6 +67,7 @@ from .core import (
     Polymer,
     Tbn,
     TbnError,
+    TbnValidationError,
     canonical_unique,
     is_self_saturated,
 )
@@ -107,10 +108,15 @@ class _ProbeCapped(Exception):
 @dataclass(frozen=True)
 class Budget:
     """Limits on a search: nodes expanded and wall-clock seconds;
-    defaults follow the 100 s benchmark timeout."""
+    defaults follow the 100 s benchmark timeout.  A nan time limit, which
+    no elapsed time reaches, is a ``TbnValidationError``."""
 
     max_nodes: int = 10_000_000
     max_time: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.max_time != self.max_time:
+            raise TbnValidationError("max_time must be a number, not nan")
 
 
 @dataclass(slots=True)

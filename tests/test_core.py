@@ -189,6 +189,12 @@ class TestExposedSites:
         p = polymer_from_monomers([mono("a*", "b*")], t)
         assert not is_self_saturated(p, t)
 
+    @pytest.mark.parametrize("counts", [(1, 0, 1), (1, 0, 1, 0, 5)])
+    def test_wrong_dimension_rejected(self, intro_tbn, counts):
+        # a long polymer's extra coordinate was read as absent
+        with pytest.raises(TbnValidationError, match="wrong dimension"):
+            is_self_saturated(Polymer(counts), intro_tbn)
+
     def test_three_monomer_saturation(self, intro_tbn):
         p = polymer_from_monomers(
             [mono("a*", "b*"), mono("a"), mono("b")], intro_tbn

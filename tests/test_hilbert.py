@@ -4,7 +4,12 @@ from collections import Counter
 import pytest
 
 from tbntools.cli import gen_gridgate
-from tbntools.core import Polymer, is_self_saturated, parse_tbn
+from tbntools.core import (
+    Polymer,
+    TbnValidationError,
+    is_self_saturated,
+    parse_tbn,
+)
 from tbntools.hilbert import (
     BasisError,
     brute_force_hilbert,
@@ -14,6 +19,7 @@ from tbntools.hilbert import (
     render_basis_table,
     stable_via_basis,
 )
+from tbntools.pathways import splits
 from tbntools.solver import (
     Budget,
     BudgetExhausted,
@@ -45,6 +51,16 @@ class TestHilbertBasis:
         with pytest.raises(BasisError):
             hilbert_basis([])
         assert hilbert_basis([], 2) == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("rows, n, upper", [
+        ([[1, -1, 2]], 2, None),
+        ([[1, -1]], 2, [1]),
+        ([[1, -1]], 2, [1, None, 2]),
+        ([[1, -1], [1, -1, 0]], None, None),
+    ])
+    def test_lengths_must_match_the_dimension(self, rows, n, upper):
+        with pytest.raises(BasisError):
+            hilbert_basis(rows, n, None, upper)
 
     def test_zero_cap_leaves_the_coordinate_out(self):
         assert hilbert_basis([[1, 0], [0, 1]], 2, None, [0, None]) == [
@@ -167,6 +183,59 @@ class TestDecompose:
         basis = polymer_basis(grid_tbn)
         with pytest.raises(BasisError):
             decompose(Polymer((1, 0, 0, 0, 0)), basis, grid_tbn)
+
+    @pytest.mark.parametrize("network", ["seeded", "k5", "k6"])
+    def test_parts_are_basis_elements_summing_to_the_polymer(self, network):
+        tbns = small_finite_tbns(20261020, 15) if network == "seeded" else [
+            parse_tbn(translator_text(int(network[1])))
+        ]
+        for t in tbns:
+            basis = polymer_basis(t)
+            result = stable_configs(t, StableOptions(all=True))
+            polymers = {p for pc in result.solutions for p in pc.polymers}
+            polymers.add(Polymer(t.counts))
+            for p in polymers:
+                parts = decompose(p, basis, t)
+                assert parts == sorted(
+                    parts, key=lambda q: q.counts, reverse=True
+                )
+                total = tuple(map(sum, zip(*(q.counts for q in parts))))
+                assert total == p.counts
+                assert all(q in basis and splits(q, t) == [] for q in parts)
+                # the basis without the first part no longer decomposes p
+                short = [b for b in basis if b != parts[0]]
+                with pytest.raises(BasisError):
+                    decompose(p, short, t)
+
+    def test_wrong_dimension_rejected(self):
+        # the search this replaced read the extra coordinate as absent
+        # and returned [(1, 0, 1, 0)], which does not sum to the input
+        t = parse_tbn("x: a* b*\ny: a\nz: b\nw: a b")
+        basis = polymer_basis(t)
+        for counts in [(1, 0, 1, 0, 2), (1, 0, 1)]:
+            with pytest.raises(TbnValidationError, match="wrong dimension"):
+                decompose(Polymer(counts), basis, t)
+
+    def test_empty_polymer_is_the_empty_sum(self, grid_tbn):
+        basis = polymer_basis(grid_tbn)
+        assert decompose(Polymer((0,) * 5), basis, grid_tbn) == []
+
+
+def small_finite_tbns(seed, count):
+    """Seeded networks of two to four types over site names a, b, c,
+    each with count 1 or 2."""
+    rng = random.Random(seed)
+    tbns = []
+    while len(tbns) < count:
+        lines = []
+        for _ in range(rng.randint(2, 4)):
+            sites = [rng.choice("abc") + rng.choice(["", "*"])
+                     for _ in range(rng.randint(1, 3))]
+            lines.append(" ".join(sites) + f", {rng.randint(1, 2)}")
+        t = parse_tbn("\n".join(lines))
+        if t.n_types >= 2:
+            tbns.append(t)
+    return tbns
 
 
 class TestStableViaBasis:

@@ -64,8 +64,21 @@ class TestBuild:
         assert len(model.program.variables) == 2 * 4 + 2
 
     def test_tied_variable_count(self, intro_tbn):
+        # one Tied per type and slot after the first
         model = build(intro_tbn, 2, symmetry_breaking=True)
-        assert len(model.program.variables) == (2 * 4 + 2) + 2 * 4
+        assert len(model.program.variables) == (2 * 4 + 2) + 1 * 4
+
+    def test_encoding_sets_exactly_the_model_variables(self, intro_tbn):
+        model = build(intro_tbn, 3, symmetry_breaking=True)
+        pair = polymer_from_monomers(
+            [mono("a*", "b*"), mono("a", "b")], intro_tbn
+        )
+        pc = PartialConfiguration.from_polymers([pair], intro_tbn)
+        names = {v.name for v in model.program.variables}
+        assert set(model.encode(pc)) == names
+        assert model.decode(model.encode(pc)) == pc
+        assert not any(name.endswith("_p1") and name.startswith("T_")
+                       for name in names)
 
     def test_bound_must_be_positive(self, intro_tbn):
         with pytest.raises(ModelError):

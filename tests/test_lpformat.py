@@ -50,6 +50,34 @@ def test_solution_roundtrip():
     assert parse_solution(write_solution(assignment)) == assignment
 
 
+def test_general_without_bounds_rejected():
+    # LP semantics give x in [0, inf), which no IntegerProgram holds; it
+    # was read as binary, so x >= 3 looked infeasible
+    with pytest.raises(LpFormatError, match="'x' needs finite bounds"):
+        parse_lp("Minimize\n x\nSubject To\n c: x >= 3\nGenerals\n x\nEnd\n")
+
+
+def test_binary_without_bounds_is_zero_one():
+    for section in ("Binaries", "Binary"):
+        program = parse_lp(
+            f"Minimize\n x + y\nSubject To\n c: x + y >= 1\n"
+            f"Bounds\n 0 <= y <= 4\n{section}\n x y\nEnd\n"
+        )
+        assert [(v.name, v.lower, v.upper) for v in program.variables] == [
+            ("x", 0, 1), ("y", 0, 4),
+        ]
+
+
+def test_bounded_general_keeps_its_bounds():
+    program = parse_lp(
+        "Minimize\n x\nSubject To\n c: x >= 3\n"
+        "Bounds\n 0 <= x <= 7\nGenerals\n x\nEnd\n"
+    )
+    assert [(v.name, v.lower, v.upper) for v in program.variables] == [
+        ("x", 0, 7),
+    ]
+
+
 def test_solution_accepts_float_text_and_comments():
     parsed = parse_solution("# solver output\nx 1.0000\ny = 3\n")
     assert parsed == {"x": 1, "y": 3}

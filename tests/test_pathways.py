@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 from collections import Counter, deque
@@ -8,6 +9,7 @@ import pytest
 from tbntools.core import (
     PartialConfiguration,
     Polymer,
+    TbnValidationError,
     is_self_saturated,
     parse_tbn,
     polymer_from_monomers,
@@ -19,7 +21,7 @@ from conftest import (
     translator_text,
 )
 from tbntools import pathways
-from tbntools.hilbert import polymer_basis, stable_via_basis
+from tbntools.hilbert import decompose, polymer_basis, stable_via_basis
 from tbntools.pathways import (
     FullConfiguration,
     Pathway,
@@ -175,6 +177,28 @@ class TestSplitSearch:
     def test_translator_whole_polymer(self, k, count):
         t = parse_tbn(translator_text(k))
         assert len(splits(Polymer(t.counts), t)) == count
+
+    @pytest.mark.parametrize("counts", [(1, 0, 1), (1, 0, 1, 0, 5)])
+    def test_wrong_dimension_rejected(self, intro_tbn, counts):
+        with pytest.raises(TbnValidationError, match="wrong dimension"):
+            splits(Polymer(counts), intro_tbn)
+
+    def test_searches_leave_no_reference_cycle(self, translator_tbn):
+        t = translator_tbn
+        start = translator_pairs(t, 0)
+        goal = translator_pairs(t, 1)
+        basis = polymer_basis(t)
+        gc.collect()
+        gc.disable()
+        try:
+            assert find_pathway(start, goal).barrier() == 2
+            assert is_locally_stable(start) and is_locally_stable(goal)
+            assert not is_locally_stable(fully_merged(t))
+            parts = decompose(Polymer(t.counts), basis, t)
+            assert sum(map(sum, (q.counts for q in parts))) == sum(t.counts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLocalStability:
@@ -519,7 +543,7 @@ class TestValidate:
         def forbidden(*args, **kwargs):
             raise AssertionError("validate called a move generator")
 
-        for name in ("merge_moves", "split_moves", "splits", "_split_search"):
+        for name in ("merge_moves", "split_moves", "splits", "split_search"):
             monkeypatch.setattr(pathways, name, forbidden)
         for p in found:
             assert p.length > 1

@@ -102,6 +102,16 @@ class TestWorkedExamples:
         ]
 
 
+class TestBudget:
+    def test_nan_time_limit_rejected(self):
+        # no elapsed time is >= nan, so the limit would never fire
+        with pytest.raises(TbnValidationError, match="nan"):
+            Budget(max_time=float("nan"))
+
+    def test_infinite_time_limit_accepted(self):
+        assert Budget(max_time=float("inf")).max_time == float("inf")
+
+
 class TestSlottedRecords:
     def test_no_instance_dict(self, intro_tbn):
         result = stable_configs(intro_tbn, StableOptions(all=True))
