@@ -464,7 +464,10 @@ def exposed_sites(p: Polymer, t: Tbn) -> Counter:
     """Leftover sites of a polymer after cancelling complementary pairs.
 
     Emits ``|net|`` copies of ``s`` (net > 0) or of ``s*`` (net < 0) per name.
+    A polymer of the wrong dimension is an error.
     """
+    if len(p.counts) != t.n_types:
+        raise TbnValidationError("polymer has wrong dimension")
     result: Counter = Counter()
     for name in t.site_names():
         s = SiteType(name, False)

@@ -168,23 +168,33 @@ def _in_cone(rows: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
     )
 
 
+def _cone_points(
+    rows: Sequence[Sequence[int]],
+    n: int,
+    prefix: List[int],
+    remaining: int,
+    points: List[Tuple[int, ...]],
+) -> None:
+    """Append to ``points`` each nonzero cone point of length ``n`` that
+    extends ``prefix`` by at most ``remaining`` in 1-norm, in
+    lexicographic order.  Module-level, so the recursion leaves no
+    reference cycle."""
+    if len(prefix) == n:
+        if any(prefix) and _in_cone(rows, prefix):
+            points.append(tuple(prefix))
+        return
+    for v in range(remaining + 1):
+        prefix.append(v)
+        _cone_points(rows, n, prefix, remaining - v, points)
+        prefix.pop()
+
+
 def brute_force_hilbert(
     rows: Sequence[Sequence[int]], n: int, cap: int
 ) -> List[Tuple[int, ...]]:
     """Oracle: indecomposable cone points with 1-norm up to ``cap``."""
     points: List[Tuple[int, ...]] = []
-
-    def extend(prefix: List[int], remaining: int, k: int) -> None:
-        if k == n:
-            if any(prefix) and _in_cone(rows, prefix):
-                points.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            extend(prefix, remaining - v, k + 1)
-            prefix.pop()
-
-    extend([], cap, 0)
+    _cone_points(rows, n, [], cap, points)
     point_set = set(points)
 
     def decomposable(x: Tuple[int, ...]) -> bool:

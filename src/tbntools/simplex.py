@@ -7,10 +7,13 @@ may sit nonbasic at either bound, so bound rows never enter the tableau.
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
 list of integer numerators over one positive integer denominator, and the
 reduced costs are one more such row.  A pivot divides the pivot row
-through by its pivot entry, and eliminates the pivot column from each
-other row over the product of the two denominators, dividing out the
-gcd.  When the pivot row's denominator is 1 an elimination keeps the
-row's denominator and touches only the pivot row's nonzeros.
+through by its pivot entry and divides out the gcd, leaving the pivot
+row over denominator ``pden``; then it eliminates the pivot column from
+each other row that has a nonzero ``f`` there.  When ``pden`` divides
+``f`` (always when ``pden == 1``) the row subtracts ``(f // pden)`` times
+the pivot row over the pivot row's nonzeros only and keeps its
+denominator; otherwise it is cross-multiplied over the product of the
+two denominators and the gcd is divided out.
 
 Each row's last entry is the numerator of its basic value, so a pivot
 updates the values with the rest of the row.  Moving a nonbasic variable
@@ -18,17 +21,22 @@ between its bounds (a bound flip, or a variable entering from or leaving
 to its upper bound) is the integer shift ``row[-1] -= amount * row[j]``.
 The ratio test compares integer pairs (distance, rate) by cross
 multiplication, the row's denominator cancelled.  ``fractions.Fraction``
-appears only in the returned ``LpSolution``.
+appears only in the returned ``LpSolution``, once per non-integral value.
 
-Pivot selection is Dantzig's rule, switching to Bland's rule permanently
-after a long degenerate streak to guarantee termination.
+Pivot selection is Dantzig's rule (the first column of largest score),
+switching to Bland's rule (the first column that improves) permanently
+after a long degenerate streak to guarantee termination.  Each phase
+prices a fixed list of its allowed columns (phase 2 leaves out the
+artificials) and scores only nonzero reduced costs: a basic column's
+reduced cost is exactly 0 after every pricing and every pivot, so basic
+columns need no test of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 # senses for linear constraints (ipmodel re-exports them)
@@ -54,6 +62,8 @@ def is_integral(q) -> bool:
 class LpSolution:
     """An LP's status and, when optimal, its exact optimum.
 
+    ``objective`` and every entry of ``x`` and ``reduced`` is an exact
+    rational: an ``int`` when integral, else a ``fractions.Fraction``.
     ``reduced`` holds each variable's optimal reduced cost: 0 for a
     basic or fixed variable, ``>= 0`` for one at its lower bound and
     ``<= 0`` for one at its upper bound.  The objective of any point
@@ -63,9 +73,9 @@ class LpSolution:
     """
 
     status: str  # "optimal" | "infeasible"
-    objective: Optional[object] = None  # exact rational
-    x: Optional[List[object]] = None  # exact rationals, one per variable
-    reduced: Optional[List[object]] = None  # exact rationals, likewise
+    objective: Optional[object] = None  # int or Fraction
+    x: Optional[List[object]] = None  # int or Fraction, one per variable
+    reduced: Optional[List[object]] = None  # likewise
 
 
 def solve_lp(
@@ -80,8 +90,9 @@ def solve_lp(
     ``rows``: (coeff pairs, sense, rhs) triples.
     ``bounds``: inclusive (lower, upper) per variable, all finite.
     Every coefficient, right-hand side and bound is an integer.
-    ``check`` is called once per pivot; whatever it raises ends the
-    solve.
+    ``check`` is called before each pricing pass of the pivot loop: once
+    per pivot, per bound flip and per phase's last pass, which finds no
+    entering column.  Whatever it raises ends the solve.
     """
     n = len(bounds)
     lo = [b[0] for b in bounds]
@@ -133,17 +144,28 @@ def solve_lp(
 def _finish(z, rc, rc_den, active, lo, n, c, obj_const) -> LpSolution:
     """The solution whose active column k sits at ``z[k]``, a pair
     (numerator, positive denominator) above its lower bound, and has
-    reduced cost ``rc[k] / rc_den``."""
-    x = [Q(v) for v in lo]
-    reduced = [Q(0)] * n
-    value = Q(obj_const)
+    reduced cost ``rc[k] / rc_den``.  The objective is summed as one
+    numerator over the least common denominator."""
+    x = list(lo)
+    reduced = [0] * n
+    num, den = obj_const, 1
     for k, i in enumerate(active):
-        zk = Q(*z[k])
-        x[i] += zk
-        value += c[k] * zk
+        zn, zd = z[k]
+        if zn:
+            x[i] = _rational(lo[i] * zd + zn, zd)
+            if c[k]:
+                common = lcm(den, zd)
+                num = num * (common // den) + c[k] * zn * (common // zd)
+                den = common
         if rc[k]:
-            reduced[i] = Q(rc[k], rc_den)
-    return LpSolution("optimal", value, x, reduced)
+            reduced[i] = _rational(rc[k], rc_den)
+    return LpSolution("optimal", _rational(num, den), x, reduced)
+
+
+def _rational(num, den):
+    """``num / den`` as an ``int`` when integral, else a ``Fraction``."""
+    q, rem = divmod(num, den)
+    return Q(num, den) if rem else q
 
 
 def _support(row):
@@ -153,12 +175,15 @@ def _support(row):
 def _eliminate(row, den, f, prow, pden, support):
     """``row/den - (f/den) * (prow/pden)`` as (numerators, denominator).
 
-    ``support`` lists ``prow``'s nonzeros; with ``pden == 1`` only those
-    entries change, in place, and ``den`` stays.
+    ``f`` is ``row``'s numerator in the pivot column.  When ``pden``
+    divides ``f``, ``row`` subtracts ``(f // pden) * prow`` in place over
+    ``support``, ``prow``'s nonzeros, and ``den`` stays.  Otherwise the
+    row is cross-multiplied over ``den * pden`` and the gcd divided out.
     """
-    if pden == 1:
+    q, rem = divmod(f, pden)
+    if not rem:
         for k, v in support:
-            row[k] -= f * v
+            row[k] -= q * v
         return row, den
     row = [v * pden - f * p for v, p in zip(row, prow)]
     den *= pden
@@ -228,14 +253,13 @@ class _Simplex:
                 col += 1
             self.rows.append(aug)
         self.at_upper = [False] * ncols
-        self.in_basis = set(self.basis)
         self.rc: List[int] = []
         self.rc_den = 1
 
     def run(self, active, lo, n, obj_const) -> LpSolution:
         # phase 1: minimize the artificial total
         self._price([1 if a else 0 for a in self.is_art])
-        self._pivot_loop(banned=None)
+        self._pivot_loop(range(self.ncols))
         if any(
             self.is_art[self.basis[r]] and self.rows[r][-1] != 0
             for r in range(self.m)
@@ -250,7 +274,9 @@ class _Simplex:
 
         # phase 2
         self._price(self.c + [0] * (self.ncols - self.n_struct))
-        self._pivot_loop(banned=self.is_art)
+        self._pivot_loop(
+            [j for j in range(self.ncols) if not self.is_art[j]]
+        )
 
         z = [(self.ub[j] if self.at_upper[j] else 0, 1)
              for j in range(self.n_struct)]
@@ -299,26 +325,31 @@ class _Simplex:
                 a //= g
         rows[r], dens[r] = prow, a
         support = _support(prow)
-        for rr in range(self.m):
-            f = rows[rr][j]
-            if f != 0 and rr != r:
-                rows[rr], dens[rr] = _eliminate(
-                    rows[rr], dens[rr], f, prow, a, support
-                )
+        # ``_eliminate``, with its divisible case inline: no call per row
+        for rr, row in enumerate(rows):
+            f = row[j]
+            if f and rr != r:
+                q, rem = divmod(f, a)
+                if rem:
+                    rows[rr], dens[rr] = _eliminate(
+                        row, dens[rr], f, prow, a, support
+                    )
+                else:
+                    for k, v in support:
+                        row[k] -= q * v
         if self.rc[j] != 0:
             self.rc, self.rc_den = _eliminate(
                 self.rc, self.rc_den, self.rc[j], prow, a, support
             )
         out, self.basis[r] = self.basis[r], j
-        self.in_basis.discard(out)
-        self.in_basis.add(j)
         self.at_upper[out] = out_to_upper
         if out_to_upper:
             self._shift(out, self.ub[out])
 
-    def _pivot_loop(self, banned):
+    def _pivot_loop(self, columns):
+        """Pivot until no column of ``columns`` prices in."""
         rows, dens, basis = self.rows, self.dens, self.basis
-        ub, at_upper, in_basis = self.ub, self.at_upper, self.in_basis
+        ub, at_upper = self.ub, self.at_upper
         use_bland = False
         degenerate_streak = 0
         iteration = 0
@@ -334,17 +365,15 @@ class _Simplex:
             rc = self.rc
             entering = None
             best = 0
-            for j in range(self.ncols):
-                if j in in_basis or (banned is not None and banned[j]):
-                    continue
-                score = rc[j] if at_upper[j] else -rc[j]
-                if score > 0:
-                    if use_bland:
-                        entering = j
-                        break
+            for j in columns:
+                v = rc[j]
+                if v:
+                    score = v if at_upper[j] else -v
                     if score > best:
                         best = score
                         entering = j
+                        if use_bland:
+                            break
             if entering is None:
                 return
 

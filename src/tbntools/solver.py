@@ -616,6 +616,41 @@ def _reduced_cost_box(
     return box
 
 
+def _partitions(
+    remaining: Tuple[int, ...],
+    cost: int,
+    blocks: List[Tuple[int, ...]],
+    best: list,
+    saturated: Callable[[Tuple[int, ...]], bool],
+) -> None:
+    """Complete ``blocks``, a partial partition of merge cost ``cost``,
+    with blocks of ``remaining`` that ``saturated`` accepts, each block
+    holding the first monomer type left; ``best`` is ``[cost,
+    partitions]`` of the cheapest found so far.  Module-level, so the
+    recursion leaves no reference cycle."""
+    if best[0] is not None and cost > best[0]:
+        return
+    anchor = next((i for i, r in enumerate(remaining) if r > 0), None)
+    if anchor is None:
+        if best[0] is None or cost < best[0]:
+            best[:] = [cost, [tuple(blocks)]]
+        elif cost == best[0]:
+            best[1].append(tuple(blocks))
+        return
+    ranges = [(0,)] * anchor + [range(1, remaining[anchor] + 1)]
+    ranges += [range(r + 1) for r in remaining[anchor + 1:]]
+    for block in itertools.product(*ranges):
+        extra = sum(block) - 1
+        if best[0] is not None and cost + extra > best[0]:
+            continue
+        if not saturated(block):
+            continue
+        blocks.append(block)
+        _partitions(tuple(r - b for r, b in zip(remaining, block)),
+                    cost + extra, blocks, best, saturated)
+        blocks.pop()
+
+
 def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
     """Exhaustive oracle: all merge-minimal saturated configurations.
 
@@ -629,8 +664,6 @@ def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
             f"{total} monomer instances exceed the oracle limit "
             f"{_BRUTE_FORCE_MAX_INSTANCES}"
         )
-    n = finite.n_types
-
     saturated_cache: Dict[Tuple[int, ...], bool] = {}
 
     def saturated(block: Tuple[int, ...]) -> bool:
@@ -640,45 +673,9 @@ def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
             saturated_cache[block] = cached
         return cached
 
-    best_cost = None
-    best_partitions: List[Tuple[Tuple[int, ...], ...]] = []
-
-    def submultisets_with_anchor(remaining: Tuple[int, ...], anchor: int):
-        ranges = []
-        for i in range(n):
-            if i < anchor:
-                ranges.append((0,))
-            elif i == anchor:
-                ranges.append(tuple(range(1, remaining[i] + 1)))
-            else:
-                ranges.append(tuple(range(remaining[i] + 1)))
-        return itertools.product(*ranges)
-
-    def recurse(remaining: Tuple[int, ...], cost: int, blocks):
-        nonlocal best_cost, best_partitions
-        if best_cost is not None and cost > best_cost:
-            return
-        anchor = next((i for i in range(n) if remaining[i] > 0), None)
-        if anchor is None:
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_partitions = [tuple(blocks)]
-            elif cost == best_cost:
-                best_partitions.append(tuple(blocks))
-            return
-        for block in submultisets_with_anchor(remaining, anchor):
-            size = sum(block)
-            extra = size - 1
-            if best_cost is not None and cost + extra > best_cost:
-                continue
-            if not saturated(block):
-                continue
-            rest = tuple(r - b for r, b in zip(remaining, block))
-            blocks.append(block)
-            recurse(rest, cost + extra, blocks)
-            blocks.pop()
-
-    recurse(tuple(finite.counts), 0, [])
+    best: list = [None, []]
+    _partitions(tuple(finite.counts), 0, [], best, saturated)
+    best_cost, best_partitions = best
 
     if best_cost is None:
         raise TbnError("no saturated partition exists (broken invariant)")

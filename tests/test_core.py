@@ -195,6 +195,12 @@ class TestExposedSites:
         with pytest.raises(TbnValidationError, match="wrong dimension"):
             is_self_saturated(Polymer(counts), intro_tbn)
 
+    @pytest.mark.parametrize("counts", [(1, 0, 1), (1, 0, 1, 0, 5)])
+    def test_exposed_sites_rejects_wrong_dimension(self, intro_tbn, counts):
+        # checked on its own, apart from is_self_saturated's check
+        with pytest.raises(TbnValidationError, match="wrong dimension"):
+            exposed_sites(Polymer(counts), intro_tbn)
+
     def test_three_monomer_saturation(self, intro_tbn):
         p = polymer_from_monomers(
             [mono("a*", "b*"), mono("a"), mono("b")], intro_tbn

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -25,6 +26,7 @@ from tbntools.solver import (
     BudgetExhausted,
     Clock,
     StableOptions,
+    brute_force_stable,
     stable_configs,
 )
 
@@ -447,3 +449,18 @@ class TestOracleEquivalence:
                 p.counts for p in basis if sum(p.counts) <= 6
             )
             assert small == brute_force_hilbert(t.site_matrix, t.n_types, 6)
+
+    def test_oracles_leave_no_reference_cycle(self, intro_tbn):
+        t = intro_tbn
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                assert brute_force_stable(t).optimum == 1
+                assert brute_force_hilbert(t.site_matrix, t.n_types, 4) == [
+                    (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0),
+                    (1, 1, 0, 1),
+                ]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

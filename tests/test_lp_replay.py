@@ -1,0 +1,40 @@
+"""``tools/lp_replay.py``: its digest, and its line for one workload."""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import lp_replay  # noqa: E402
+from tbntools.simplex import LpSolution  # noqa: E402
+
+
+def test_digest_reads_exact_values_not_their_types():
+    half = Fraction(1, 2)
+    as_ints = LpSolution("optimal", 1, [0, half], [half, 0])
+    as_fractions = LpSolution(
+        "optimal", Fraction(1), [Fraction(0), half], [half, Fraction(0)])
+    assert lp_replay.digest([as_ints]) == lp_replay.digest([as_fractions])
+    moved = LpSolution("optimal", 1, [half, 0], [half, 0])
+    assert lp_replay.digest([moved]) != lp_replay.digest([as_ints])
+    assert lp_replay.digest([LpSolution("infeasible")]) != lp_replay.digest(
+        [])
+
+
+def test_gridgate_pass_keeps_its_pivots_and_answers(capsys):
+    assert lp_replay.main(["--workloads", "gridgate", "--seed", "1"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    # one root LP per instance; the counts and the digest pin the
+    # kernel's pivot path and its exact answers
+    assert line.startswith("gridgate: 28 LPs, 1008 pivots, 1060 checks, "
+                           "digest b85266b5d3cf81f8, replay ")
+
+
+def test_unknown_workload_is_an_argument_error():
+    with pytest.raises(SystemExit) as exit_:
+        lp_replay.main(["--workloads", "nosuch"])
+    assert exit_.value.code == 2

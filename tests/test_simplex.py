@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,8 @@ from tbntools.simplex import (
     is_integral,
     solve_lp,
 )
+
+from conftest import translator_text
 
 
 def feasible(x, rows, bounds):
@@ -296,6 +299,33 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
             solve_lp(*self.gen_problem(rng))
         assert seen == {"bound flip", "enter from upper", "leave to upper"}
 
+    def test_reach_every_elimination_branch(self, monkeypatch):
+        """Each other row a pivot eliminates from takes one of three
+        branches: the normalised pivot row's denominator is 1, or it
+        divides the row's factor, or neither (the dense update)."""
+        kernel = simplex._Simplex
+        pivot = kernel._pivot
+        seen = set()
+
+        def classifying(self, r, j, out_to_upper=False):
+            a = abs(self.rows[r][j])
+            pden = a // gcd(a, *self.rows[r])
+            for rr, row in enumerate(self.rows):
+                f = row[j]
+                if f and rr != r:
+                    seen.add("unit" if pden == 1
+                             else "divisible" if f % pden == 0
+                             else "dense")
+            return pivot(self, r, j, out_to_upper)
+
+        monkeypatch.setattr(kernel, "_pivot", classifying)
+        for gen in (TestRandomizedAgainstScipy().gen_problem,
+                    self.gen_problem):
+            rng = random.Random(20240817)
+            for _ in range(300):
+                solve_lp(*gen(rng))
+        assert seen == {"unit", "divisible", "dense"}
+
 
 class TestWorkloadRootLps:
     """The root LP of one instance per workload family keeps the exact
@@ -343,6 +373,80 @@ class TestWorkloadRootLps:
             (0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
         }
         assert root.x == [Q(int(b in ones)) for b in within]
+
+
+def root_lp_args(monkeypatch, run):
+    """The (objective, rows, bounds) of the first LP ``run`` solves,
+    which ends the run."""
+
+    class Captured(Exception):
+        pass
+
+    def capturing(objective, rows, bounds, check=None):
+        raise Captured(objective, rows, bounds)
+
+    monkeypatch.setattr(solver, "solve_lp", capturing)
+    with pytest.raises(Captured) as caught:
+        run()
+    return caught.value.args
+
+
+def nonzeros(values):
+    return {i: v for i, v in enumerate(values) if v}
+
+
+class TestPivotPathPins:
+    """Three workload root LPs keep their number of ``check`` calls (one
+    per pivot, bound flip and final pricing of a phase) and their exact
+    solution: a faster kernel must take the same path."""
+
+    def solve(self, monkeypatch, run):
+        args = root_lp_args(monkeypatch, run)
+        checks = []
+        sol = solve_lp(*args, lambda: checks.append(1))
+        assert sol.status == "optimal"
+        # integral entries are plain ints, the rest exact fractions
+        for v in [sol.objective] + sol.x + sol.reduced:
+            assert type(v) is (int if v.denominator == 1 else Q)
+        return sol, len(checks)
+
+    def test_gridgate_n7_caption(self, monkeypatch):
+        t = gen_gridgate(7, 2, caption_literal=True)
+        sol, checks = self.solve(
+            monkeypatch, lambda: solver.stable_configs(t))
+        assert checks == 116
+        assert sol.objective == Q(13, 2)
+        half = Q(1, 2)
+        assert sol.x == [1, half, half, half, half, half, half, 1, 1,
+                         half, half, half, 0, 0, 0, 1]
+        assert sol.reduced == [0] * 14 + [half, 0]
+
+    def test_translator_k6_cover_ip(self, monkeypatch):
+        t = parse_tbn(translator_text(6))
+        basis = polymer_basis(t)
+        sol, checks = self.solve(
+            monkeypatch, lambda: stable_via_basis(t, basis))
+        assert checks == 33
+        assert sol.objective == 6
+        ones = {11, 24, 32, 38, 41, 43}
+        assert sol.x == [int(i in ones) for i in range(45)]
+        zero = ones | {12, 25, 30, 37, 40, 44}
+        assert sol.reduced == [int(i not in zero) for i in range(45)]
+
+    def test_gridgate_n14_caption(self, monkeypatch):
+        t = gen_gridgate(14, 2, caption_literal=True)
+        sol, checks = self.solve(
+            monkeypatch, lambda: solver.stable_configs(t))
+        assert checks == 305
+        assert sol.objective == Q(27, 2)
+        half = Q(1, 2)
+        assert len(sol.x) == 30
+        assert nonzeros(sol.x) == {
+            **{i: 1 for i in (0, 3, 4, 5, 6, 7, 14, 15, 29)},
+            **{i: half for i in (1, 8, 9, 10, 11, 12, 13,
+                                 20, 21, 22, 23, 24, 25)},
+        }
+        assert nonzeros(sol.reduced) == {19: half}
 
 
 class TestNoFractionPerPivot:

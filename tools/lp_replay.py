@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Replay every exact LP of one benchmark pass and digest the answers.
+
+Run from anywhere:
+
+  python3 tools/lp_replay.py --workloads gridgate,random-oracle,translator \\
+      --seed 1 --repeat 7
+
+For each workload it makes perfbench's inputs from ``--seed`` and runs
+one untraced pass of perfbench's ``workloads`` module (used read-only,
+latency repeats included), with ``solver.solve_lp`` wrapped to record the
+objective, rows and bounds of every call.  Then it solves each recorded
+LP again, counting the kernel's pivots and its ``check`` calls, and
+prints one line per workload: the LP count, the pivot and check totals,
+a digest of the answers and the replay time.  The digest covers each
+answer's status, objective, ``x`` and ``reduced``, every value as its
+exact numerator and denominator, so an ``int`` and an equal ``Fraction``
+digest alike.  The time is the least over ``--repeat`` uncounted
+replays of the whole list, in ms.
+
+Two checkouts whose lines agree on all but the time take the same number
+of pivots to the same answers.  Uses only the standard library and the
+checkout's own sources.  Exit codes: 0 done, 2 bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import time
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "perfbench"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from tbntools import core, simplex, solver  # noqa: E402
+
+import workloads  # noqa: E402
+
+Lp = Tuple[object, object, object]  # objective, rows, bounds
+
+
+def capture(workload: str, seed: int) -> List[Lp]:
+    """The (objective, rows, bounds) of every ``solve_lp`` call that one
+    untraced pass of ``workload`` makes, in call order."""
+    w = workloads.WORKLOADS[workload]
+    tbns = {label: core.parse_tbn(text) for label, text in w.generate(seed)}
+    lps: List[Lp] = []
+    solve_lp = solver.solve_lp
+
+    def recording(objective, rows, bounds, check=None):
+        lps.append((objective, rows, bounds))
+        return solve_lp(objective, rows, bounds, check)
+
+    solver.solve_lp = recording
+    try:
+        w.run_pass(tbns, workloads.Timer())
+    finally:
+        solver.solve_lp = solve_lp
+    return lps
+
+
+def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int]:
+    """Every LP solved again: the answers, the pivot total and the
+    number of ``check`` calls (one per pivot, bound flip and pricing
+    pass that finds no entering column)."""
+    pivots = checks = 0
+    kernel_pivot = simplex._Simplex._pivot
+
+    def counting_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        return kernel_pivot(*args)
+
+    def check():
+        nonlocal checks
+        checks += 1
+
+    simplex._Simplex._pivot = counting_pivot
+    try:
+        answers = [simplex.solve_lp(*lp, check) for lp in lps]
+    finally:
+        simplex._Simplex._pivot = kernel_pivot
+    return answers, pivots, checks
+
+
+def seconds(lps: List[Lp]) -> float:
+    """The time every LP takes to solve again, uncounted."""
+    start = time.perf_counter()
+    for lp in lps:
+        simplex.solve_lp(*lp)
+    return time.perf_counter() - start
+
+
+def _exact(value) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def digest(answers: List[simplex.LpSolution]) -> str:
+    """A hash of every answer's status and exact values."""
+    h = hashlib.sha256()
+    for a in answers:
+        fields = [a.status]
+        if a.objective is not None:
+            fields.append(_exact(a.objective))
+        for values in (a.x, a.reduced):
+            fields.append(",".join(map(_exact, values or ())))
+        h.update(("|".join(fields) + "\n").encode())
+    return h.hexdigest()[:16]
+
+
+def report(workload: str, seed: int, repeat: int) -> str:
+    lps = capture(workload, seed)
+    answers, pivots, checks = replay(lps)
+    best = min(seconds(lps) for _ in range(repeat))
+    return (f"{workload}: {len(lps)} LPs, {pivots} pivots, {checks} checks, "
+            f"digest {digest(answers)}, replay {best * 1e3:.1f} ms "
+            f"(best of {repeat})")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workloads", default=",".join(workloads.WORKLOADS),
+                   help="comma-separated perfbench workload names")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--repeat", type=int, default=1,
+                   help="replays of each workload's LPs; the least time "
+                        "is printed")
+    args = p.parse_args(argv)
+    names = args.workloads.split(",")
+    unknown = [n for n in names if n not in workloads.WORKLOADS]
+    if unknown or args.repeat < 1:
+        p.error(f"unknown workload {unknown}" if unknown
+                else "--repeat must be at least 1")
+    for name in names:
+        print(report(name, args.seed, args.repeat), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
