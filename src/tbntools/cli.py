@@ -26,7 +26,8 @@ Environment: TBN_MAX_NODES and TBN_MAX_SECONDS override the default
 search budget (``solver.Budget``) of every command that searches;
 ``--timeout`` sets its seconds and ``basis --cap`` its nodes.  A
 variable's or ``--timeout``'s value that is not a number, or is nan, is
-an input error.
+an input error, and so is a negative value of any of them or of
+``--cap``; 0 is valid and runs out at once.
 ``verify`` runs one clock: the local-stability test (one node per node
 of a polymer's split search, ``pathways.is_locally_stable``) spends it
 first, then the stable search.
@@ -440,6 +441,8 @@ def _parse_range(spec: str) -> List[int]:
     lo, colon, hi = spec.partition(":")
     lo = _number(lo, int, "--n-range")
     hi = _number(hi, int, "--n-range") if colon else lo
+    if hi < lo:
+        raise CliError(f"--n-range must not run downward, got {spec!r}")
     return list(range(lo, hi + 1))
 
 

@@ -23,6 +23,18 @@ The ratio test compares integer pairs (distance, rate) by cross
 multiplication, the row's denominator cancelled.  ``fractions.Fraction``
 appears only in the returned ``LpSolution``, once per non-integral value.
 
+Phase 1 minimizes the total of the artificial columns and ends as soon
+as every basic artificial is 0, rather than when no column prices in
+(Chvátal, *Linear Programming*, 1983).  This is exact: every artificial
+is nonnegative, so a total of 0 is phase 1's optimum, and any further
+phase-1 pivot would be degenerate.  An artificial still basic then sits
+at 0; phase 2 pins every artificial to [0, 0] and never prices one in,
+so the ratio test keeps it at 0.  Phase 2's reduced costs stay valid
+bounds (``LpSolution``), since every point that meets the rows has
+every artificial at 0.  The total moves only on a step of nonzero
+length, so the test runs before the first pricing and after each such
+step.
+
 Pivot selection is Dantzig's rule (the first column of largest score),
 switching to Bland's rule (the first column that improves) permanently
 after a long degenerate streak to guarantee termination.  Each phase
@@ -91,8 +103,9 @@ def solve_lp(
     ``bounds``: inclusive (lower, upper) per variable, all finite.
     Every coefficient, right-hand side and bound is an integer.
     ``check`` is called before each pricing pass of the pivot loop: once
-    per pivot, per bound flip and per phase's last pass, which finds no
-    entering column.  Whatever it raises ends the solve.
+    per pivot, per bound flip and per last pass of a phase that finds no
+    entering column (phase 1 makes none when it ends at feasibility).
+    Whatever it raises ends the solve.
     """
     n = len(bounds)
     lo = [b[0] for b in bounds]
@@ -257,13 +270,12 @@ class _Simplex:
         self.rc_den = 1
 
     def run(self, active, lo, n, obj_const) -> LpSolution:
-        # phase 1: minimize the artificial total
+        # phase 1: minimize the artificial total until it is 0, which is
+        # its optimum since every artificial is >= 0; pricing on would
+        # only pivot degenerately among feasible bases
         self._price([1 if a else 0 for a in self.is_art])
-        self._pivot_loop(range(self.ncols))
-        if any(
-            self.is_art[self.basis[r]] and self.rows[r][-1] != 0
-            for r in range(self.m)
-        ):
+        self._pivot_loop(range(self.ncols), self._artificial_total_zero)
+        if not self._artificial_total_zero():
             return LpSolution("infeasible")
 
         # pin artificials at zero: the ratio test holds one left basic
@@ -285,6 +297,14 @@ class _Simplex:
                 z[j] = (self.rows[r][-1], self.dens[r])
         return _finish(
             z, self.rc, self.rc_den, active, lo, n, self.c, obj_const
+        )
+
+    def _artificial_total_zero(self):
+        """Whether every basic artificial has value 0.  Nonbasic ones sit
+        at 0, so this is the artificial total reaching 0."""
+        rows, is_art = self.rows, self.is_art
+        return not any(
+            is_art[j] and rows[r][-1] for r, j in enumerate(self.basis)
         )
 
     def _price(self, cost):
@@ -346,16 +366,22 @@ class _Simplex:
         if out_to_upper:
             self._shift(out, self.ub[out])
 
-    def _pivot_loop(self, columns):
-        """Pivot until no column of ``columns`` prices in."""
+    def _pivot_loop(self, columns, done=None):
+        """Pivot until no column of ``columns`` prices in, or until
+        ``done()`` holds.  ``done`` is asked before the first pricing and
+        after each step that moves the basic values: it must be a test
+        that a degenerate step cannot change."""
         rows, dens, basis = self.rows, self.dens, self.basis
         ub, at_upper = self.ub, self.at_upper
         use_bland = False
         degenerate_streak = 0
         iteration = 0
         max_iterations = 2000 + 200 * (self.m + self.ncols)
+        moved = True
 
         while True:
+            if moved and done is not None and done():
+                return
             iteration += 1
             if iteration > max_iterations:
                 raise SimplexError("iteration cap exceeded")
@@ -409,12 +435,13 @@ class _Simplex:
             if tn is None:
                 raise SimplexError("unbounded direction in a bounded problem")
 
-            if tn == 0:
+            moved = tn != 0
+            if moved:
+                degenerate_streak = 0
+            else:
                 degenerate_streak += 1
                 if degenerate_streak > _DEGENERATE_STREAK_LIMIT:
                     use_bland = True
-            else:
-                degenerate_streak = 0
 
             if leaving_row is None:
                 # the entering variable reached its other bound: no pivot

@@ -109,7 +109,8 @@ class _ProbeCapped(Exception):
 class Budget:
     """Limits on a search: nodes expanded and wall-clock seconds;
     defaults follow the 100 s benchmark timeout.  A nan time limit, which
-    no elapsed time reaches, is a ``TbnValidationError``."""
+    no elapsed time reaches, or a negative limit of either kind is a
+    ``TbnValidationError``; a limit of 0 is valid and spent at once."""
 
     max_nodes: int = 10_000_000
     max_time: float = 100.0
@@ -117,6 +118,12 @@ class Budget:
     def __post_init__(self) -> None:
         if self.max_time != self.max_time:
             raise TbnValidationError("max_time must be a number, not nan")
+        for name, limit in (("max_nodes", self.max_nodes),
+                            ("max_time", self.max_time)):
+            if limit < 0:
+                raise TbnValidationError(
+                    f"{name} must not be negative, got {limit}"
+                )
 
 
 @dataclass(slots=True)

@@ -120,7 +120,7 @@ class TestStableCommand:
     def test_simplex_failure_is_an_internal_exit(
         self, intro_file, monkeypatch, capsys
     ):
-        def failing(self, banned):
+        def failing(self, columns, done=None):
             raise simplex.SimplexError("iteration cap exceeded")
 
         monkeypatch.setattr(simplex._Simplex, "_pivot_loop", failing)
@@ -490,6 +490,14 @@ class TestBenchCommand:
             f"error: {flag} must be a number, got {value.split(':')[-1]!r}\n"
         )
 
+    def test_downward_range_is_an_input_error(self, capsys):
+        assert main(["bench", "--n-range", "3:1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --n-range must not run downward, got '3:1'\n"
+        )
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main([
@@ -602,3 +610,21 @@ class TestEnvironmentBudget:
     def test_env_limits_whole_run(self, intro_file, monkeypatch, capsys):
         monkeypatch.setenv("TBN_MAX_SECONDS", "0.0000001")
         assert main(["stable", intro_file]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["basis", "--cap", "-1"], None,
+         "max_nodes must not be negative, got -1"),
+        (["stable", "--timeout", "-1"], None,
+         "max_time must not be negative, got -1.0"),
+        (["stable"], "-3", "max_nodes must not be negative, got -3"),
+    ])
+    def test_negative_budget_is_an_input_error(
+        self, intro_file, monkeypatch, capsys, argv, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("TBN_MAX_NODES", env)
+        argv = [argv[0], intro_file] + argv[1:]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -33,6 +33,25 @@ def feasible(x, rows, bounds):
             assert lhs == rhs
 
 
+def phase_pivots(monkeypatch):
+    """``[phase-1 pivots, phase-2 pivots]`` of every later solve.  A
+    kernel prices once at the start of each phase."""
+    counts = [0, 0]
+    price, pivot = simplex._Simplex._price, simplex._Simplex._pivot
+
+    def counting_price(self, cost):
+        self.phase = getattr(self, "phase", 0) + 1
+        return price(self, cost)
+
+    def counting_pivot(self, *args):
+        counts[self.phase - 1] += 1
+        return pivot(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_price", counting_price)
+    monkeypatch.setattr(simplex._Simplex, "_pivot", counting_pivot)
+    return counts
+
+
 class TestHandCases:
     def test_unconstrained_box(self):
         sol = solve_lp([(0, 1), (1, -2)], [], [(0, 4), (0, 3)])
@@ -102,6 +121,20 @@ class TestHandCases:
         assert sol.objective == -4  # x=2, y=2
         # y is basic; x at its upper bound gains 1/2 per unit it falls
         assert sol.reduced == [Q(-1, 2), 0]
+
+    def test_feasible_start_makes_no_phase_one_pivot(self, monkeypatch):
+        # min -x - y st x - y = 0: the row's artificial starts basic at
+        # 0, so the starting basis is feasible and phase 1 ends at once
+        pivots = phase_pivots(monkeypatch)
+        sol = solve_lp(
+            [(0, -1), (1, -1)],
+            [([(0, 1), (1, -1)], EQ, 0)],
+            [(0, 3), (0, 3)],
+        )
+        assert sol.status == "optimal"
+        assert sol.objective == -6
+        assert sol.x == [3, 3]
+        assert pivots == [0, 1]
 
     def test_box_reduced_costs_are_the_costs(self):
         sol = solve_lp([(0, 1), (1, -2), (2, 5)], [], [(0, 4), (0, 3), (1, 1)])
@@ -396,37 +429,38 @@ def nonzeros(values):
 
 
 class TestPivotPathPins:
-    """Three workload root LPs keep their number of ``check`` calls (one
-    per pivot, bound flip and final pricing of a phase) and their exact
-    solution: a faster kernel must take the same path."""
+    """Five workload-family root LPs: this kernel's number of ``check``
+    calls (one per pivot, bound flip and pricing pass that finds no
+    entering column), its pivots per phase and its exact solution.  A
+    change to the pivot rule moves these pins; re-pin them with it."""
 
     def solve(self, monkeypatch, run):
         args = root_lp_args(monkeypatch, run)
+        pivots = phase_pivots(monkeypatch)
         checks = []
         sol = solve_lp(*args, lambda: checks.append(1))
         assert sol.status == "optimal"
         # integral entries are plain ints, the rest exact fractions
         for v in [sol.objective] + sol.x + sol.reduced:
             assert type(v) is (int if v.denominator == 1 else Q)
-        return sol, len(checks)
+        return sol, len(checks), pivots
 
     def test_gridgate_n7_caption(self, monkeypatch):
         t = gen_gridgate(7, 2, caption_literal=True)
-        sol, checks = self.solve(
+        sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert checks == 116
+        assert (checks, pivots) == (77, [39, 37])
         assert sol.objective == Q(13, 2)
         half = Q(1, 2)
-        assert sol.x == [1, half, half, half, half, half, half, 1, 1,
-                         half, half, half, 0, 0, 0, 1]
+        assert sol.x == [1] + [half] * 13 + [0, 1]
         assert sol.reduced == [0] * 14 + [half, 0]
 
     def test_translator_k6_cover_ip(self, monkeypatch):
         t = parse_tbn(translator_text(6))
         basis = polymer_basis(t)
-        sol, checks = self.solve(
+        sol, checks, pivots = self.solve(
             monkeypatch, lambda: stable_via_basis(t, basis))
-        assert checks == 33
+        assert (checks, pivots) == (33, [6, 23])
         assert sol.objective == 6
         ones = {11, 24, 32, 38, 41, 43}
         assert sol.x == [int(i in ones) for i in range(45)]
@@ -435,18 +469,33 @@ class TestPivotPathPins:
 
     def test_gridgate_n14_caption(self, monkeypatch):
         t = gen_gridgate(14, 2, caption_literal=True)
-        sol, checks = self.solve(
+        sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert checks == 305
+        assert (checks, pivots) == (250, [146, 103])
         assert sol.objective == Q(27, 2)
         half = Q(1, 2)
         assert len(sol.x) == 30
         assert nonzeros(sol.x) == {
-            **{i: 1 for i in (0, 3, 4, 5, 6, 7, 14, 15, 29)},
-            **{i: half for i in (1, 8, 9, 10, 11, 12, 13,
-                                 20, 21, 22, 23, 24, 25)},
+            **{i: 1 for i in (0, 3, 4, 5, 6, 7, 29)},
+            **{i: half for i in (1, *range(8, 16), *range(20, 28))},
         }
         assert nonzeros(sol.reduced) == {19: half}
+
+    def test_gridgate_n20_plain(self, monkeypatch):
+        t = gen_gridgate(20, 2)
+        assert solver.stable_configs(t).optimum == 20
+        sol, checks, pivots = self.solve(
+            monkeypatch, lambda: solver.stable_configs(t))
+        assert (checks, pivots) == (212, [21, 190])
+        assert sol.objective == 20
+
+    def test_gridgate_n20_caption(self, monkeypatch):
+        t = gen_gridgate(20, 2, caption_literal=True)
+        assert solver.stable_configs(t).optimum == 20
+        sol, checks, pivots = self.solve(
+            monkeypatch, lambda: solver.stable_configs(t))
+        assert (checks, pivots) == (693, [217, 475])
+        assert sol.objective == Q(39, 2)
 
 
 class TestNoFractionPerPivot:

@@ -111,6 +111,13 @@ class TestBudget:
     def test_infinite_time_limit_accepted(self):
         assert Budget(max_time=float("inf")).max_time == float("inf")
 
+    @pytest.mark.parametrize("limit", ["max_nodes", "max_time"])
+    def test_negative_limit_rejected(self, limit):
+        with pytest.raises(TbnValidationError, match="negative"):
+            Budget(**{limit: -1})
+        # a limit of 0 is valid: the first node or check runs it out
+        assert getattr(Budget(**{limit: 0}), limit) == 0
+
 
 class TestSlottedRecords:
     def test_no_instance_dict(self, intro_tbn):

@@ -11,12 +11,13 @@ one untraced pass of perfbench's ``workloads`` module (used read-only,
 latency repeats included), with ``solver.solve_lp`` wrapped to record the
 objective, rows and bounds of every call.  Then it solves each recorded
 LP again, counting the kernel's pivots and its ``check`` calls, and
-prints one line per workload: the LP count, the pivot and check totals,
-a digest of the answers and the replay time.  The digest covers each
-answer's status, objective, ``x`` and ``reduced``, every value as its
-exact numerator and denominator, so an ``int`` and an equal ``Fraction``
-digest alike.  The time is the least over ``--repeat`` uncounted
-replays of the whole list, in ms.
+prints one line per workload: the LP count, the pivot total and how many
+of those pivots phase 1 made, the check total, a digest of the answers
+and the replay time.  The digest covers each answer's status,
+objective, ``x`` and ``reduced``, every value as its exact numerator
+and denominator, so an ``int`` and an equal ``Fraction`` digest alike.
+The time is the least over ``--repeat`` uncounted replays of the whole
+list, in ms.
 
 Two checkouts whose lines agree on all but the time take the same number
 of pivots to the same answers.  Uses only the standard library and the
@@ -64,28 +65,42 @@ def capture(workload: str, seed: int) -> List[Lp]:
     return lps
 
 
-def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int]:
-    """Every LP solved again: the answers, the pivot total and the
-    number of ``check`` calls (one per pivot, bound flip and pricing
-    pass that finds no entering column)."""
-    pivots = checks = 0
+def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int, int]:
+    """Every LP solved again: the answers, the pivot total, the pivots
+    made in phase 1 and the number of ``check`` calls (one per pivot,
+    bound flip and pricing pass that finds no entering column).  A
+    kernel prices once per phase, so its phase-1 pivots are those made
+    before its second ``_price`` call."""
+    pivots = phase_one = checks = pricings = 0
     kernel_pivot = simplex._Simplex._pivot
+    kernel_price = simplex._Simplex._price
 
     def counting_pivot(*args):
-        nonlocal pivots
+        nonlocal pivots, phase_one
         pivots += 1
+        phase_one += pricings == 1
         return kernel_pivot(*args)
+
+    def counting_price(*args):
+        nonlocal pricings
+        pricings += 1
+        return kernel_price(*args)
 
     def check():
         nonlocal checks
         checks += 1
 
     simplex._Simplex._pivot = counting_pivot
+    simplex._Simplex._price = counting_price
+    answers = []
     try:
-        answers = [simplex.solve_lp(*lp, check) for lp in lps]
+        for lp in lps:
+            pricings = 0
+            answers.append(simplex.solve_lp(*lp, check))
     finally:
         simplex._Simplex._pivot = kernel_pivot
-    return answers, pivots, checks
+        simplex._Simplex._price = kernel_price
+    return answers, pivots, phase_one, checks
 
 
 def seconds(lps: List[Lp]) -> float:
@@ -115,9 +130,10 @@ def digest(answers: List[simplex.LpSolution]) -> str:
 
 def report(workload: str, seed: int, repeat: int) -> str:
     lps = capture(workload, seed)
-    answers, pivots, checks = replay(lps)
+    answers, pivots, phase_one, checks = replay(lps)
     best = min(seconds(lps) for _ in range(repeat))
-    return (f"{workload}: {len(lps)} LPs, {pivots} pivots, {checks} checks, "
+    return (f"{workload}: {len(lps)} LPs, {pivots} pivots "
+            f"({phase_one} in phase 1), {checks} checks, "
             f"digest {digest(answers)}, replay {best * 1e3:.1f} ms "
             f"(best of {repeat})")
 
