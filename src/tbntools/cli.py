@@ -27,7 +27,8 @@ search budget (``solver.Budget``) of every command that searches;
 ``--timeout`` sets its seconds and ``basis --cap`` its nodes.  A
 variable's or ``--timeout``'s value that is not a number, or is nan, is
 an input error, and so is a negative value of any of them or of
-``--cap``; 0 is valid and runs out at once.
+``--cap``; 0 is valid and runs out at once.  A negative ``pathway
+--max-barrier`` is an input error too: no barrier is negative.
 ``verify`` runs one clock: the local-stability test (one node per node
 of a polymer's split search, ``pathways.is_locally_stable``) spends it
 first, then the stable search.

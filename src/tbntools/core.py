@@ -466,19 +466,10 @@ def exposed_sites(p: Polymer, t: Tbn) -> Counter:
     Emits ``|net|`` copies of ``s`` (net > 0) or of ``s*`` (net < 0) per name.
     A polymer of the wrong dimension is an error.
     """
-    if len(p.counts) != t.n_types:
-        raise TbnValidationError("polymer has wrong dimension")
     result: Counter = Counter()
-    for name in t.site_names():
-        s = SiteType(name, False)
-        net = sum(
-            count * mon.net_count(s)
-            for count, mon in zip(p.counts, t.monomer_types)
-        )
-        if net > 0:
-            result[s] = net
-        elif net < 0:
-            result[s.complement()] = -net
+    for name, net in zip(t.site_names(), _net_sites(p, t)):
+        if net:
+            result[SiteType(name, net < 0)] = abs(net)
     return result
 
 

@@ -86,7 +86,8 @@ def hilbert_basis(
     Each pair sum examined is one node: it spends one node of the clock
     first, and ``BudgetExhausted`` is raised once the clock passes
     ``Budget.max_nodes`` or ``Budget.max_time``.  A row or ``upper``
-    whose length is not ``n`` is a ``BasisError``.
+    whose length is not ``n``, or a negative cap, which no point of
+    ``N^n`` meets, is a ``BasisError``.
     """
     clock = solver.Clock.of(budget)
     if n is None:
@@ -98,6 +99,8 @@ def hilbert_basis(
     if upper is not None and len(upper) != n:
         raise BasisError(f"upper has {len(upper)} entries, not {n}")
     capped = [(k, c) for k, c in enumerate(upper or ()) if c is not None]
+    if any(c < 0 for _, c in capped):
+        raise BasisError(f"upper has a negative cap: {list(upper or ())}")
     basis = [
         tuple(int(j == k) for j in range(n))
         for k in range(n) if not upper or upper[k] != 0
@@ -273,7 +276,7 @@ def _basis_cover_program(
             )
     return IntegerProgram(
         tuple(variables), tuple(constraints),
-        Objective("min", tuple(objective)),
+        Objective(tuple(objective)),
     )
 
 
@@ -296,13 +299,13 @@ def stable_via_basis(
     case.  Returns the same EnumerationResult as the direct solver, with
     ``stats.route == "basis"``.  One budget covers the whole call, the
     basis included when it is not given; when it runs out the result has
-    ``complete=False``, no solutions and ``optimum=None``.
+    no solutions and ``optimum=None``, so ``complete`` is False.
     """
     clock = solver.Clock.of(budget)
     try:
         return _basis_route(t, basis, clock, True)
     except solver.BudgetExhausted:
-        return solver.EnumerationResult(None, [], False, clock.stats("basis"))
+        return solver.EnumerationResult(None, [], clock.stats("basis"))
 
 
 def _basis_route(
@@ -325,9 +328,9 @@ def _basis_route(
         if all(c <= limit for c, limit in zip(b.counts, t.counts))
     ]
     program = _basis_cover_program(t, basis)
-    status, best, assignments = solver.scan_levels(program, clock, want_all)
-    if status != solver.OPTIMAL:
-        raise BasisError(f"basis counting IP ended {status}")
+    best, assignments = solver.scan_levels(program, clock, want_all)
+    if best is None:
+        raise BasisError("basis counting IP is infeasible")
     # an element without a variable is a non-limiting singleton: implied
     configs = []
     for assignment in assignments:
@@ -336,7 +339,7 @@ def _basis_route(
             polymers.extend([b] * assignment.get(f"n_{idx}", 0))
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
-        best, canonical_unique(configs), True, clock.stats("basis")
+        best, canonical_unique(configs), clock.stats("basis")
     )
 
 

@@ -13,7 +13,9 @@ configuration appears exactly once; ``IntegerProgram.fixed`` freezes the
 objective into an equality for enumeration.
 
 The ``IntegerProgram`` carrier is generic (bounded integer variables,
-linear rows, linear objective) and decoupled from any solver.
+linear rows, a linear objective) and decoupled from any solver.  Every
+objective is minimized and has no constant term: the merge count here,
+and the cover program's in ``hilbert``, are both of that form.
 """
 
 from __future__ import annotations
@@ -75,14 +77,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Objective:
-    sense: str  # "min" | "max"
+    """Linear objective sum(coeffs[v] * v), always minimized."""
+
     coeffs: Tuple[Tuple[str, int], ...]
-    constant: int = 0
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
-        return self.constant + sum(
-            c * assignment.get(v, 0) for v, c in self.coeffs
-        )
+        return sum(c * assignment.get(v, 0) for v, c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,11 @@ class IntegerProgram:
                 )
 
     def fixed(self, value: int) -> "IntegerProgram":
-        """The program without its objective, plus one equality row that
-        holds the objective at ``value`` (in the objective's own sense)."""
+        """The program without its objective, plus the row
+        ``coeffs = value`` that holds the objective at ``value``."""
         if self.objective is None:
             raise ModelError("only a program with an objective can be fixed")
-        obj = self.objective
-        row = Constraint(
-            obj.coeffs, EQ, value - obj.constant, "fixed_objective"
-        )
+        row = Constraint(self.objective.coeffs, EQ, value, "fixed_objective")
         return IntegerProgram(self.variables, self.constraints + (row,))
 
 
@@ -367,6 +364,6 @@ def build(
                         )
                     )
 
-    objective = Objective("min", merge_count_coeffs(m, bound))
+    objective = Objective(merge_count_coeffs(m, bound))
     program = IntegerProgram(tuple(variables), tuple(constraints), objective)
     return StableConfigsModel(program, t, bound, symmetry_breaking)

@@ -3,7 +3,10 @@
 The writer emits the subset of the LP format every MILP solver accepts
 (Minimize/Subject To/Bounds/Generals); the parser reads that same subset
 back, which lets tests round-trip models and lets external solvers
-cross-check ours.  Solution files are plain ``name = value`` lines.
+cross-check ours.  Every objective here is minimized, so the writer's
+section is always ``Minimize`` and the parser rejects a ``Maximize``
+one rather than read a maximization as a minimization.  Solution files
+are plain ``name = value`` lines.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import TbnError
 from .ipmodel import (
@@ -52,16 +55,11 @@ def _format_terms(coeffs) -> str:
 
 def write_lp(program: IntegerProgram) -> str:
     """Serialize the program in CPLEX LP format."""
-    lines: List[str] = []
+    lines = ["Minimize"]
     if program.objective is not None:
-        sense = (
-            "Minimize" if program.objective.sense == "min" else "Maximize"
-        )
-        lines.append(sense)
         lines.append(" obj: " + _format_terms(program.objective.coeffs))
     else:
         # LP format requires an objective section; use a constant one
-        lines.append("Minimize")
         lines.append(" obj: 0 " + program.variables[0].name)
     lines.append("Subject To")
     op = {LE: "<=", GE: ">=", EQ: "="}
@@ -105,9 +103,9 @@ def _parse_terms(text: str) -> Tuple[Tuple[str, int], ...]:
 def parse_lp(text: str) -> IntegerProgram:
     """Parse LP text produced by :func:`write_lp` (or equivalent).  A
     ``Binaries`` name lies in [0, 1] unless bounded; a ``Generals`` name
-    needs a bounds line, since LP semantics give it [0, inf)."""
+    needs a bounds line, since LP semantics give it [0, inf).  A
+    ``Maximize`` section is an ``LpFormatError``."""
     section = None
-    objective_sense: Optional[str] = None
     objective_text: List[str] = []
     constraint_rows: List[Tuple[str, str]] = []
     bounds: Dict[str, Tuple[int, int]] = {}
@@ -118,9 +116,10 @@ def parse_lp(text: str) -> IntegerProgram:
         if not line:
             continue
         lowered = line.lower()
-        if lowered in ("minimize", "maximize", "min", "max"):
+        if lowered in ("maximize", "max"):
+            raise LpFormatError("only a Minimize objective is supported")
+        if lowered in ("minimize", "min"):
             section = "objective"
-            objective_sense = "min" if lowered.startswith("min") else "max"
             continue
         if lowered in ("subject to", "st", "s.t.", "such that"):
             section = "constraints"
@@ -191,11 +190,11 @@ def parse_lp(text: str) -> IntegerProgram:
         for name in dict.fromkeys(generals + list(bounds))
     )
     objective = None
-    if objective_sense is not None and objective_text:
+    if objective_text:
         terms = _parse_terms(" ".join(objective_text))
         # drop constant-zero placeholder objectives
         if terms:
-            objective = Objective(objective_sense, terms)
+            objective = Objective(terms)
     return IntegerProgram(variables, tuple(constraints), objective)
 
 

@@ -240,11 +240,17 @@ def find_pathway(
     reached, so the first time the goal is popped the barrier is optimal.
     Returns None when no pathway exists within ``max_barrier`` (at once
     when ``max_barrier`` is below the floor), and raises
-    ``BudgetExhausted`` when the budget runs out first.  Each popped
+    ``BudgetExhausted`` when the budget runs out first.  A negative
+    ``max_barrier`` asks for what no barrier can be, and is a
+    ``PathwayError``.  Each popped
     state is one node; the time limit is also checked at each move and
     at each node of a split search, counting no node.  Each distinct
     polymer is split once per search.
     """
+    if max_barrier is not None and max_barrier < 0:
+        raise PathwayError(
+            f"max_barrier must not be negative, got {max_barrier}"
+        )
     if start.tbn != goal.tbn:
         raise PathwayError("start and goal belong to different TBNs")
     for config in (start, goal):

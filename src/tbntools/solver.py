@@ -1,9 +1,10 @@
 """Exact solving of the stable-configurations integer program.
 
-One scan finds the optimum of every integer program here.  It solves the
-LP relaxation once, at the root, in exact rational arithmetic; the
-ceiling of its optimum is a lower bound L on the objective (in
-minimization sense).  When only a witness is asked for and the root LP
+One scan finds the optimum of every integer program here.  Every
+objective is minimized, and a missing optimum means the program is
+infeasible.  The scan solves the LP relaxation once, at the root, in
+exact rational arithmetic; the ceiling of its optimum is a lower bound L
+on the objective.  When only a witness is asked for and the root LP
 is integral, that solution is optimal and returned.  Otherwise the
 objective is frozen into an equality at L, L+1, ... up to its maximum
 over the propagated root box, and each level is searched exhaustively by
@@ -146,8 +147,12 @@ class SolveResult:
 class EnumerationResult:
     optimum: Optional[int]
     solutions: List[PartialConfiguration]
-    complete: bool
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def complete(self) -> bool:
+        """Whether the search answered: only a proven optimum is kept."""
+        return self.optimum is not None
 
 
 class _Compiled:
@@ -155,7 +160,8 @@ class _Compiled:
 
     A variable repeated in a row, or in the objective, has its
     coefficients summed into one; a row whose sums are all zero is
-    empty.
+    empty.  ``objective`` is the (index, coefficient) list to minimize,
+    empty without an objective.
     """
 
     def __init__(self, program: IntegerProgram):
@@ -201,11 +207,6 @@ class _Compiled:
             self.objective = sorted(
                 self._summed(program.objective.coeffs).items()
             )
-            self.obj_sign = 1 if program.objective.sense == "min" else -1
-            self.obj_const = program.objective.constant
-        else:
-            self.obj_sign = 1
-            self.obj_const = 0
 
     def _summed(self, coeffs: Sequence[Tuple[str, int]]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
@@ -215,10 +216,6 @@ class _Compiled:
 
     def assignment_from(self, lo: Sequence[int]) -> Dict[str, int]:
         return {name: lo[i] for i, name in enumerate(self.names)}
-
-    def min_objective(self) -> List[Tuple[int, int]]:
-        """Objective coefficient list in minimization sense."""
-        return [(i, self.obj_sign * c) for i, c in self.objective]
 
     def activities(self, lo: Sequence[int], hi: Sequence[int]) -> List[int]:
         """Each row's least and greatest activity over the box lo..hi,
@@ -378,12 +375,12 @@ def solve_min(
         raise TbnError("solve_min needs a program with an objective")
     clock = Clock.of(budget)
     try:
-        status, value, found = scan_levels(program, clock)
+        value, found = scan_levels(program, clock)
     except BudgetExhausted:
         return SolveResult(BUDGET_EXCEEDED, stats=clock.stats())
-    return SolveResult(
-        status, value, found[0] if found else None, clock.stats()
-    )
+    if value is None:
+        return SolveResult(INFEASIBLE, stats=clock.stats())
+    return SolveResult(OPTIMAL, value, found[0], clock.stats())
 
 
 def enumerate_assignments(
@@ -468,8 +465,8 @@ def stable_configs(
     ``stats.route`` says which answered: "direct" or "basis".
 
     One budget covers the whole call.  When it runs out the result has
-    ``complete=False``, no solutions and ``optimum=None``: an unproven
-    value is never reported, and ``stats.route`` names the phase that
+    no solutions and ``optimum=None``, so ``complete`` is False: an
+    unproven value is never reported, and ``stats.route`` names the phase that
     found it spent.  ``stats.nodes`` counts every node expanded, and
     the node that found the budget spent: the probe's root and
     level-search nodes, and the basis route's completion and cover-IP
@@ -480,7 +477,7 @@ def stable_configs(
     if bound == 0:
         # no limiting monomers: the all-singletons configuration is stable
         empty = PartialConfiguration.from_polymers([], t)
-        return EnumerationResult(0, [empty], True)
+        return EnumerationResult(0, [empty])
     clock = Clock.of(opts.budget)
     model = build(t, bound)
 
@@ -501,15 +498,14 @@ def stable_configs(
             route = "basis"
             return _basis_route(t, None, clock, opts.all)
     except BudgetExhausted:
-        return EnumerationResult(None, [], False, clock.stats(route))
-    status, optimum, found = answer
-    if status == INFEASIBLE:
+        return EnumerationResult(None, [], clock.stats(route))
+    optimum, found = answer
+    if optimum is None:
         raise TbnError(
             f"no saturated configuration within polymer bound {bound}"
         )
     return EnumerationResult(
-        optimum, canonical_unique(map(model.decode, found)), True,
-        clock.stats(),
+        optimum, canonical_unique(map(model.decode, found)), clock.stats()
     )
 
 
@@ -518,7 +514,7 @@ def _probe(
     clock: Clock,
     want_all: bool,
     level: Callable[[int], IntegerProgram],
-) -> Optional[Tuple[str, Optional[int], List[Dict[str, int]]]]:
+) -> Optional[Tuple[Optional[int], List[Dict[str, int]]]]:
     """``scan_levels`` on ``clock``, stopped before the node past its root
     and ``PROBE_NODES`` more; None when stopped there."""
     cap, clock.cap = clock.cap, clock.nodes + 1 + PROBE_NODES
@@ -540,25 +536,26 @@ def scan_levels(
     budget: Budget | Clock | None = None,
     want_all: bool = False,
     level: Optional[Callable[[int], IntegerProgram]] = None,
-) -> Tuple[str, Optional[int], List[Dict[str, int]]]:
-    """Status, optimum and optimal assignments of ``program``: a witness,
-    or with ``want_all`` all that ``level(optimum)`` admits.
+) -> Tuple[Optional[int], List[Dict[str, int]]]:
+    """Minimum of ``program``'s objective and its optimal assignments: a
+    witness, or with ``want_all`` all that ``level(optimum)`` admits.
+    The minimum is None, with no assignments, when ``program`` is
+    infeasible.
 
     ``level(value)``, by default ``program.fixed(value)``, is a program
     whose solutions satisfy ``program``'s rows with the objective at
-    ``value``, in the objective's own sense.  The ceiling of the root LP
-    bounds the objective, in minimization sense, from below.  From it
-    upwards, each value's level is searched exhaustively, so the first
-    level with a solution is the optimum; when every level up to the
-    largest value the propagated root bounds allow is empty, the status
-    is ``INFEASIBLE``.  Each level's search starts from the propagated
-    root bounds, narrowed by the root LP's reduced costs
-    (``_reduced_cost_box``, exact by the module docstring's argument) and
-    matched to ``level(value)``'s variables by name: a symmetry-broken
-    level adds variables and rows to ``program``, so its solutions are
-    solutions of ``program`` and lie in the box too.  One clock covers
-    the root, its LP and every level, and ``BudgetExhausted`` ends the
-    scan once it runs out.
+    ``value``.  The ceiling of the root LP bounds the objective from
+    below.  From it upwards, each value's level is searched
+    exhaustively, so the first level with a solution is the optimum;
+    when every level up to the largest value the propagated root bounds
+    allow is empty, the program is infeasible.  Each level's search
+    starts from the propagated root bounds, narrowed by the root LP's
+    reduced costs (``_reduced_cost_box``, exact by the module docstring's
+    argument) and matched to ``level(value)``'s variables by name: a
+    symmetry-broken level adds variables and rows to ``program``, so its
+    solutions are solutions of ``program`` and lie in the box too.  One
+    clock covers the root, its LP and every level, and
+    ``BudgetExhausted`` ends the scan once it runs out.
     """
     clock = Clock.of(budget)
     level = level or program.fixed
@@ -566,32 +563,30 @@ def scan_levels(
     comp = _Compiled(program)
     lo, hi = list(comp.lo), list(comp.hi)
     if not propagate(comp, lo, hi):
-        return INFEASIBLE, None, []
-    objective = comp.min_objective()
+        return None, []
     relax = solve_lp(
-        objective, comp.rows, list(zip(lo, hi)),
+        comp.objective, comp.rows, list(zip(lo, hi)),
         lambda: clock.check("root LP"),
     )
     if relax.status != "optimal":
-        return INFEASIBLE, None, []
+        return None, []
     first = frac_ceil(relax.objective)
     assert relax.x is not None
     if not want_all and all(is_integral(v) for v in relax.x):
-        root = comp.assignment_from([int(v) for v in relax.x])
-        return OPTIMAL, comp.obj_sign * first + comp.obj_const, [root]
+        return first, [comp.assignment_from([int(v) for v in relax.x])]
 
     assert relax.reduced is not None
     reduced = [(i, r) for i, r in enumerate(relax.reduced) if r]
-    last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in objective)
-    for v in range(first, last + 1):
-        value = comp.obj_sign * v + comp.obj_const
-        box = _reduced_cost_box(comp, lo, hi, reduced, v - relax.objective)
+    last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in comp.objective)
+    for value in range(first, last + 1):
+        gap = value - relax.objective
+        box = _reduced_cost_box(comp, lo, hi, reduced, gap)
         assignments = _enumerate(
             level(value), clock, None if want_all else 1, box
         )
         if assignments:
-            return OPTIMAL, value, assignments
-    return INFEASIBLE, None, []
+            return value, assignments
+    return None, []
 
 
 def _reduced_cost_box(
@@ -605,8 +600,8 @@ def _reduced_cost_box(
     bounds ``lo..hi`` tighten or its nonzero root reduced cost ``r``
     narrows: within ``⌊gap / |r|⌋`` of the bound it sat at, ``lo`` when
     ``r > 0`` and ``hi`` when ``r < 0``.  ``gap`` is a level's distance
-    above the root LP optimum, in minimization sense; the floor divides
-    the two rationals' integer parts.
+    above the root LP optimum; the floor divides the two rationals'
+    integer parts.
     """
     names = comp.names
     box = {
@@ -691,4 +686,4 @@ def brute_force_stable(t: Tbn, cap: int = 3) -> EnumerationResult:
         PartialConfiguration.from_polymers(map(Polymer, partition), finite)
         for partition in best_partitions
     )
-    return EnumerationResult(best_cost, solutions, True)
+    return EnumerationResult(best_cost, solutions)

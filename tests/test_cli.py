@@ -364,6 +364,24 @@ class TestPathwayCommand:
         assert code == EXIT_OK
         assert "no pathway" in capsys.readouterr().out
 
+    def test_negative_barrier_is_an_input_error(self, tmp_path, capsys):
+        tbn = tmp_path / "swap.tbn"
+        tbn.write_text("x: a*\ny: a\nz: a b\n")
+        src = tmp_path / "from.cfg"
+        src.write_text("x + y\nz\n")
+        dst = tmp_path / "to.cfg"
+        dst.write_text("x + z\ny\n")
+        code = main([
+            "pathway", str(tbn), "--from", str(src), "--to", str(dst),
+            "--max-barrier", "-1",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "no pathway" not in captured.out
+        assert captured.err == (
+            "error: max_barrier must not be negative, got -1\n"
+        )
+
     def test_exposed_leftover_singleton_is_named(
         self, intro_file, tmp_path, capsys
     ):

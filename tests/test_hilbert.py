@@ -64,6 +64,15 @@ class TestHilbertBasis:
         with pytest.raises(BasisError):
             hilbert_basis(rows, n, None, upper)
 
+    @pytest.mark.parametrize("rows, upper", [
+        ([[1, -1]], [-1, None]),
+        ([], [-2, 1]),
+    ])
+    def test_negative_cap_is_an_error(self, rows, upper):
+        # no point of N^n lies below a negative cap, so no answer is right
+        with pytest.raises(BasisError, match="negative cap"):
+            hilbert_basis(rows, 2, None, upper)
+
     def test_zero_cap_leaves_the_coordinate_out(self):
         assert hilbert_basis([[1, 0], [0, 1]], 2, None, [0, None]) == [
             (0, 1),

@@ -244,18 +244,18 @@ class TestFixedObjective:
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_objective_becomes_an_equality(self, program, sense):
-        objective = Objective(sense, (("x", 2), ("y", -1)), 5)
+        # maximizing 2x - y is minimizing its negation; either way the
+        # row holds 2x - y at 3
+        sign = 1 if sense == "min" else -1
+        coeffs = (("x", 2 * sign), ("y", -sign))
         fixed = IntegerProgram(
-            program.variables, program.constraints, objective
-        ).fixed(8)
+            program.variables, program.constraints, Objective(coeffs)
+        ).fixed(3 * sign)
         assert fixed.objective is None
         assert fixed.variables == program.variables
         assert fixed.constraints[:-1] == program.constraints
         row = fixed.constraints[-1]
-        # 2x - y + 5 == 8, in the objective's own sense whatever it is
-        assert (row.coeffs, row.sense, row.rhs) == (
-            (("x", 2), ("y", -1)), EQ, 3
-        )
+        assert (row.coeffs, row.sense, row.rhs) == (coeffs, EQ, 3 * sign)
         fixed.check({"x": 2, "y": 1})
         with pytest.raises(TbnValidationError):
             fixed.check({"x": 2, "y": 0})
@@ -267,7 +267,7 @@ class TestFixedObjective:
     def test_merge_count_row_matches_the_frozen_model(self, intro_tbn):
         model = build(intro_tbn, 2)
         coeffs = merge_count_coeffs(intro_tbn.n_types, 2)
-        assert model.program.objective == Objective("min", coeffs)
+        assert model.program.objective == Objective(coeffs)
         row = model.program.fixed(1).constraints[-1]
         assert row == Constraint(coeffs, EQ, 1, "fixed_objective")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from tbntools.hilbert import _basis_cover_program, polymer_basis
 from tbntools.ipmodel import build
 from tbntools.lpformat import (
     LpFormatError,
@@ -28,6 +29,38 @@ def test_roundtrip_enumeration_model(translator_tbn):
     assert parsed.objective is None
     assert set(parsed.variables) == set(program.variables)
     assert len(parsed.constraints) == len(program.constraints)
+
+
+def _translator_program(t, kind):
+    if kind == "cover":
+        basis = [
+            b for b in polymer_basis(t)
+            if all(c <= limit for c, limit in zip(b.counts, t.counts))
+        ]
+        return _basis_cover_program(t, basis)
+    program = build(t, 6, symmetry_breaking=kind != "plain").program
+    return program.fixed(6) if kind == "fixed" else program
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric", "fixed", "cover"])
+def test_roundtrip_is_exact(translator_tbn, kind):
+    # every variable and row, in order and in full, and the objective
+    program = _translator_program(translator_tbn, kind)
+    parsed = parse_lp(write_lp(program))
+    assert parsed.variables == program.variables
+    assert parsed.constraints == program.constraints
+    assert parsed.objective == program.objective
+    assert (parsed.objective is None) == (kind == "fixed")
+
+
+@pytest.mark.parametrize("header", ["Maximize", "max", "MAXIMIZE"])
+def test_maximize_rejected(header):
+    # every objective is minimized: a maximization is never read as one
+    with pytest.raises(LpFormatError, match="Minimize"):
+        parse_lp(
+            f"{header}\n obj: x\nSubject To\n c: x >= 1\n"
+            "Bounds\n 0 <= x <= 3\nGenerals\n x\nEnd\n"
+        )
 
 
 def test_lp_text_shape(intro_tbn):

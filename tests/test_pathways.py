@@ -304,6 +304,12 @@ class TestPathway:
         goal = config(swap_tbn, (1, 0, 1), (0, 1, 0))
         assert find_pathway(start, goal, max_barrier=0) is None
 
+    def test_negative_barrier_cap_is_an_error(self, swap_tbn):
+        # no barrier is negative: an input error, not a proven absence
+        start = config(swap_tbn, (1, 1, 0), (0, 0, 1))
+        with pytest.raises(PathwayError, match="must not be negative"):
+            find_pathway(start, start, max_barrier=-1)
+
     def test_budget_distinct_from_proven_absence(self, swap_tbn):
         start = config(swap_tbn, (1, 1, 0), (0, 0, 1))
         goal = config(swap_tbn, (1, 0, 1), (0, 1, 0))

@@ -139,9 +139,9 @@ class TestSlottedRecords:
         stats = SolveStats(3, "basis")
         assert stats == SolveStats(3, "basis") != SolveStats(4, "basis")
         assert stats != SolveStats(3)
-        assert EnumerationResult(1, [pc], True) == EnumerationResult(
-            1, [pc], True
-        )
+        assert EnumerationResult(1, [pc]) == EnumerationResult(1, [pc])
+        assert EnumerationResult(1, [pc]).complete
+        assert not EnumerationResult(None, []).complete
 
 
 class TestTranslatorCascade:
@@ -342,7 +342,7 @@ class TestRootLpTimeLimit:
         # the root LP is integral, so a witness needs no level search:
         # only the simplex's own time check can end this scan early
         program = build(grid_tbn, default_bound(grid_tbn)).program
-        assert scan_levels(program, Clock())[:2] == (OPTIMAL, 2)
+        assert scan_levels(program, Clock())[0] == 2
         clock = LateClock()
         with pytest.raises(BudgetExhausted):
             scan_levels(program, clock)
@@ -427,7 +427,7 @@ class TestSolveMin:
                 Constraint((("x", 1), ("y", -1)), EQ, 0, "same"),
                 Constraint((("x", 2), ("y", 2)), GE, 1, "half"),
             ),
-            Objective("min", (("x", 1), ("y", 1)), 0),
+            Objective((("x", 1), ("y", 1))),
         )
         result = solve_min(program)
         assert (result.status, result.objective) == (OPTIMAL, 2)
@@ -438,7 +438,7 @@ class TestSolveMin:
         program = IntegerProgram(
             (Variable("x", 0, 2),),
             (Constraint((("x", 0),), GE, 1, "never"),),
-            Objective("max", (("x", 1),), 0),
+            Objective((("x", -1),)),
         )
         assert solve_min(program).status == INFEASIBLE
 
@@ -458,16 +458,19 @@ def random_program(rng: random.Random) -> IntegerProgram:
         constraints.append(
             Constraint(coeffs, sense, rng.randint(-4, 6), f"r{r}")
         )
-    objective = Objective(
-        rng.choice(["min", "max"]),
-        tuple((name, rng.randint(-3, 3)) for name in names),
-        rng.randint(-5, 5),
+    # a drawn "max" objective is minimized as its negation; the constant
+    # drawn last shifts no optimum and is dropped, but still drawn so
+    # that the seed's programs stay the same
+    sign = rng.choice([1, -1])
+    coeffs = tuple((name, sign * rng.randint(-3, 3)) for name in names)
+    rng.randint(-5, 5)
+    return IntegerProgram(
+        tuple(variables), tuple(constraints), Objective(coeffs)
     )
-    return IntegerProgram(tuple(variables), tuple(constraints), objective)
 
 
 def exhaustive_optimum(program: IntegerProgram):
-    """Best objective value over the whole variable box, or None."""
+    """Least objective value over the whole variable box, or None."""
     names = [v.name for v in program.variables]
     boxes = [range(v.lower, v.upper + 1) for v in program.variables]
     values = []
@@ -478,9 +481,7 @@ def exhaustive_optimum(program: IntegerProgram):
         except TbnValidationError:
             continue
         values.append(program.objective.evaluate(assignment))
-    if not values:
-        return None
-    return min(values) if program.objective.sense == "min" else max(values)
+    return min(values, default=None)
 
 
 class TestSolveMinAgainstExhaustiveSearch:
@@ -809,11 +810,11 @@ def full_scan(t: Tbn) -> Tuple:
     if bound == 0:
         return 0, {()}
     model = build(t, bound)
-    status, optimum, found = scan_levels(
+    optimum, found = scan_levels(
         model.program, Clock(), True,
         build(t, bound, symmetry_breaking=True).program.fixed,
     )
-    assert status == OPTIMAL
+    assert optimum is not None
     return optimum, {
         tuple(p.counts for p in model.decode(a).polymers) for a in found
     }
@@ -864,7 +865,7 @@ class TestReducedCostBox:
         lo, hi = list(comp.lo), list(comp.hi)
         if not propagate(comp, lo, hi):
             return 0, 0
-        relax = solve_lp(comp.min_objective(), comp.rows, list(zip(lo, hi)))
+        relax = solve_lp(comp.objective, comp.rows, list(zip(lo, hi)))
         if relax.status != "optimal":
             return 0, 0
         # at the optimum, a positive reduced cost sits at its lower
@@ -877,9 +878,9 @@ class TestReducedCostBox:
         reduced = [(i, r) for i, r in enumerate(relax.reduced) if r]
         checked = narrowed = 0
         first = frac_ceil(relax.objective)
-        for v in range(first, first + 3):
-            value = comp.obj_sign * v + comp.obj_const
-            box = _reduced_cost_box(comp, lo, hi, reduced, v - relax.objective)
+        for value in range(first, first + 3):
+            gap = value - relax.objective
+            box = _reduced_cost_box(comp, lo, hi, reduced, gap)
             found = enumerate_assignments(level(value))
             for assignment in found:
                 for name, (lower, upper) in box.items():
@@ -923,7 +924,8 @@ class TestReducedCostBox:
         assert checked >= 800 and narrowed >= 55
 
     def test_general_programs(self):
-        # both objective senses, negative bounds, variables at either bound
+        # objectives drawn in both senses, negative bounds, variables at
+        # either bound
         rng = random.Random(20261019)
         checked = narrowed = 0
         for _ in range(300):
