@@ -252,7 +252,10 @@ def cmd_stable(args) -> int:
         for extra in cfg["singletons"]:
             lines.append(f"  {extra} (singletons)")
     if not result.complete:
-        lines.append("warning: search budget exhausted; results partial")
+        lines.append(
+            "warning: search budget exhausted before an optimum was "
+            "proven; no answer"
+        )
     emit(report, args.format, "\n".join(lines) + "\n")
     return EXIT_OK if result.complete else EXIT_BUDGET
 
@@ -451,9 +454,13 @@ def _parse_fuels(spec: str) -> List:
     fuels = []
     for token in spec.split(","):
         token = token.strip()
-        fuels.append(
-            INF if token == "inf" else _number(token, int, "--fuel-range")
-        )
+        if token == "inf":
+            fuels.append(INF)
+            continue
+        fuel = _number(token, int, "--fuel-range")
+        if fuel < 1:
+            raise CliError(f"--fuel-range counts must be >= 1, got {token!r}")
+        fuels.append(fuel)
     return fuels
 
 

@@ -12,7 +12,13 @@ the starting configuration seen anywhere along the walk.
 strategy.  The goal's merge count less the start's is a floor under
 every barrier, so states are ordered by the larger of that floor and the
 bottleneck barrier reached so far, then by multiset distance to the
-goal.  Each popped state is one node of its budget.
+goal.  Each popped state is one node of its budget.  A state's key is
+computed once and travels in its heap entry with its merge count, which
+each move changes by one.  Moves build their successors by splicing:
+the polymers a move removes come out of the canonical polymer tuple and
+the ones it makes go in at their places, with no sort and no validation.
+Merges are deduped by their pair of count vectors before anything is
+built.
 
 ``splits`` lists a polymer's splits and ``is_locally_stable`` stops at
 the first, both through ``core.split_search``, the one search that
@@ -127,19 +133,36 @@ def is_locally_stable(
     )
 
 
+def _insert(polys: tuple, p: Polymer) -> tuple:
+    """``polys``, in canonical order, with ``p`` spliced in at its place
+    in that order, found by bisection."""
+    counts, lo, hi = p.counts, 0, len(polys)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if polys[mid].counts < counts:
+            hi = mid
+        else:
+            lo = mid + 1
+    return polys[:lo] + (p,) + polys[lo:]
+
+
 def merge_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
-    """All configurations one pairwise merge away."""
-    polys = config.polymers
+    """All configurations one pairwise merge away.
+
+    Each distinct pair of count vectors is merged once: two merges give
+    the same configuration exactly when they merge the same pair, since
+    the sum outsizes both its parts.  The sum goes before both parts in
+    canonical order, so it is spliced into what precedes the first.
+    """
+    polys, t = config.polymers, config.tbn
     seen = set()
     for a, b in itertools.combinations(range(len(polys)), 2):
-        merged = polys[a] + polys[b]
-        rest = [p for k, p in enumerate(polys) if k not in (a, b)]
-        nxt = FullConfiguration.from_polymers(
-            rest + [merged], config.tbn, validate=False
-        )
-        if nxt.key() not in seen:
-            seen.add(nxt.key())
-            yield nxt
+        pair = (polys[a].counts, polys[b].counts)
+        if pair in seen:
+            continue
+        seen.add(pair)
+        head = _insert(polys[:a], polys[a] + polys[b])
+        yield FullConfiguration(head + polys[a + 1:b] + polys[b + 1:], t)
 
 
 def split_moves(
@@ -152,25 +175,23 @@ def split_moves(
 
     ``clock`` goes to ``splits``.  ``memo`` maps polymer counts to their
     splits; a search that passes the same dict to every call splits each
-    polymer once.
+    polymer once.  Both parts come after the split polymer in canonical
+    order, so they are spliced into what follows it.  No two moves give
+    the same configuration, so none is filtered: ``split_search`` lists
+    each split of a polymer once, and splits of polymers p != q would
+    need p to be a part of q and q a part of p.
     """
-    seen_polymers = set()
-    seen = set()
-    for k, poly in enumerate(config.polymers):
-        if poly.size < 2 or poly.counts in seen_polymers:
+    polys, t = config.polymers, config.tbn
+    for k, poly in enumerate(polys):
+        # copies of a polymer are adjacent; the first stands for them all
+        if poly.size < 2 or (k and polys[k - 1].counts == poly.counts):
             continue
-        seen_polymers.add(poly.counts)
         parts = memo.get(poly.counts)
         if parts is None:
-            parts = memo[poly.counts] = splits(poly, config.tbn, clock=clock)
-        rest = [p for j, p in enumerate(config.polymers) if j != k]
+            parts = memo[poly.counts] = splits(poly, t, clock=clock)
+        head, tail = polys[:k], polys[k + 1:]
         for p1, p2 in parts:
-            nxt = FullConfiguration.from_polymers(
-                rest + [p1, p2], config.tbn, validate=False
-            )
-            if nxt.key() not in seen:
-                seen.add(nxt.key())
-                yield nxt
+            yield FullConfiguration(head + _insert(_insert(tail, p1), p2), t)
 
 
 @dataclass(frozen=True)
@@ -217,11 +238,13 @@ class Pathway:
         return Pathway(tuple(reversed(self.configurations)))
 
 
-def _distance(a: FullConfiguration, goal: Counter) -> int:
-    """Size of the polymer multiset symmetric difference between ``a``
-    and the goal, given as its count vectors' ``Counter``; 0 iff equal."""
-    shared = Counter(a.key()) & goal
-    return a.n_polymers + goal.total() - 2 * shared.total()
+def _distance(key: tuple, goal: Dict[tuple, int], goal_size: int) -> int:
+    """Size of the polymer multiset symmetric difference between the
+    state of ``key`` and the goal, given as its count vectors'
+    multiplicities and their total; 0 iff equal."""
+    shared = sum(min(n, goal.get(counts, 0))
+                 for counts, n in Counter(key).items())
+    return len(key) + goal_size - 2 * shared
 
 
 def find_pathway(
@@ -264,42 +287,54 @@ def find_pathway(
         return None
     clock = Clock.of(budget)
     memo: Dict[tuple, _Splits] = {}
-    target = Counter(goal.key())
+    goal_key = goal.key()
+    target = dict(Counter(goal_key))
 
-    # a heap entry's last field links its configuration to its
-    # predecessor's link, so the path is rebuilt only when the goal pops
+    # a heap entry's last field links its state, (configuration, key,
+    # merge count above the start's), to its predecessor's link, so the
+    # path is rebuilt only when the goal pops
     counter = itertools.count()
-    heap = [(floor, _distance(start, target), next(counter), (start, None))]
-    best_barrier = {start.key(): floor}
+    start_key = start.key()
+    heap = [(
+        floor,
+        _distance(start_key, target, len(goal_key)),
+        next(counter),
+        (start, start_key, 0, None),
+    )]
+    best_barrier = {start_key: floor}
 
     while heap:
         reached, _, _, link = heapq.heappop(heap)
-        config = link[0]
+        config, key, merges, _ = link
         clock.spend("pathway search")
-        if config.key() == goal.key():
+        if key == goal_key:
             return Pathway(_unwind(link))
-        if reached > best_barrier.get(config.key(), reached):
+        if reached > best_barrier.get(key, reached):
             continue
-        for nxt in itertools.chain(
-            merge_moves(config), split_moves(config, clock=clock, memo=memo)
+        # a merge adds one to the merge count, a split takes one away
+        for nxt_merges, moves in (
+            (merges + 1, merge_moves(config)),
+            (merges - 1, split_moves(config, clock=clock, memo=memo)),
         ):
-            clock.check("pathway search")
-            nxt_barrier = max(reached, nxt.merge_count() - base)
-            if max_barrier is not None and nxt_barrier > max_barrier:
-                continue
-            known = best_barrier.get(nxt.key())
-            if known is not None and known <= nxt_barrier:
-                continue
-            best_barrier[nxt.key()] = nxt_barrier
-            heapq.heappush(
-                heap,
-                (
-                    nxt_barrier,
-                    _distance(nxt, target),
-                    next(counter),
-                    (nxt, link),
-                ),
-            )
+            nxt_barrier = max(reached, nxt_merges)
+            for nxt in moves:
+                clock.check("pathway search")
+                if max_barrier is not None and nxt_barrier > max_barrier:
+                    continue
+                nxt_key = nxt.key()
+                known = best_barrier.get(nxt_key)
+                if known is not None and known <= nxt_barrier:
+                    continue
+                best_barrier[nxt_key] = nxt_barrier
+                heapq.heappush(
+                    heap,
+                    (
+                        nxt_barrier,
+                        _distance(nxt_key, target, len(goal_key)),
+                        next(counter),
+                        (nxt, nxt_key, nxt_merges, link),
+                    ),
+                )
     return None
 
 
@@ -307,6 +342,6 @@ def _unwind(link) -> Tuple[FullConfiguration, ...]:
     """Configurations from the start to ``link``'s, following the links."""
     configs = []
     while link is not None:
-        config, link = link
+        config, _, _, link = link
         configs.append(config)
     return tuple(reversed(configs))

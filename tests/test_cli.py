@@ -136,7 +136,12 @@ class TestStableCommand:
         path.write_text(TRANSLATOR_TBN_TEXT + "\n")
         code = main(["stable", str(path), "--timeout", "0.0000001"])
         assert code == EXIT_BUDGET
-        assert "budget exhausted" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "budget exhausted" in out
+        assert ("search budget exhausted before an optimum was proven; "
+                "no answer") in out
+        assert "partial" not in out
+        assert "optimum merge count" not in out
 
     def test_solution_import(self, intro_file, tmp_path, capsys):
         t = parse_tbn(INTRO_TBN_TEXT)
@@ -506,6 +511,19 @@ class TestBenchCommand:
         assert captured.out == ""
         assert captured.err == (
             f"error: {flag} must be a number, got {value.split(':')[-1]!r}\n"
+        )
+
+    @pytest.mark.parametrize("spec, token", [
+        ("0", "0"), ("-1", "-1"), ("2, 0", "0"),
+    ])
+    def test_fuel_below_one_is_an_input_error(self, capsys, spec, token):
+        # named as the option's error, not as a line of the generated
+        # grid-gate text
+        assert main(["bench", "--fuel-range", spec]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --fuel-range counts must be >= 1, got {token!r}\n"
         )
 
     def test_downward_range_is_an_input_error(self, capsys):

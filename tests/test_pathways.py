@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter, deque
@@ -21,6 +22,7 @@ from conftest import (
     translator_text,
 )
 from tbntools import pathways
+from tbntools.cli import gen_gridgate
 from tbntools.hilbert import decompose, polymer_basis, stable_via_basis
 from tbntools.pathways import (
     FullConfiguration,
@@ -417,6 +419,50 @@ class TestTranslatorPathway:
         assert find_pathway(start, goal).barrier() == 2
         assert split_calls
         assert len(split_calls) == len(set(split_calls))
+
+
+def pathway_ends(family, n, start, goal):
+    """A search's endpoints on translator k=n or grid-gate n (fuel 2),
+    each a stable configuration by its index or "merged"."""
+    if family == "translator":
+        t = parse_tbn(translator_text(n))
+    else:
+        t = gen_gridgate(n, 2)
+    stable = stable_full_configurations(t)
+    return tuple(fully_merged(t) if end == "merged" else stable[end]
+                 for end in (start, goal))
+
+
+class TestSearchPins:
+    """The best-first search, node for node: the states it pops, the
+    barrier, the length and the path itself.  A change to how states are
+    built or ordered that alters the search moves one of these."""
+
+    @pytest.mark.parametrize("ends, nodes, barrier, merge_counts, digest", [
+        (("translator", 6, 0, 1), 28, 2, [6, 7, 8, 7, 8, 7, 8, 7, 8, 7, 6],
+         "535d8278eb4770ed"),
+        (("translator", 6, "merged", 0), 6, 0, [11, 10, 9, 8, 7, 6],
+         "5423b6e4962459ad"),
+        (("translator", 5, 0, "merged"), 5, 4, [5, 6, 7, 8, 9],
+         "3297174ae23df508"),
+        (("gridgate", 2, 0, -1), 16, 2, [2, 3, 4, 3, 2], "cb3462f6346d6187"),
+        (("gridgate", 3, 0, -1), 283, 3, [3, 4, 5, 6, 5, 4, 3],
+         "ae55afb8c1192056"),
+    ], ids=["k6 A->B", "k6 merged->A", "k5 A->merged", "gridgate n2",
+            "gridgate n3"])
+    def test_search_is_pinned(self, ends, nodes, barrier, merge_counts,
+                              digest):
+        start, goal = pathway_ends(*ends)
+        clock = Clock()
+        p = find_pathway(start, goal, budget=clock)
+        assert clock.nodes == nodes
+        assert p.barrier() == barrier
+        assert p.length == len(merge_counts) - 1
+        assert p.merge_counts() == merge_counts
+        # the path's keys, every count vector of every step, by digest
+        keys = repr([c.key() for c in p.configurations])
+        assert hashlib.sha256(keys.encode()).hexdigest()[:16] == digest
+        p.validate()
 
 
 def full_configurations(t, keep=saturated):
