@@ -185,6 +185,12 @@ def describe_pc(pc: PartialConfiguration, t: Tbn) -> List[str]:
     return [p.describe(t) for p in pc.polymers]
 
 
+def _counted(n, noun: str) -> str:
+    """``n`` and ``noun``, the noun plural unless ``n`` reads 1 (``n``
+    may be text such as ``"3 + inf"``)."""
+    return f"{n} {noun}" if str(n) == "1" else f"{n} {noun}s"
+
+
 def _full_polymer_count(pc: PartialConfiguration, t: Tbn) -> str:
     """Polymer count including implied singletons; infinities symbolic."""
     left = leftover(pc.polymers, t)
@@ -245,7 +251,7 @@ def cmd_stable(args) -> int:
     for k, cfg in enumerate(configs, start=1):
         lines.append(
             f"configuration {k} "
-            f"({cfg['full_polymer_count']} polymers):"
+            f"({_counted(cfg['full_polymer_count'], 'polymer')}):"
         )
         for name in cfg["polymer_names"]:
             lines.append(f"  {{{name}}}")
@@ -298,7 +304,8 @@ def cmd_basis(args) -> int:
     report = make_report(
         "basis", results, {"millis": round(elapsed * 1000, 3)}
     )
-    text = f"{len(basis)} basis elements\n" + render_basis_table(basis, t)
+    text = (f"{_counted(len(basis), 'basis element')}\n"
+            + render_basis_table(basis, t))
     emit(report, args.format, text)
     return EXIT_OK
 
@@ -401,7 +408,7 @@ def cmd_pathway(args) -> int:
     )
     lines = [
         f"pathway found: barrier {pathway.barrier()}, "
-        f"{pathway.length} steps",
+        f"{_counted(pathway.length, 'step')}",
         "merge counts: " + " -> ".join(
             str(v) for v in pathway.merge_counts()
         ),
@@ -505,7 +512,8 @@ def cmd_bench(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
-        emit(report, args.format, f"wrote {len(rows)} rows to {args.out}\n")
+        emit(report, args.format,
+             f"wrote {_counted(len(rows), 'row')} to {args.out}\n")
     else:
         emit(report, args.format, csv_text)
     if any(r["status"] == "timeout" for r in rows):

@@ -26,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -337,7 +338,7 @@ class Polymer:
     counts: tuple
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise TbnValidationError("polymer counts must be nonnegative")
 
     @property
@@ -345,13 +346,13 @@ class Polymer:
         return sum(self.counts)
 
     def __add__(self, other: "Polymer") -> "Polymer":
-        return Polymer(tuple(a + b for a, b in zip(self.counts, other.counts)))
+        return Polymer(tuple(map(operator.add, self.counts, other.counts)))
 
     def __le__(self, other: "Polymer") -> bool:
         return all(a <= b for a, b in zip(self.counts, other.counts))
 
     def __sub__(self, other: "Polymer") -> "Polymer":
-        return Polymer(tuple(a - b for a, b in zip(self.counts, other.counts)))
+        return Polymer(tuple(map(operator.sub, self.counts, other.counts)))
 
     def describe(self, tbn: Tbn) -> str:
         parts = []
@@ -409,7 +410,7 @@ class Configuration:
 
     def key(self) -> tuple:
         """The polymers' count vectors, in the canonical order."""
-        return tuple(p.counts for p in self.polymers)
+        return tuple([p.counts for p in self.polymers])
 
     def merge_count(self) -> int:
         """Pairwise merges that build the polymers from singletons."""
@@ -490,7 +491,9 @@ def split_search(
     each value ascending, calling ``tick`` once per value, its node.  A
     value is given only if every site-matrix row ``A_r`` through its
     column can still end within ``0 <= A_r x <= A_r p``; while the part
-    equals its complement, it is at most half its coordinate.
+    equals its complement, it is at most half its coordinate.  The
+    search is one loop over per-depth lists, so a split is yielded from
+    a single frame and a search leaves no reference cycle behind.
     """
     counts = p.counts
     caps = _net_sites(p, t)
@@ -509,38 +512,76 @@ def split_search(
             else:
                 high -= a * counts[i]
     cols = [i for i, c in enumerate(counts) if c]
-    search = (p, cols, checks, [0] * len(caps), [0] * len(counts), tick)
-    return _descend(search, 0, True)
+    return _split_loop(counts, cols, checks, len(caps), tick)
 
 
-def _descend(search: tuple, d: int, tie: bool) -> Iterator[tuple]:
-    """``split_search`` from depth ``d``; module-level: no reference cycle."""
-    p, cols, checks, activity, part, tick = search
-    i = cols[d]
-    c = p.counts[i]
-    first, last = 0, c // 2 if tie else c
-    for r, a, low, high in checks[i]:
-        f = activity[r]
-        if a > 0:
-            first = max(first, -((f - low) // a))
-            last = min(last, (high - f) // a)
+def _split_loop(
+    counts: tuple,
+    cols: List[int],
+    checks: List[List[Tuple[int, int, int, int]]],
+    n_rows: int,
+    tick: Optional[Callable[[], None]],
+) -> Iterator[Tuple[Polymer, Polymer]]:
+    """``split_search``'s depth-first loop.  Depth ``d`` fixes column
+    ``i = cols[d]``: ``part[i]`` is the value it holds, ``last[d]`` the
+    last one allowed, and ``tie[d]`` whether the part still equals its
+    complement on the columns before it.  ``activity`` holds each row's
+    dot product with the fixed values; the last depth changes no row."""
+    depth = len(cols) - 1
+    activity = [0] * n_rows
+    part = [0] * len(counts)
+    last = [0] * depth
+    tie = [True] * (depth + 1)
+    d = 0
+    while True:
+        i = cols[d]
+        c = counts[i]
+        first, end = 0, c // 2 if tie[d] else c
+        for r, a, low, high in checks[i]:
+            f = activity[r]
+            if a > 0:
+                lo, hi = -((f - low) // a), (high - f) // a
+            else:
+                lo, hi = -((high - f) // -a), (f - low) // -a
+            if lo > first:
+                first = lo
+            if hi < end:
+                end = hi
+        if d < depth:
+            # one before the first value, which the step below takes
+            part[i], last[d] = first - 1, end
+            for r, a, _, _ in checks[i]:
+                activity[r] += a * (first - 1)
         else:
-            first = max(first, -((high - f) // -a))
-            last = min(last, (f - low) // -a)
-    for v in range(first, last + 1):
-        if tick is not None:
-            tick()
-        part[i] = v
-        for r, a, _, _ in checks[i]:
-            activity[r] += a * v
-        if d + 1 < len(cols):
-            yield from _descend(search, d + 1, tie and 2 * v == c)
-        elif any(part):
-            x = Polymer(tuple(part))
-            yield x, p - x
-        for r, a, _, _ in checks[i]:
-            activity[r] -= a * v
-    part[i] = 0
+            for v in range(first, end + 1):
+                if tick is not None:
+                    tick()
+                part[i] = v
+                if v or any(part):
+                    yield (Polymer(tuple(part)),
+                           Polymer(tuple(map(operator.sub, counts, part))))
+            part[i] = 0
+            d -= 1
+        # step to the next value of depth d, backing out of every depth
+        # whose values are spent
+        while d >= 0:
+            i = cols[d]
+            v = part[i] + 1
+            if v <= last[d]:
+                if tick is not None:
+                    tick()
+                part[i] = v
+                for r, a, _, _ in checks[i]:
+                    activity[r] += a
+                tie[d + 1] = tie[d] and 2 * v == counts[i]
+                break
+            for r, a, _, _ in checks[i]:
+                activity[r] -= a * (v - 1)
+            part[i] = 0
+            d -= 1
+        else:
+            return
+        d += 1
 
 
 def merge_count(pc: Configuration) -> int:

@@ -72,7 +72,8 @@ def hilbert_basis(
     ``a``.  The result projects the last basis onto ``x``.  The
     reduction is one pass over the elements in the order they were
     made, and a support bit mask rejects most of them before the
-    componentwise test.
+    componentwise test.  Each element carries its mask across rows, and
+    after ``s -= g`` only the bits of ``g``'s mask are tested again.
 
     ``upper`` caps the ``x`` coordinates; a ``None`` entry stays
     uncapped, and a cap of 0 leaves its unit vector out.  A pair sum
@@ -101,15 +102,16 @@ def hilbert_basis(
     capped = [(k, c) for k, c in enumerate(upper or ()) if c is not None]
     if any(c < 0 for _, c in capped):
         raise BasisError(f"upper has a negative cap: {list(upper or ())}")
+    # each basis element with its support as a bit mask
     basis = [
-        tuple(int(j == k) for j in range(n))
+        (tuple(int(j == k) for j in range(n)), 1 << k)
         for k in range(n) if not upper or upper[k] != 0
     ]
     for row in rows:
         terms = [(j, c) for j, c in enumerate(row) if c]
-        # each element with its value and its support as a bit mask
+        # each element with its value and its support
         elements = [
-            (v, sum(c * v[j] for j, c in terms), _support(v)) for v in basis
+            (v, sum(c * v[j] for j, c in terms), m) for v, m in basis
         ]
         old = len(elements)
         positive = [e for e in elements if e[1] > 0]
@@ -128,7 +130,7 @@ def hilbert_basis(
                 while (not gm & outside and (0 <= lg <= ls or ls <= lg <= 0)
                        and all(map(le, g, s))):
                     s, ls = tuple(map(sub, s, g)), ls - lg
-                    outside = ~_support(s)
+                    outside |= _zeros(s, gm)
             if not any(s):
                 continue
             e = (s, ls, ~outside)
@@ -141,20 +143,30 @@ def hilbert_basis(
             elements.append(e)
         # an old element is irreducible in the cone so far, and a new one
         # was reduced by every element made before it, so only a later
-        # new element can lie below a kept one
-        basis = [v + (lv,) for v, lv, _ in elements[:old] if lv >= 0]
-        new = [v + (lv,) for v, lv, _ in elements[old:] if lv >= 0]
+        # new element can lie below a kept one; a kept element's value
+        # becomes a coordinate, in its support when nonzero
+        basis, new = (
+            [(v + (lv,), m | (1 << len(v) if lv else 0))
+             for v, lv, m in part if lv >= 0]
+            for part in (elements[:old], elements[old:])
+        )
         basis += [
-            v for i, v in enumerate(new)
-            if not any(all(map(le, u, v)) for u in new[i + 1:])
+            (v, m) for i, (v, m) in enumerate(new)
+            if not any(all(map(le, u, v)) for u, _ in new[i + 1:])
         ]
-    return sorted(v[:n] for v in basis)
+    return sorted(v[:n] for v, _ in basis)
 
 
-def _support(v: Sequence[int]) -> int:
-    """Bit ``k`` set for each nonzero ``v[k]``; ``g <= s`` needs ``g``'s
-    support inside ``s``'s."""
-    return sum(1 << k for k, x in enumerate(v) if x)
+def _zeros(s: Sequence[int], mask: int) -> int:
+    """The bits of ``mask`` at which ``s`` is zero: after ``s -= g`` only
+    a coordinate in ``g``'s support can have cleared."""
+    zeros = 0
+    while mask:
+        bit = mask & -mask
+        if not s[bit.bit_length() - 1]:
+            zeros |= bit
+        mask ^= bit
+    return zeros
 
 
 def polymer_basis(

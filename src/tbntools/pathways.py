@@ -18,7 +18,8 @@ each move changes by one.  Moves build their successors by splicing:
 the polymers a move removes come out of the canonical polymer tuple and
 the ones it makes go in at their places, with no sort and no validation.
 Merges are deduped by their pair of count vectors before anything is
-built.
+built, and the distance to the goal is one pass over a state's key:
+both rely on copies of a count vector being adjacent in canonical order.
 
 ``splits`` lists a polymer's splits and ``is_locally_stable`` stops at
 the first, both through ``core.split_search``, the one search that
@@ -151,18 +152,23 @@ def merge_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
 
     Each distinct pair of count vectors is merged once: two merges give
     the same configuration exactly when they merge the same pair, since
-    the sum outsizes both its parts.  The sum goes before both parts in
-    canonical order, so it is spliced into what precedes the first.
+    the sum outsizes both its parts.  Copies of a count vector are
+    adjacent in canonical order, so a pair ``a < b`` repeats an earlier
+    one exactly when ``a`` copies the polymer before it, or ``b`` copies
+    the polymer before it and that one is not ``a``.  The sum goes
+    before both parts in canonical order, so it is spliced into what
+    precedes the first.
     """
     polys, t = config.polymers, config.tbn
-    seen = set()
-    for a, b in itertools.combinations(range(len(polys)), 2):
-        pair = (polys[a].counts, polys[b].counts)
-        if pair in seen:
+    key = config.key()
+    for a in range(len(polys)):
+        if a and key[a - 1] == key[a]:
             continue
-        seen.add(pair)
-        head = _insert(polys[:a], polys[a] + polys[b])
-        yield FullConfiguration(head + polys[a + 1:b] + polys[b + 1:], t)
+        for b in range(a + 1, len(polys)):
+            if b - 1 > a and key[b - 1] == key[b]:
+                continue
+            head = _insert(polys[:a], polys[a] + polys[b])
+            yield FullConfiguration(head + polys[a + 1:b] + polys[b + 1:], t)
 
 
 def split_moves(
@@ -241,9 +247,16 @@ class Pathway:
 def _distance(key: tuple, goal: Dict[tuple, int], goal_size: int) -> int:
     """Size of the polymer multiset symmetric difference between the
     state of ``key`` and the goal, given as its count vectors'
-    multiplicities and their total; 0 iff equal."""
-    shared = sum(min(n, goal.get(counts, 0))
-                 for counts, n in Counter(key).items())
+    multiplicities and their total; 0 iff equal.  One pass over the
+    key: its copies of a count vector are adjacent in canonical order,
+    so each distinct one is looked up in ``goal`` once."""
+    shared, prev, left = 0, None, 0
+    for counts in key:
+        if counts != prev:
+            prev, left = counts, goal.get(counts, 0)
+        if left:
+            shared += 1
+            left -= 1
     return len(key) + goal_size - 2 * shared
 
 

@@ -62,6 +62,12 @@ class TestStableCommand:
         assert out.count("configuration") == 1
         assert "m1 + m2" in out
 
+    def test_one_polymer_is_singular(self, tmp_path, capsys):
+        path = tmp_path / "pair.tbn"
+        path.write_text("m: a*\nn: a\n")
+        assert main(["stable", str(path)]) == EXIT_OK
+        assert "configuration 1 (1 polymer):" in capsys.readouterr().out
+
     def test_json_report_roundtrips(self, intro_file, capsys):
         assert main(["stable", intro_file, "--format", "json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -191,6 +197,12 @@ class TestBasisCommand:
         path.write_text("m: a\n")
         assert main(["basis", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("1 basis element")
+
+    def test_one_element_is_singular(self, tmp_path, capsys):
+        path = tmp_path / "one.tbn"
+        path.write_text("m: a\n")
+        assert main(["basis", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "1 basis element\n1. m\n"
 
     def test_cap_exhausted_is_a_budget_exit(self, translator_file, capsys):
         assert main(["basis", translator_file, "--cap", "3"]) == EXIT_BUDGET
@@ -354,6 +366,20 @@ class TestPathwayCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "barrier 1" in out
+
+    def test_one_step_is_singular(self, tmp_path, capsys):
+        tbn = tmp_path / "free.tbn"
+        tbn.write_text("p: a\nq: b\n")
+        src = tmp_path / "from.cfg"
+        src.write_text("p + q\n")
+        dst = tmp_path / "to.cfg"
+        dst.write_text("p\nq\n")
+        code = main([
+            "pathway", str(tbn), "--from", str(src), "--to", str(dst),
+        ])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("pathway found: barrier 0, 1 step\n")
 
     def test_barrier_zero_blocks(self, tmp_path, capsys):
         tbn = tmp_path / "swap.tbn"
@@ -542,6 +568,15 @@ class TestBenchCommand:
         ])
         assert code == EXIT_OK
         assert out.read_text().startswith("family,n,fuel")
+
+    def test_one_row_is_singular(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--n-range", "1:1", "--fuel-range", "2",
+            "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == f"wrote 1 row to {out}\n"
 
 
 class TestExportLp:

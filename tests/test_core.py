@@ -307,6 +307,23 @@ class TestValidate:
         assert got == validation_error(t)
 
 
+class TestPolymer:
+    @pytest.mark.parametrize("counts", [(-1,), (2, 0, -1), (0, -3, 1)])
+    def test_negative_entry_rejected(self, counts):
+        with pytest.raises(TbnValidationError, match="nonnegative"):
+            Polymer(counts)
+
+    def test_difference_with_negative_entry_rejected(self):
+        with pytest.raises(TbnValidationError, match="nonnegative"):
+            Polymer((2, 0, 1)) - Polymer((1, 1, 0))
+
+    def test_arithmetic(self):
+        a, b = Polymer((2, 0, 1)), Polymer((1, 0, 1))
+        assert (a + b).counts == (3, 0, 2)
+        assert (a - b).counts == (1, 0, 0)
+        assert Polymer(()).counts == ()
+
+
 class TestPartialConfiguration:
     def test_merge_count_single_pair(self, intro_tbn):
         p = polymer_from_monomers([mono("a*", "b*"), mono("a", "b")], intro_tbn)

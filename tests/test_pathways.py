@@ -14,6 +14,7 @@ from tbntools.core import (
     is_self_saturated,
     parse_tbn,
     polymer_from_monomers,
+    split_search,
 )
 from conftest import (
     GRID_TBN_TEXT,
@@ -201,6 +202,57 @@ class TestSplitSearch:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def pinned_splits(p, t):
+    """``split_search``'s splits of ``p`` as count-vector pairs, in the
+    order it yields them, and the number of times it ticks."""
+    ticks = []
+    found = [(a.counts, b.counts)
+             for a, b in split_search(p, t, lambda: ticks.append(1))]
+    return found, len(ticks)
+
+
+def short_digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestSplitSearchPins:
+    """``split_search`` node for node: the splits, their order and the
+    ticks, one per value tried.  A change to how the search walks its
+    values that alters what it finds or visits moves one of these."""
+
+    def test_translator_fully_merged(self):
+        t = parse_tbn(translator_text(6))
+        found, ticks = pinned_splits(Polymer(t.counts), t)
+        assert (len(found), ticks) == (230, 1054)
+        assert short_digest(found) == "2f68d7184d953c39"
+
+    def test_random_small_networks(self):
+        # every polymer of each network
+        rng = random.Random(20261020)
+        record = []
+        for _ in range(30):
+            t = random_small_tbn(rng, 10)
+            for counts in itertools.product(*(range(c + 1)
+                                              for c in t.counts)):
+                record.append((counts, *pinned_splits(Polymer(counts), t)))
+        assert len(record) == 663
+        assert sum(len(found) for _, found, _ in record) == 1680
+        assert sum(ticks for _, _, ticks in record) == 3492
+        assert short_digest(record) == "c05612e0e9ab699d"
+
+    def test_random_subpolymers(self):
+        # random sub-polymers of translator k=6 and grid-gate n=3, fuel 2
+        rng = random.Random(33)
+        record = []
+        for t in (parse_tbn(translator_text(6)), gen_gridgate(3, 2)):
+            for _ in range(60):
+                counts = tuple(rng.randint(0, c) for c in t.counts)
+                record.append((counts, *pinned_splits(Polymer(counts), t)))
+        assert sum(len(found) for _, found, _ in record) == 2281
+        assert sum(ticks for _, _, ticks in record) == 5503
+        assert short_digest(record) == "ca9972483b64551e"
 
 
 class TestLocalStability:
@@ -448,8 +500,12 @@ class TestSearchPins:
         (("gridgate", 2, 0, -1), 16, 2, [2, 3, 4, 3, 2], "cb3462f6346d6187"),
         (("gridgate", 3, 0, -1), 283, 3, [3, 4, 5, 6, 5, 4, 3],
          "ae55afb8c1192056"),
+        # the instance ROADMAP item 6 times
+        pytest.param(("gridgate", 4, 0, -1), 8614, 4,
+                     [4, 5, 6, 7, 8, 7, 6, 5, 4], "5ebb45f1a3012d40",
+                     marks=pytest.mark.slow),
     ], ids=["k6 A->B", "k6 merged->A", "k5 A->merged", "gridgate n2",
-            "gridgate n3"])
+            "gridgate n3", "gridgate n4"])
     def test_search_is_pinned(self, ends, nodes, barrier, merge_counts,
                               digest):
         start, goal = pathway_ends(*ends)
