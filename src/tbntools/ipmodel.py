@@ -10,7 +10,7 @@ to nonemptiness.  The objective minimizes total merges.
 With ``symmetry_breaking``, lexicographic rows over auxiliary ``Tied``
 booleans force the slots into non-increasing order, so each
 configuration appears exactly once; ``IntegerProgram.fixed`` freezes the
-objective into an equality for enumeration.
+objective into an equality, as ``export-lp --fixed-objective`` writes it.
 
 The ``IntegerProgram`` carrier is generic (bounded integer variables,
 linear rows, a linear objective) and decoupled from any solver.  Every

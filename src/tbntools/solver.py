@@ -7,11 +7,13 @@ exact rational arithmetic; the ceiling of its optimum is a lower bound L
 on the objective.  When only a witness is asked for and the root LP
 is integral, that solution is optimal and returned.  Otherwise the
 objective is frozen into an equality at L, L+1, ... up to its maximum
-over the propagated root box, and each level is searched exhaustively by
-``enumerate_assignments``, the package's one search loop: depth-first
-search driven by interval propagation, with no LP below the root.  The
-first level with a solution is the optimum.  ``stats.nodes`` counts the
-root plus every node of every level searched.
+over the propagated root box: the level program is compiled once, with
+the objective as its last row, and each level sets that row's
+right-hand side.  Each level is searched exhaustively by ``_search``,
+the package's one search loop: depth-first search driven by interval
+propagation, with no LP below the root.  The first level with a
+solution is the optimum.  ``stats.nodes`` counts the root plus every
+node of every level searched.
 
 Each level's search starts from the root LP's reduced-cost box
 (reduced-cost fixing; Achterberg, *Constraint Integer Programming*,
@@ -23,7 +25,8 @@ optimum, any point that meets the rows within the propagated root box
 has objective ``z*`` plus a sum of terms ``>= 0``, one ``|r|`` times a
 variable's distance from its bound and one per row slack, so no term
 exceeds ``gap``.  The box removes no solution of a level, so the answers
-and their order do not change.
+and their order do not change.  It is a list of bounds by variable
+index, and a level program's variables start with the root program's.
 
 ``stable_configs`` first probes the slot model: its root LP on the plain
 model, then the levels of the model with lexicographic symmetry-breaking
@@ -31,9 +34,9 @@ rows, which leave one representative per polymer ordering, so the
 optimal level's solutions are every stable configuration;
 canonicalization plus deduplication acts as a safety net.  The probe
 stops after ``PROBE_NODES`` level-search nodes, and the basis route of
-``hilbert`` answers on the same clock.  ``solve_min`` freezes a general
-bounded program's objective with ``IntegerProgram.fixed``, and the basis
-route of ``hilbert.stable_via_basis`` calls the scan itself.  The search
+``hilbert`` answers on the same clock, as it does when ``build``
+refuses a slot model as too large.  ``solve_min`` and the basis route of
+``hilbert.stable_via_basis`` scan their own programs' levels.  The search
 propagates a child node from the rows of the variable it branched on,
 since its parent is already at a fixpoint.  Each node carries every
 row's least and greatest activity over its bounds, computed once per
@@ -56,7 +59,6 @@ of partitions into self-saturated polymers, for desk-scale instances only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -73,9 +75,11 @@ from .core import (
     is_self_saturated,
 )
 from .ipmodel import (
+    EQ,
     GE,
     LE,
     IntegerProgram,
+    ModelError,
     build,
     default_bound,
 )
@@ -161,11 +165,12 @@ class _Compiled:
     A variable repeated in a row, or in the objective, has its
     coefficients summed into one; a row whose sums are all zero is
     empty.  ``objective`` is the (index, coefficient) list to minimize,
-    empty without an objective.
+    empty without an objective.  With ``level``, the objective is also
+    the last row, an equality kept even when its coefficients cancel, so
+    that setting its right-hand side never moves a real row.
     """
 
-    def __init__(self, program: IntegerProgram):
-        self.program = program
+    def __init__(self, program: IntegerProgram, level: bool = False):
         self.names = [v.name for v in program.variables]
         self.index = {name: k for k, name in enumerate(self.names)}
         self.lo = [v.lower for v in program.variables]
@@ -178,6 +183,13 @@ class _Compiled:
             # a row without coefficients matters only when 0 violates it
             if coeffs or not con.satisfied_by({}):
                 self.rows.append((coeffs, con.sense, con.rhs))
+        objective = program.objective.coeffs if program.objective else ()
+        summed = self._summed(objective)
+        self.objective = sorted(summed.items())
+        if level:
+            self.rows.append(
+                (tuple((i, c) for i, c in summed.items() if c != 0), EQ, 0)
+            )
         # Row k's least activity is act[2k] and its greatest act[2k + 1].
         # A term c·x of row k reaches act[2k] through x's lower bound when
         # c > 0 and through its upper bound when c < 0, and act[2k + 1]
@@ -202,11 +214,6 @@ class _Compiled:
                     self.lo_wakes[i].append(k)
                 if sense != (LE if c > 0 else GE):
                     self.hi_wakes[i].append(k)
-        self.objective: List[Tuple[int, int]] = []
-        if program.objective is not None:
-            self.objective = sorted(
-                self._summed(program.objective.coeffs).items()
-            )
 
     def _summed(self, coeffs: Sequence[Tuple[str, int]]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
@@ -387,30 +394,31 @@ def enumerate_assignments(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     max_solutions: Optional[int] = None,
-    bounds: Optional[Dict[str, Tuple[int, int]]] = None,
 ) -> List[Dict[str, int]]:
-    """All integer solutions of a (typically objective-free) program.
+    """All integer solutions of a (typically objective-free) program, by
+    ``_search`` from its declared bounds."""
+    return _search(_Compiled(program), [], [], Clock.of(budget), max_solutions)
+
+
+def _search(
+    comp: _Compiled,
+    lo: List[int],
+    hi: List[int],
+    clock: Clock,
+    max_solutions: Optional[int],
+) -> List[Dict[str, int]]:
+    """Every solution of ``comp`` whose first ``len(lo)`` variables lie
+    in the box ``lo..hi``; the others start from their declared bounds.
 
     Depth-first search with interval propagation; variables are fixed in
-    declaration order, values tried in ascending order, so the output
-    order is deterministic.  ``bounds`` maps some of the program's
-    variable names to inclusive (lower, upper) pairs that the search
-    starts from, intersected with the declared bounds; the caller
-    vouches that no wanted solution lies outside them.  The search
-    stops early once it holds ``max_solutions`` solutions.  Each node
-    spends one node of the clock, and ``BudgetExhausted`` ends the
-    search once the budget is spent.
+    index order, values tried in ascending order, so the output order is
+    deterministic.  The search stops early once it holds
+    ``max_solutions`` solutions.  Each node spends one node of the
+    clock, and ``BudgetExhausted`` ends the search once the budget is
+    spent.
     """
-    comp = _Compiled(program)
-    clock = Clock.of(budget)
     solutions: List[Dict[str, int]] = []
-
-    lo, hi = list(comp.lo), list(comp.hi)
-    for name, (lower, upper) in (bounds or {}).items():
-        i = comp.index[name]
-        lo[i], hi[i] = max(lo[i], lower), min(hi[i], upper)
-        if lo[i] > hi[i]:
-            return solutions
+    lo, hi = lo + comp.lo[len(lo):], hi + comp.hi[len(hi):]
     stack: List[_Node] = [(lo, hi, comp.activities(lo, hi), None)]
     while stack:
         lo, hi, act, changed = stack.pop()
@@ -453,14 +461,15 @@ def stable_configs(
 
     The slot bound is ``default_bound(t)``, the total count of limiting
     monomers, which holds every stable configuration.  The root LP runs
-    on the plain slot model; the levels past it freeze the objective of
-    the symmetry-broken model, built once, on first use.
+    on the plain slot model; the levels past it are those of the
+    symmetry-broken model, built when the first level is reached.
 
     Route rule: a probe, then the basis route.  The probe is
     ``scan_levels`` on the slot model, capped at its root node and
     ``PROBE_NODES`` level-search nodes.  When it answers within the cap,
-    its answer stands; otherwise ``hilbert.stable_via_basis``, over the
-    basis truncated at the finite counts, answers on the same clock.
+    its answer stands; otherwise, or when ``build`` refuses a slot model
+    as too large, ``hilbert.stable_via_basis``, over the basis truncated
+    at the finite counts, answers on the same clock.
     Node counts, not time, decide, so the route is always the same;
     ``stats.route`` says which answered: "direct" or "basis".
 
@@ -479,26 +488,25 @@ def stable_configs(
         empty = PartialConfiguration.from_polymers([], t)
         return EnumerationResult(0, [empty])
     clock = Clock.of(opts.budget)
-    model = build(t, bound)
-
-    @functools.cache
-    def symmetric() -> IntegerProgram:
-        return build(t, bound, symmetry_breaking=True).program
-
-    def level(value: int) -> IntegerProgram:
-        return symmetric().fixed(value)
-
-    # imported here because hilbert imports this module
-    from .hilbert import _basis_route
-
-    route = "direct"
     try:
-        answer = _probe(model.program, clock, opts.all, level)
-        if answer is None:
-            route = "basis"
-            return _basis_route(t, None, clock, opts.all)
+        model = build(t, bound)
+        answer = _probe(
+            model.program, clock, opts.all,
+            lambda: build(t, bound, symmetry_breaking=True).program,
+        )
+    except ModelError:
+        # a slot model that ``build`` refuses as too large cannot answer
+        answer = None
     except BudgetExhausted:
-        return EnumerationResult(None, [], clock.stats(route))
+        return EnumerationResult(None, [], clock.stats())
+    if answer is None:
+        # imported here because hilbert imports this module
+        from .hilbert import _basis_route
+
+        try:
+            return _basis_route(t, None, clock, opts.all)
+        except BudgetExhausted:
+            return EnumerationResult(None, [], clock.stats("basis"))
     optimum, found = answer
     if optimum is None:
         raise TbnError(
@@ -513,52 +521,47 @@ def _probe(
     program: IntegerProgram,
     clock: Clock,
     want_all: bool,
-    level: Callable[[int], IntegerProgram],
+    levels: Callable[[], IntegerProgram],
 ) -> Optional[Tuple[Optional[int], List[Dict[str, int]]]]:
     """``scan_levels`` on ``clock``, stopped before the node past its root
     and ``PROBE_NODES`` more; None when stopped there."""
     cap, clock.cap = clock.cap, clock.nodes + 1 + PROBE_NODES
     try:
-        return scan_levels(program, clock, want_all, level)
+        return scan_levels(program, clock, want_all, levels)
     except _ProbeCapped:
         return None
     finally:
         clock.cap = cap
 
 
-# the level scan calls the search by this name, not through the module
-# attribute, which perfbench's hook wraps expecting an older result shape
-_enumerate = enumerate_assignments
-
-
 def scan_levels(
     program: IntegerProgram,
     budget: Budget | Clock | None = None,
     want_all: bool = False,
-    level: Optional[Callable[[int], IntegerProgram]] = None,
+    levels: Optional[Callable[[], IntegerProgram]] = None,
 ) -> Tuple[Optional[int], List[Dict[str, int]]]:
     """Minimum of ``program``'s objective and its optimal assignments: a
-    witness, or with ``want_all`` all that ``level(optimum)`` admits.
-    The minimum is None, with no assignments, when ``program`` is
-    infeasible.
+    witness, or with ``want_all`` all that the level program admits at
+    the optimum.  The minimum is None, with no assignments, when
+    ``program`` is infeasible.
 
-    ``level(value)``, by default ``program.fixed(value)``, is a program
-    whose solutions satisfy ``program``'s rows with the objective at
-    ``value``.  The ceiling of the root LP bounds the objective from
-    below.  From it upwards, each value's level is searched
-    exhaustively, so the first level with a solution is the optimum;
-    when every level up to the largest value the propagated root bounds
-    allow is empty, the program is infeasible.  Each level's search
-    starts from the propagated root bounds, narrowed by the root LP's
-    reduced costs (``_reduced_cost_box``, exact by the module docstring's
-    argument) and matched to ``level(value)``'s variables by name: a
-    symmetry-broken level adds variables and rows to ``program``, so its
-    solutions are solutions of ``program`` and lie in the box too.  One
-    clock covers the root, its LP and every level, and
-    ``BudgetExhausted`` ends the scan once it runs out.
+    The ceiling of the root LP bounds the objective from below.  From it
+    upwards, each value's level is searched exhaustively, so the first
+    level with a solution is the optimum; when every level up to the
+    largest value the propagated root bounds allow is empty, the program
+    is infeasible.  The level program is ``levels()``, called once at
+    the first level, or ``program``: its variables start with
+    ``program``'s own, bounds included, in the same order, and its
+    solutions satisfy ``program``'s rows, as the symmetry-broken slot
+    model's do.  It is compiled once, with the objective as one last
+    row, and each level sets that row's right-hand side.  A level's
+    search starts from the propagated root bounds narrowed by the root
+    LP's reduced costs (``_reduced_cost_box``, exact by the module
+    docstring's argument), which bound its first variables.  One clock
+    covers the root, its LP and every level, and ``BudgetExhausted``
+    ends the scan once it runs out.
     """
     clock = Clock.of(budget)
-    level = level or program.fixed
     clock.spend("level scan")
     comp = _Compiled(program)
     lo, hi = list(comp.lo), list(comp.hi)
@@ -578,44 +581,39 @@ def scan_levels(
     assert relax.reduced is not None
     reduced = [(i, r) for i, r in enumerate(relax.reduced) if r]
     last = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in comp.objective)
+    level: Optional[_Compiled] = None
     for value in range(first, last + 1):
-        gap = value - relax.objective
-        box = _reduced_cost_box(comp, lo, hi, reduced, gap)
-        assignments = _enumerate(
-            level(value), clock, None if want_all else 1, box
-        )
+        if level is None:
+            level = _Compiled(levels() if levels else program, level=True)
+        level.rows[-1] = (level.rows[-1][0], EQ, value)
+        box = _reduced_cost_box(lo, hi, reduced, value - relax.objective)
+        assignments = _search(level, *box, clock, None if want_all else 1)
         if assignments:
             return value, assignments
     return None, []
 
 
 def _reduced_cost_box(
-    comp: _Compiled,
     lo: Sequence[int],
     hi: Sequence[int],
     reduced: Sequence[Tuple[int, Fraction]],
     gap: Fraction,
-) -> Dict[str, Tuple[int, int]]:
-    """The bounds, by name, of each variable that the propagated root
-    bounds ``lo..hi`` tighten or its nonzero root reduced cost ``r``
-    narrows: within ``⌊gap / |r|⌋`` of the bound it sat at, ``lo`` when
-    ``r > 0`` and ``hi`` when ``r < 0``.  ``gap`` is a level's distance
-    above the root LP optimum; the floor divides the two rationals'
-    integer parts.
+) -> Tuple[List[int], List[int]]:
+    """The propagated root bounds ``lo..hi``, each variable with a
+    nonzero root reduced cost ``r`` narrowed to within ``⌊gap / |r|⌋`` of
+    the bound it sat at, ``lo`` when ``r > 0`` and ``hi`` when ``r < 0``.
+    ``gap`` is a level's distance above the root LP optimum; the floor
+    divides the two rationals' integer parts.
     """
-    names = comp.names
-    box = {
-        name: (lo[i], hi[i]) for i, name in enumerate(names)
-        if lo[i] > comp.lo[i] or hi[i] < comp.hi[i]
-    }
+    box_lo, box_hi = list(lo), list(hi)
     for i, r in reduced:
         steps = (gap.numerator * r.denominator
                  // (gap.denominator * abs(r.numerator)))
-        if steps < hi[i] - lo[i]:
-            box[names[i]] = (
-                (lo[i], lo[i] + steps) if r > 0 else (hi[i] - steps, hi[i])
-            )
-    return box
+        if r > 0:
+            box_hi[i] = min(hi[i], lo[i] + steps)
+        else:
+            box_lo[i] = max(lo[i], hi[i] - steps)
+    return box_lo, box_hi
 
 
 def _partitions(

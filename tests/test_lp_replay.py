@@ -10,7 +10,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import lp_replay  # noqa: E402
+import workloads  # noqa: E402
+from tbntools import pathways  # noqa: E402
+from tbntools.core import (  # noqa: E402
+    PartialConfiguration,
+    Polymer,
+    parse_tbn,
+)
 from tbntools.simplex import LpSolution  # noqa: E402
+from tbntools.solver import EnumerationResult, SolveStats  # noqa: E402
 
 
 def test_digest_reads_exact_values_not_their_types():
@@ -25,13 +33,36 @@ def test_digest_reads_exact_values_not_their_types():
         [])
 
 
+def test_search_digest_reads_route_nodes_and_answers():
+    t = parse_tbn("a*, 1\na, 1")
+    pc = PartialConfiguration.from_polymers([Polymer((1, 1))], t)
+
+    def call(result):
+        return workloads.Call("stable", "x", "stable_configs", 0.1,
+                              result=result)
+
+    base = lp_replay.search_digest(
+        [call(EnumerationResult(1, [pc], SolveStats(3, "direct")))])
+    for changed in (EnumerationResult(1, [pc], SolveStats(4, "direct")),
+                    EnumerationResult(1, [pc], SolveStats(3, "basis")),
+                    EnumerationResult(1, [], SolveStats(3, "direct"))):
+        assert lp_replay.search_digest([call(changed)]) != base
+    full = pathways.full_configuration(pc)
+    path = pathways.Pathway((full,))
+    assert lp_replay.search_fields(path) == [0, full.key()]
+    assert lp_replay.search_fields([Polymer((1, 1))]) == [(1, 1)]
+
+
 def test_gridgate_pass_keeps_its_pivots_and_answers(capsys):
     assert lp_replay.main(["--workloads", "gridgate", "--seed", "1"]) == 0
     [line] = capsys.readouterr().out.splitlines()
     # one root LP per instance; the counts and the digest pin the
-    # kernel's pivot path and its exact answers
+    # kernel's pivot path and its exact answers, and the search digest
+    # each call's route, node count and answers
     assert line.startswith("gridgate: 28 LPs, 586 pivots (328 in phase 1), "
-                           "612 checks, digest e252e35d3e4a25e7, replay ")
+                           "612 checks, digest e252e35d3e4a25e7, 28 calls, "
+                           "56 nodes, search digest a2f274885ce087bd, "
+                           "replay ")
 
 
 def test_unknown_workload_is_an_argument_error():

@@ -5,6 +5,7 @@ from typing import Tuple
 
 import pytest
 
+from tbntools import solver
 from tbntools.cli import gen_gridgate
 from tbntools.core import (
     PartialConfiguration,
@@ -23,6 +24,7 @@ from tbntools.ipmodel import (
     LE,
     Constraint,
     IntegerProgram,
+    ModelError,
     Objective,
     Variable,
     build,
@@ -53,6 +55,7 @@ from tbntools.solver import (
     _Compiled,
     _probe,
     _reduced_cost_box,
+    _search,
     brute_force_stable,
     enumerate_assignments,
     propagate,
@@ -204,13 +207,28 @@ class TestRoutes:
         bound = default_bound(t)
         model = build(t, bound)
         symmetric = build(t, bound, symmetry_breaking=True).program
-        assert _probe(model.program, Clock(), True, symmetric.fixed) is None
+        assert _probe(model.program, Clock(), True, lambda: symmetric) is None
         result = stable_configs(t, StableOptions(all=True))
         assert result.stats.route == "basis"
         want = brute_force_stable(t)
         assert result.optimum == want.optimum == 3
         assert len(result.solutions) == 4
         assert polymer_sets(result) == polymer_sets(want)
+
+    @pytest.mark.parametrize("want_all", [False, True])
+    def test_slot_model_past_the_variable_budget_takes_the_basis_route(
+        self, want_all
+    ):
+        # 210,000 slot-model variables: ``build`` refuses the model before
+        # it allocates any, so the probe cannot answer
+        t = parse_tbn("a*, 70000\na, 70000")
+        with pytest.raises(ModelError):
+            build(t, default_bound(t))
+        result = stable_configs(t, StableOptions(all=want_all))
+        assert result.optimum == 70_000
+        assert result.stats.route == "basis"
+        [pc] = result.solutions
+        assert [p.counts for p in pc.polymers] == [(1, 1)] * 70_000
 
     def test_plain_gridgate_answers_at_the_root(self):
         # an integral root LP answers a witness before the basis route starts
@@ -812,7 +830,7 @@ def full_scan(t: Tbn) -> Tuple:
     model = build(t, bound)
     optimum, found = scan_levels(
         model.program, Clock(), True,
-        build(t, bound, symmetry_breaking=True).program.fixed,
+        lambda: build(t, bound, symmetry_breaking=True).program,
     )
     assert optimum is not None
     return optimum, {
@@ -857,11 +875,17 @@ class TestReducedCostBox:
     reduced costs give that level, so the scan's search from the box
     finds the same solutions, in the same order."""
 
-    def check(self, program: IntegerProgram, level) -> Tuple[int, int]:
-        """Solutions checked on the levels from the root LP's ceiling
-        and two above it, and the levels with a solution whose box
-        narrows some variable."""
+    def check(
+        self, program: IntegerProgram, levels: IntegerProgram
+    ) -> Tuple[int, int]:
+        """Solutions checked on the levels of ``levels``, whose variables
+        start with ``program``'s, from the root LP's ceiling and two
+        above it, and the levels with a solution whose box narrows some
+        variable."""
         comp = _Compiled(program)
+        level = _Compiled(levels, level=True)
+        n = len(comp.names)
+        assert level.names[:n] == comp.names
         lo, hi = list(comp.lo), list(comp.hi)
         if not propagate(comp, lo, hi):
             return 0, 0
@@ -880,14 +904,17 @@ class TestReducedCostBox:
         first = frac_ceil(relax.objective)
         for value in range(first, first + 3):
             gap = value - relax.objective
-            box = _reduced_cost_box(comp, lo, hi, reduced, gap)
-            found = enumerate_assignments(level(value))
+            box_lo, box_hi = _reduced_cost_box(lo, hi, reduced, gap)
+            found = enumerate_assignments(levels.fixed(value))
             for assignment in found:
-                for name, (lower, upper) in box.items():
-                    assert lower <= assignment[name] <= upper, program
-            assert enumerate_assignments(level(value), bounds=box) == found
+                for i, name in enumerate(comp.names):
+                    assert box_lo[i] <= assignment[name] <= box_hi[i], program
+            level.rows[-1] = (level.rows[-1][0], EQ, value)
+            assert _search(level, box_lo, box_hi, Clock(), None) == found
             checked += len(found)
-            narrowed += bool(found) and bool(box)
+            narrowed += bool(found) and (
+                box_lo != comp.lo or box_hi != comp.hi
+            )
         return checked, narrowed
 
     def test_cover_programs(self):
@@ -898,7 +925,7 @@ class TestReducedCostBox:
             if not t.limiting_indices:
                 continue
             program = cover_program(t)
-            found, cut = self.check(program, program.fixed)
+            found, cut = self.check(program, program)
             checked += found
             narrowed += cut
             infinite += not t.is_finite
@@ -916,7 +943,7 @@ class TestReducedCostBox:
             if bound == 0:
                 continue
             symmetric = build(t, bound, symmetry_breaking=True).program
-            found, cut = self.check(build(t, bound).program, symmetric.fixed)
+            found, cut = self.check(build(t, bound).program, symmetric)
             checked += found
             narrowed += cut
         # 87 programs: 897 solutions, and 65 levels with a solution where
@@ -930,8 +957,61 @@ class TestReducedCostBox:
         checked = narrowed = 0
         for _ in range(300):
             program = random_program(rng)
-            found, cut = self.check(program, program.fixed)
+            found, cut = self.check(program, program)
             checked += found
             narrowed += cut
         # 629 solutions, and 308 levels with a solution where the box cuts
         assert checked >= 550 and narrowed >= 250
+
+
+class TestLevelProgram:
+    """The scan compiles its level program once, with the objective as
+    the last row, and each level only sets that row's right-hand side."""
+
+    def test_each_level_is_the_fixed_program(self, monkeypatch):
+        rng = random.Random(20261021)
+        search = solver._search
+        long_scans = 0
+        for _ in range(300):
+            program = random_program(rng)
+            levels = {}
+
+            def recording(comp, lo, hi, clock, max_solutions):
+                found = search(comp, lo, hi, clock, max_solutions)
+                levels[comp.rows[-1][2]] = found
+                return found
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_search", recording)
+                optimum, found = scan_levels(program, Clock(), True)
+            # consecutive levels, upwards
+            values = list(levels)
+            assert all(b == a + 1 for a, b in zip(values, values[1:]))
+            for value, level_found in levels.items():
+                assert level_found == enumerate_assignments(
+                    program.fixed(value)
+                )
+            if optimum is not None:
+                assert found == levels[optimum] != []
+                long_scans += len(levels) >= 3
+        # 8 scans over 3 to 8 levels end at an optimum
+        assert long_scans >= 6
+
+    def test_an_objective_that_cancels_keeps_its_level_row(self):
+        # x - x compiles to no terms; the level row is appended all the
+        # same, so setting its right-hand side moves no real row
+        program = IntegerProgram(
+            (Variable("x", 0, 2), Variable("y", 0, 2)),
+            (Constraint((("x", 1), ("y", 1)), GE, 3, "r"),),
+            Objective((("x", 1), ("x", -1))),
+        )
+        rows = _Compiled(program).rows
+        level = _Compiled(program, level=True)
+        assert level.rows == rows + [((), EQ, 0)]
+        level.rows[-1] = ((), EQ, 1)
+        assert level.rows == rows + [((), EQ, 1)]
+        # no point reaches a level other than 0
+        assert not propagate(level, list(level.lo), list(level.hi))
+        found = enumerate_assignments(program.fixed(0))
+        assert len(found) == 3
+        assert scan_levels(program, Clock(), True) == (0, found)

@@ -16,12 +16,17 @@ of those pivots phase 1 made, the check total, a digest of the answers
 and the replay time.  The digest covers each answer's status,
 objective, ``x`` and ``reduced``, every value as its exact numerator
 and denominator, so an ``int`` and an equal ``Fraction`` digest alike.
-The time is the least over ``--repeat`` uncounted replays of the whole
-list, in ms.
+The line also gives the pass's call count, the search nodes its calls
+report, and a search digest over every call: its question, label and
+function, and what it returned: an optimum with its ``stats.route``,
+``stats.nodes`` and each answer's key; a pathway's barrier and each of
+its configurations' keys; a basis's count vectors.  The time is the
+least over ``--repeat`` uncounted replays of the whole list, in ms.
 
 Two checkouts whose lines agree on all but the time take the same number
-of pivots to the same answers.  Uses only the standard library and the
-checkout's own sources.  Exit codes: 0 done, 2 bad arguments.
+of pivots to the same answers, and search the same nodes to the same
+answers.  Uses only the standard library and the checkout's own
+sources.  Exit codes: 0 done, 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -38,16 +43,19 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from tbntools import core, simplex, solver  # noqa: E402
+from tbntools import core, pathways, simplex, solver  # noqa: E402
 
 import workloads  # noqa: E402
 
 Lp = Tuple[object, object, object]  # objective, rows, bounds
 
 
-def capture(workload: str, seed: int) -> List[Lp]:
+def capture(
+    workload: str, seed: int
+) -> Tuple[List[Lp], List[workloads.Call]]:
     """The (objective, rows, bounds) of every ``solve_lp`` call that one
-    untraced pass of ``workload`` makes, in call order."""
+    untraced pass of ``workload`` makes, in call order, and the pass's
+    calls."""
     w = workloads.WORKLOADS[workload]
     tbns = {label: core.parse_tbn(text) for label, text in w.generate(seed)}
     lps: List[Lp] = []
@@ -58,11 +66,12 @@ def capture(workload: str, seed: int) -> List[Lp]:
         return solve_lp(objective, rows, bounds, check)
 
     solver.solve_lp = recording
+    timer = workloads.Timer()
     try:
-        w.run_pass(tbns, workloads.Timer())
+        w.run_pass(tbns, timer)
     finally:
         solver.solve_lp = solve_lp
-    return lps
+    return lps, timer.calls
 
 
 def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int, int]:
@@ -128,14 +137,39 @@ def digest(answers: List[simplex.LpSolution]) -> str:
     return h.hexdigest()[:16]
 
 
+def search_fields(result) -> List[object]:
+    """What a call returned, as the search digest reads it."""
+    if isinstance(result, pathways.Pathway):
+        return [result.barrier()] + [c.key() for c in result.configurations]
+    if isinstance(result, list):  # a polymer basis
+        return [p.counts for p in result]
+    if result is None:
+        return []
+    return [result.optimum, result.stats.route, result.stats.nodes] + [
+        pc.key() for pc in result.solutions
+    ]
+
+
+def search_digest(calls: List[workloads.Call]) -> str:
+    """A hash of every call's question, label, function and answer."""
+    h = hashlib.sha256()
+    for call in calls:
+        fields = [call.question, call.label, call.fn, call.failed]
+        h.update((repr(fields + search_fields(call.result)) + "\n").encode())
+    return h.hexdigest()[:16]
+
+
 def report(workload: str, seed: int, repeat: int) -> str:
-    lps = capture(workload, seed)
+    lps, calls = capture(workload, seed)
     answers, pivots, phase_one, checks = replay(lps)
     best = min(seconds(lps) for _ in range(repeat))
+    nodes = sum(c.result.stats.nodes for c in calls
+                if hasattr(c.result, "stats"))
     return (f"{workload}: {len(lps)} LPs, {pivots} pivots "
             f"({phase_one} in phase 1), {checks} checks, "
-            f"digest {digest(answers)}, replay {best * 1e3:.1f} ms "
-            f"(best of {repeat})")
+            f"digest {digest(answers)}, {len(calls)} calls, {nodes} nodes, "
+            f"search digest {search_digest(calls)}, "
+            f"replay {best * 1e3:.1f} ms (best of {repeat})")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
