@@ -23,6 +23,22 @@ The ratio test compares integer pairs (distance, rate) by cross
 multiplication, the row's denominator cancelled.  ``fractions.Fraction``
 appears only in the returned ``LpSolution``, once per non-integral value.
 
+The start is a corner of the box: every structural at its lower bound,
+or every one at its upper bound when that corner leaves strictly fewer
+rows violated (an EQ row with ``b != 0``, a GE row with ``b > 0``, an LE
+row with ``b < 0``, ``b`` being the row's right-hand side less its left
+side at the corner), so that fewer rows need a nonzero artificial and
+phase 1 has less to do (Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing 4(3), 1992).  A tie keeps the lower
+corner.  Both counts come from the one pass over each row's sparse
+coefficients that shifts it by its lower bounds.  This is exact: either
+corner is a valid nonbasic position of the bounded simplex, the value
+column counts a column at its upper bound, and phase 1 minimizes the
+artificials from there.  The optimum's reduced costs keep their meaning
+(``LpSolution``).  A grid-gate slot LP meets every row at its upper
+corner, so its phase 1 makes no pivot.  A cover LP keeps the lower
+start: each of its EQ rows fails at both corners.
+
 Phase 1 minimizes the total of the artificial columns and ends as soon
 as every basic artificial is 0, rather than when no column prices in
 (Chvátal, *Linear Programming*, 1983).  This is exact: every artificial
@@ -125,25 +141,28 @@ def solve_lp(
         if i in col_of:
             c[col_of[i]] += coeff
 
+    # each row's right-hand side with every active column at 0 (``b``)
+    # and at its upper bound (``b - span``), and how many rows each of
+    # the two corners violates: the start is the one that violates fewer
     shifted = []
+    lower_bad = upper_bad = 0
     for coeffs, sense, rhs in rows:
         row = [0] * len(active)
-        shift = 0
+        shift = span = 0
         for i, coeff in coeffs:
             shift += coeff * lo[i]
             if i in col_of:
-                row[col_of[i]] += coeff
+                k = col_of[i]
+                row[k] += coeff
+                span += coeff * u[k]
         b = rhs - shift
         if all(v == 0 for v in row):
-            ok = (
-                (sense == LE and b >= 0)
-                or (sense == GE and b <= 0)
-                or (sense == EQ and b == 0)
-            )
-            if not ok:
+            if _violated(sense, b):
                 return LpSolution("infeasible")
             continue
-        shifted.append((row, sense, b))
+        shifted.append((row, sense, b, b - span))
+        lower_bad += _violated(sense, b)
+        upper_bad += _violated(sense, b - span)
 
     if not active or not shifted:
         # box problem: each variable sits at the bound its cost favours,
@@ -151,7 +170,16 @@ def solve_lp(
         z = [(u[k] if c[k] < 0 else 0, 1) for k in range(len(active))]
         return _finish(z, c, 1, active, lo, n, c, obj_const)
 
-    return _Simplex(shifted, c, u, check).run(active, lo, n, obj_const)
+    return _Simplex(shifted, c, u, check, upper_bad < lower_bad).run(
+        active, lo, n, obj_const
+    )
+
+
+def _violated(sense, b) -> bool:
+    """Whether ``0 sense b`` is false: whether a row whose right-hand
+    side less its left side at a corner is ``b`` fails there, and
+    whether a row with no free column fails everywhere."""
+    return b < 0 if sense == LE else b > 0 if sense == GE else b != 0
 
 
 def _finish(z, rc, rc_den, active, lo, n, c, obj_const) -> LpSolution:
@@ -218,16 +246,19 @@ class _Simplex:
     to its other bound is an integer shift of that column (``_shift``).
     """
 
-    def __init__(self, shifted_rows, c, u, check=None):
+    def __init__(self, shifted_rows, c, u, check, upper):
         self.n_struct = len(u)
         self.c = c
         self.check = check
-        # each row is negated at most once, to ``b >= 0`` (a GE row with
-        # ``b == 0`` too, so that it takes a slack); then an LE row takes
-        # a slack column, a GE row a surplus and an artificial, and an
-        # EQ row an artificial
+        # each row ``(row, sense, b_lower, b_upper)`` takes the right-hand
+        # side of the start: every structural at 0, or with ``upper`` at
+        # its upper bound.  Each is negated at most once, to ``b >= 0`` (a
+        # GE row with ``b == 0`` too, so that it takes a slack); then an
+        # LE row takes a slack column, a GE row a surplus and an
+        # artificial, and an EQ row an artificial
         rows = []
-        for row, sense, b in shifted_rows:
+        for row, sense, b_lower, b_upper in shifted_rows:
+            b = b_upper if upper else b_lower
             if b < 0 or (b == 0 and sense == GE):
                 row, b = [-v for v in row], -b
                 sense = {LE: GE, GE: LE, EQ: EQ}[sense]
@@ -265,7 +296,9 @@ class _Simplex:
                 self.basis.append(col)
                 col += 1
             self.rows.append(aug)
-        self.at_upper = [False] * ncols
+        self.at_upper = [upper] * self.n_struct + [False] * (
+            ncols - self.n_struct
+        )
         self.rc: List[int] = []
         self.rc_den = 1
 

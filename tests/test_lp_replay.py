@@ -58,11 +58,12 @@ def test_gridgate_pass_keeps_its_pivots_and_answers(capsys):
     [line] = capsys.readouterr().out.splitlines()
     # one root LP per instance; the counts and the digest pin the
     # kernel's pivot path and its exact answers, and the search digest
-    # each call's route, node count and answers
-    assert line.startswith("gridgate: 28 LPs, 586 pivots (328 in phase 1), "
-                           "612 checks, digest e252e35d3e4a25e7, 28 calls, "
-                           "56 nodes, search digest a2f274885ce087bd, "
-                           "replay ")
+    # each call's route, node count and answers; every LP with rows
+    # starts from the upper corner, which its rows all meet
+    assert line.startswith("gridgate: 28 LPs (26 from the upper corner), "
+                           "488 pivots (0 in phase 1), 592 checks, "
+                           "digest 82a27664ac51ecbe, 28 calls, 56 nodes, "
+                           "search digest 4b67587a5631ecc3, replay ")
 
 
 def test_unknown_workload_is_an_argument_error():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -134,6 +135,17 @@ class TestHandCases:
         assert sol.status == "optimal"
         assert sol.objective == -6
         assert sol.x == [3, 3]
+        assert pivots == [0, 1]
+
+    def test_upper_corner_start_makes_no_phase_one_pivot(self, monkeypatch):
+        # min x + y st x + y >= 5: the row fails with both variables at
+        # 0 and holds with both at 3, so the kernel starts there
+        pivots = phase_pivots(monkeypatch)
+        sol = solve_lp(
+            [(0, 1), (1, 1)], [([(0, 1), (1, 1)], GE, 5)], [(0, 3), (0, 3)]
+        )
+        assert sol.status == "optimal"
+        assert sol.objective == 5
         assert pivots == [0, 1]
 
     def test_box_reduced_costs_are_the_costs(self):
@@ -360,6 +372,108 @@ class TestFractionFreeAgainstScipy(TestRandomizedAgainstScipy):
         assert seen == {"unit", "divisible", "dense"}
 
 
+def violated_rows(rows, point):
+    """How many rows ``point`` fails."""
+    bad = 0
+    for coeffs, sense, rhs in rows:
+        lhs = sum(c * point[i] for i, c in coeffs)
+        bad += not (lhs <= rhs if sense == LE
+                    else lhs >= rhs if sense == GE else lhs == rhs)
+    return bad
+
+
+class TestUpperCornerStartAgainstScipy(TestRandomizedAgainstScipy):
+    """LPs whose rows all hold with every variable at its upper bound, so
+    that the kernel starts there whenever a row fails at the lower one;
+    and, one in five, LPs whose two corners fail equally many rows, which
+    keep the lower start.  The inherited test checks the 300 LPs of
+    ``problems`` against scipy HiGHS."""
+
+    def gen_problem(self, rng):
+        n = rng.randint(1, 6)
+        bounds = []
+        for _ in range(n):
+            lo = rng.randint(-2, 2)
+            bounds.append((lo, lo + rng.randint(1, 4)))
+        lower = [lo for lo, _ in bounds]
+        upper = [hi for _, hi in bounds]
+        tie = rng.random() < 0.2
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [(i, rng.randint(-4, 4)) for i in range(n)
+                      if rng.random() < 0.8]
+            coeffs = [(i, c) for i, c in coeffs if c != 0]
+            if not coeffs:
+                continue
+            at_lower = sum(c * lower[i] for i, c in coeffs)
+            at_upper = sum(c * upper[i] for i, c in coeffs)
+            slack = rng.randint(0, 3)
+            if tie:
+                # held at both corners
+                sense = rng.choice([LE, GE])
+                rhs = (max(at_lower, at_upper) + slack if sense == LE
+                       else min(at_lower, at_upper) - slack)
+            else:
+                sense = rng.choice([LE, GE, EQ])
+                rhs = at_upper + {LE: slack, GE: -slack, EQ: 0}[sense]
+            rows.append((coeffs, sense, rhs))
+        if tie and n >= 2 and rng.random() < 0.5:
+            # one row fails at each corner only
+            rows.append(([(0, 1)], GE, upper[0]))
+            rows.append(([(1, 1)], LE, lower[1]))
+        objective = [(i, rng.randint(-4, 4)) for i in range(n)]
+        return objective, rows, bounds
+
+    def problems(self):
+        rng = random.Random(20240817)
+        return [self.gen_problem(rng) for _ in range(300)]
+
+    def test_starts_at_the_corner_that_fails_fewer_rows(self, monkeypatch):
+        starts = []
+        run = simplex._Simplex.run
+
+        def recording(self, *args):
+            starts.append(self.at_upper[0])
+            return run(self, *args)
+
+        monkeypatch.setattr(simplex._Simplex, "run", recording)
+        fired = ties = kernel = 0
+        for objective, rows, bounds in self.problems():
+            del starts[:]
+            solve_lp(objective, rows, bounds)
+            lower_bad = violated_rows(rows, [lo for lo, _ in bounds])
+            upper_bad = violated_rows(rows, [hi for _, hi in bounds])
+            # every variable is free and every row has a coefficient, so
+            # every problem with a row reaches the kernel
+            assert starts == ([upper_bad < lower_bad] if rows else [])
+            kernel += bool(rows)
+            fired += upper_bad < lower_bad
+            ties += bool(rows) and upper_bad == lower_bad > 0
+        # the upper start on most, and some ties at a failing row each
+        assert 2 * fired > kernel and ties > 10
+
+    def test_reduced_costs_bound_every_integer_point(self):
+        """``obj(y) >= objective + sum(r_i (y_i - x_i))`` at every
+        feasible integer point ``y`` of the LPs with at most 4
+        variables, found by enumeration."""
+        checked = 0
+        for objective, rows, bounds in self.problems():
+            if len(bounds) > 4:
+                continue
+            sol = solve_lp(objective, rows, bounds)
+            for y in itertools.product(*(range(lo, hi + 1)
+                                         for lo, hi in bounds)):
+                if violated_rows(rows, y):
+                    continue
+                assert sol.status == "optimal"
+                value = sum(c * y[i] for i, c in objective)
+                bound = sol.objective + sum(
+                    r * (v - x) for r, v, x in zip(sol.reduced, y, sol.x))
+                assert value >= bound, (objective, rows, bounds, y)
+                checked += 1
+        assert checked > 1000
+
+
 class TestWorkloadRootLps:
     """The root LP of one instance per workload family keeps the exact
     solution it had under the ``Fraction`` tableau."""
@@ -382,7 +496,7 @@ class TestWorkloadRootLps:
         root = self.root_lp(monkeypatch, lambda: solver.stable_configs(t))
         assert root.objective == Q(7, 2)
         half = Q(1, 2)
-        assert root.x == [1, half, half, half, half, half, half, half, 0, 1]
+        assert root.x == [1, half, half, half, 1, 1, 0, 0, 0, 1]
 
     def test_translator_cover_ip(self, monkeypatch):
         t = parse_tbn(
@@ -449,10 +563,10 @@ class TestPivotPathPins:
         t = gen_gridgate(7, 2, caption_literal=True)
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (77, [39, 37])
+        assert (checks, pivots) == (61, [0, 55])
         assert sol.objective == Q(13, 2)
         half = Q(1, 2)
-        assert sol.x == [1] + [half] * 13 + [0, 1]
+        assert sol.x == [1] + [half] * 5 + [1] * 3 + [half] * 2 + [0] * 4 + [1]
         assert sol.reduced == [0] * 14 + [half, 0]
 
     def test_translator_k6_cover_ip(self, monkeypatch):
@@ -471,7 +585,7 @@ class TestPivotPathPins:
         t = gen_gridgate(14, 2, caption_literal=True)
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (250, [146, 103])
+        assert (checks, pivots) == (132, [0, 119])
         assert sol.objective == Q(27, 2)
         half = Q(1, 2)
         assert len(sol.x) == 30
@@ -486,7 +600,7 @@ class TestPivotPathPins:
         assert solver.stable_configs(t).optimum == 20
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (212, [21, 190])
+        assert (checks, pivots) == (231, [0, 211])
         assert sol.objective == 20
 
     def test_gridgate_n20_caption(self, monkeypatch):
@@ -494,7 +608,7 @@ class TestPivotPathPins:
         assert solver.stable_configs(t).optimum == 20
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (693, [217, 475])
+        assert (checks, pivots) == (333, [0, 314])
         assert sol.objective == Q(39, 2)
 
 

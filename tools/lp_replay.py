@@ -11,11 +11,13 @@ one untraced pass of perfbench's ``workloads`` module (used read-only,
 latency repeats included), with ``solver.solve_lp`` wrapped to record the
 objective, rows and bounds of every call.  Then it solves each recorded
 LP again, counting the kernel's pivots and its ``check`` calls, and
-prints one line per workload: the LP count, the pivot total and how many
-of those pivots phase 1 made, the check total, a digest of the answers
-and the replay time.  The digest covers each answer's status,
-objective, ``x`` and ``reduced``, every value as its exact numerator
-and denominator, so an ``int`` and an equal ``Fraction`` digest alike.
+prints one line per workload: the LP count and how many of those LPs
+the kernel started from the upper corner (every structural at its upper
+bound), the pivot total and how many of those pivots phase 1 made, the
+check total, a digest of the answers and the replay time.  The digest
+covers each answer's status, objective, ``x`` and ``reduced``, every
+value as its exact numerator and denominator, so an ``int`` and an equal
+``Fraction`` digest alike.
 The line also gives the pass's call count, the search nodes its calls
 report, and a search digest over every call: its question, label and
 function, and what it returned: an optimum with its ``stats.route``,
@@ -74,13 +76,17 @@ def capture(
     return lps, timer.calls
 
 
-def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int, int]:
-    """Every LP solved again: the answers, the pivot total, the pivots
-    made in phase 1 and the number of ``check`` calls (one per pivot,
-    bound flip and pricing pass that finds no entering column).  A
-    kernel prices once per phase, so its phase-1 pivots are those made
-    before its second ``_price`` call."""
-    pivots = phase_one = checks = pricings = 0
+def replay(
+    lps: List[Lp],
+) -> Tuple[List[simplex.LpSolution], int, int, int, int]:
+    """Every LP solved again: the answers, the number of LPs started at
+    the upper corner, the pivot total, the pivots made in phase 1 and the
+    number of ``check`` calls (one per pivot, bound flip and pricing pass
+    that finds no entering column).  A kernel prices once per phase, so
+    its phase-1 pivots are those made before its second ``_price`` call;
+    it started from the upper corner when its first structural is at its
+    upper bound at its first."""
+    upper = pivots = phase_one = checks = pricings = 0
     kernel_pivot = simplex._Simplex._pivot
     kernel_price = simplex._Simplex._price
 
@@ -90,10 +96,11 @@ def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int, int]:
         phase_one += pricings == 1
         return kernel_pivot(*args)
 
-    def counting_price(*args):
-        nonlocal pricings
+    def counting_price(kernel, *args):
+        nonlocal upper, pricings
         pricings += 1
-        return kernel_price(*args)
+        upper += pricings == 1 and kernel.at_upper[0]
+        return kernel_price(kernel, *args)
 
     def check():
         nonlocal checks
@@ -109,7 +116,7 @@ def replay(lps: List[Lp]) -> Tuple[List[simplex.LpSolution], int, int, int]:
     finally:
         simplex._Simplex._pivot = kernel_pivot
         simplex._Simplex._price = kernel_price
-    return answers, pivots, phase_one, checks
+    return answers, upper, pivots, phase_one, checks
 
 
 def seconds(lps: List[Lp]) -> float:
@@ -161,12 +168,12 @@ def search_digest(calls: List[workloads.Call]) -> str:
 
 def report(workload: str, seed: int, repeat: int) -> str:
     lps, calls = capture(workload, seed)
-    answers, pivots, phase_one, checks = replay(lps)
+    answers, upper, pivots, phase_one, checks = replay(lps)
     best = min(seconds(lps) for _ in range(repeat))
     nodes = sum(c.result.stats.nodes for c in calls
                 if hasattr(c.result, "stats"))
-    return (f"{workload}: {len(lps)} LPs, {pivots} pivots "
-            f"({phase_one} in phase 1), {checks} checks, "
+    return (f"{workload}: {len(lps)} LPs ({upper} from the upper corner), "
+            f"{pivots} pivots ({phase_one} in phase 1), {checks} checks, "
             f"digest {digest(answers)}, {len(calls)} calls, {nodes} nodes, "
             f"search digest {search_digest(calls)}, "
             f"replay {best * 1e3:.1f} ms (best of {repeat})")
