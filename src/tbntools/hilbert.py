@@ -250,28 +250,34 @@ def decompose(
 
 def _basis_cover_program(
     t: Tbn, basis: Sequence[Polymer]
-) -> IntegerProgram:
-    """Cover IP: basis multiplicities ``n_b`` of least merge count.
+) -> Tuple[IntegerProgram, List[Polymer]]:
+    """Cover IP: basis multiplicities ``n_b`` of least merge count, and
+    the basis element behind each of its variables, in order.
 
     A variable stands for each basis element that holds a limiting
-    monomer; every other one is a singleton of a non-limiting type, which
-    a partial configuration leaves implied.  Each limiting type is used
-    exactly (``EQ``), each finite non-limiting type at most its count
-    (``LE``), and an infinite type is free.  A variable's upper bound
-    comes from its finite coordinates, which include a limiting one.  The
-    objective ``min sum n_b (|b| - 1)`` is the merge count.
+    monomer and fits in ``t``.  Every other one is a singleton of a
+    non-limiting type, which a partial configuration leaves implied, or
+    has an upper bound of 0, more copies of a type than its finite count.
+    Each limiting type is used exactly (``EQ``), each finite non-limiting
+    type at most its count (``LE``), and an infinite type is free.  A
+    variable's upper bound comes from its finite coordinates, which
+    include a limiting one.  The objective ``min sum n_b (|b| - 1)`` is
+    the merge count.
     """
     limiting = t.limiting_indices
-    variables, objective = [], []
+    variables, objective, used = [], [], []
     terms: List[List[Tuple[str, int]]] = [[] for _ in range(t.n_types)]
     for idx, b in enumerate(basis):
         if not any(b.counts[i] for i in limiting):
             continue
-        name = f"n_{idx}"
         upper = min(
             t.counts[i] // c for i, c in enumerate(b.counts)
             if c > 0 and t.counts[i] is not INF
         )
+        if upper == 0:
+            continue
+        name = f"n_{idx}"
+        used.append(b)
         variables.append(Variable(name, 0, upper))
         objective.append((name, b.size - 1))
         for i, c in enumerate(b.counts):
@@ -286,10 +292,10 @@ def _basis_cover_program(
             constraints.append(
                 Constraint(tuple(terms[i]), sense, count, f"cover_m{i}")
             )
-    return IntegerProgram(
-        tuple(variables), tuple(constraints),
-        Objective(tuple(objective)),
+    program = IntegerProgram(
+        tuple(variables), tuple(constraints), Objective(tuple(objective))
     )
+    return program, used
 
 
 def stable_via_basis(
@@ -304,11 +310,12 @@ def stable_via_basis(
     the monomers left over are implied singletons.  A configuration
     holds at most ``t.counts[i]`` copies of monomer ``i``, so only the
     basis elements within the counts matter: without ``basis``,
-    ``hilbert_basis`` is truncated at the finite counts, and a given
-    basis is filtered to them.  The level scan of ``solver`` finds every
-    minimizer of the cover IP (``_basis_cover_program``), whose
-    objective is the merge count, so infinite counts need no special
-    case.  Returns the same EnumerationResult as the direct solver, with
+    ``hilbert_basis`` is truncated at the finite counts, and an element
+    of a given basis past them gets no variable in the cover IP.  The
+    level scan of ``solver`` finds every minimizer of the cover IP
+    (``_basis_cover_program``), whose objective is the merge count, so
+    infinite counts need no special case.  Returns the same
+    EnumerationResult as the direct solver, with
     ``stats.route == "basis"``.  One budget covers the whole call, the
     basis included when it is not given; when it runs out the result has
     no solutions and ``optimum=None``, so ``complete`` is False.
@@ -333,22 +340,16 @@ def _basis_route(
         caps = [None if c is INF else c for c in t.counts]
         vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
         basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
-    # an element holding more copies of a monomer than t has fits in no
-    # configuration; in the IP it would be a variable fixed at 0
-    basis = [
-        b for b in basis
-        if all(c <= limit for c, limit in zip(b.counts, t.counts))
-    ]
-    program = _basis_cover_program(t, basis)
+    program, used = _basis_cover_program(t, basis)
     best, assignments = solver.scan_levels(program, clock, want_all)
     if best is None:
         raise BasisError("basis counting IP is infeasible")
-    # an element without a variable is a non-limiting singleton: implied
     configs = []
     for assignment in assignments:
+        # an assignment lists its values in variable order
         polymers = []
-        for idx, b in enumerate(basis):
-            polymers.extend([b] * assignment.get(f"n_{idx}", 0))
+        for b, n in zip(used, assignment.values()):
+            polymers += [b] * n
         configs.append(PartialConfiguration.from_polymers(polymers, t))
     return solver.EnumerationResult(
         best, canonical_unique(configs), clock.stats("basis")

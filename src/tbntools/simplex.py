@@ -156,7 +156,7 @@ def solve_lp(
                 row[k] += coeff
                 span += coeff * u[k]
         b = rhs - shift
-        if all(v == 0 for v in row):
+        if not any(row):
             if _violated(sense, b):
                 return LpSolution("infeasible")
             continue

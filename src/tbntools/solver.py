@@ -7,11 +7,12 @@ exact rational arithmetic; the ceiling of its optimum is a lower bound L
 on the objective.  When only a witness is asked for and the root LP
 is integral, that solution is optimal and returned.  Otherwise the
 objective is frozen into an equality at L, L+1, ... up to its maximum
-over the propagated root box: the level program is compiled once, with
-the objective as its last row, and each level sets that row's
-right-hand side.  Each level is searched exhaustively by ``_search``,
-the package's one search loop: depth-first search driven by interval
-propagation, with no LP below the root.  The first level with a
+over the propagated root box.  A scan compiles each program once: the
+objective joins the root's compiled program as its last row, and each
+level sets that row's right-hand side; only the probe's symmetry-broken
+level program is compiled apart.  Each level is searched exhaustively
+by ``_search``, the package's one search loop: depth-first search
+driven by interval propagation, with no LP below the root.  The first level with a
 solution is the optimum.  ``stats.nodes`` counts the root plus every
 node of every level searched.
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -104,10 +105,6 @@ class BruteForceError(TbnError):
 
 class BudgetExhausted(TbnError):
     """A search spent its budget before it could answer."""
-
-
-class _ProbeCapped(Exception):
-    """The slot-model probe reached its node cap before it could answer."""
 
 
 @dataclass(frozen=True)
@@ -165,31 +162,15 @@ class _Compiled:
     A variable repeated in a row, or in the objective, has its
     coefficients summed into one; a row whose sums are all zero is
     empty.  ``objective`` is the (index, coefficient) list to minimize,
-    empty without an objective.  With ``level``, the objective is also
-    the last row, an equality kept even when its coefficients cancel, so
-    that setting its right-hand side never moves a real row.
+    empty without an objective.  ``add_row`` registers every row.
     """
 
-    def __init__(self, program: IntegerProgram, level: bool = False):
+    def __init__(self, program: IntegerProgram):
         self.names = [v.name for v in program.variables]
         self.index = {name: k for k, name in enumerate(self.names)}
         self.lo = [v.lower for v in program.variables]
         self.hi = [v.upper for v in program.variables]
         self.rows: List[Tuple[Tuple[Tuple[int, int], ...], str, int]] = []
-        for con in program.constraints:
-            coeffs = tuple(
-                (i, c) for i, c in self._summed(con.coeffs).items() if c != 0
-            )
-            # a row without coefficients matters only when 0 violates it
-            if coeffs or not con.satisfied_by({}):
-                self.rows.append((coeffs, con.sense, con.rhs))
-        objective = program.objective.coeffs if program.objective else ()
-        summed = self._summed(objective)
-        self.objective = sorted(summed.items())
-        if level:
-            self.rows.append(
-                (tuple((i, c) for i, c in summed.items() if c != 0), EQ, 0)
-            )
         # Row k's least activity is act[2k] and its greatest act[2k + 1].
         # A term c·x of row k reaches act[2k] through x's lower bound when
         # c > 0 and through its upper bound when c < 0, and act[2k + 1]
@@ -201,19 +182,33 @@ class _Compiled:
         self.hi_terms: List[List[Tuple[int, int]]] = [[] for _ in self.names]
         self.lo_wakes: List[List[int]] = [[] for _ in self.names]
         self.hi_wakes: List[List[int]] = [[] for _ in self.names]
-        for k, (coeffs, sense, _) in enumerate(self.rows):
-            for i, c in coeffs:
-                self.var_rows[i].append(k)
-                lo_slot, hi_slot = 2 * k, 2 * k + 1
-                if c < 0:
-                    lo_slot, hi_slot = hi_slot, lo_slot
-                self.lo_terms[i].append((lo_slot, c))
-                self.hi_terms[i].append((hi_slot, c))
-                # a rising least shrinks a <= slack, a falling most a >= one
-                if sense != (GE if c > 0 else LE):
-                    self.lo_wakes[i].append(k)
-                if sense != (LE if c > 0 else GE):
-                    self.hi_wakes[i].append(k)
+        for con in program.constraints:
+            coeffs = tuple(
+                (i, c) for i, c in self._summed(con.coeffs).items() if c != 0
+            )
+            # a row without coefficients matters only when 0 violates it
+            if coeffs or not con.satisfied_by({}):
+                self.add_row(coeffs, con.sense, con.rhs)
+        objective = program.objective.coeffs if program.objective else ()
+        self.objective = sorted(self._summed(objective).items())
+
+    def add_row(self, coeffs: Tuple, sense: str, rhs: int) -> None:
+        """Append a row of (index, nonzero coefficient) terms, with its
+        activity slots and wake lists."""
+        k = len(self.rows)
+        self.rows.append((coeffs, sense, rhs))
+        for i, c in coeffs:
+            self.var_rows[i].append(k)
+            lo_slot, hi_slot = 2 * k, 2 * k + 1
+            if c < 0:
+                lo_slot, hi_slot = hi_slot, lo_slot
+            self.lo_terms[i].append((lo_slot, c))
+            self.hi_terms[i].append((hi_slot, c))
+            # a rising least shrinks a <= slack, a falling most a >= one
+            if sense != (GE if c > 0 else LE):
+                self.lo_wakes[i].append(k)
+            if sense != (LE if c > 0 else GE):
+                self.hi_wakes[i].append(k)
 
     def _summed(self, coeffs: Sequence[Tuple[str, int]]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
@@ -324,8 +319,6 @@ class Clock:
         self.budget = budget or Budget()
         self.start = time.monotonic()
         self.nodes = 0
-        # a node past this count is not expanded and not counted
-        self.cap = float("inf")
 
     @staticmethod
     def of(budget: Budget | Clock | None) -> Clock:
@@ -334,15 +327,11 @@ class Clock:
 
     def spend(self, search: str) -> None:
         """Count one node of ``search``; raise ``BudgetExhausted``, the
-        node unexpanded, once either limit is reached, and
-        ``_ProbeCapped``, the node uncounted, past ``cap``."""
+        node unexpanded, once either limit is reached."""
         self.nodes += 1
         if (self.nodes > self.budget.max_nodes
                 or self.elapsed() >= self.budget.max_time):
             self._exhausted(search, self.nodes - 1)
-        if self.nodes > self.cap:
-            self.nodes -= 1
-            raise _ProbeCapped
 
     def check(self, search: str) -> None:
         """Raise ``BudgetExhausted`` once the time limit is reached;
@@ -391,13 +380,11 @@ def solve_min(
 
 
 def enumerate_assignments(
-    program: IntegerProgram,
-    budget: Budget | Clock | None = None,
-    max_solutions: Optional[int] = None,
+    program: IntegerProgram, budget: Budget | Clock | None = None
 ) -> List[Dict[str, int]]:
     """All integer solutions of a (typically objective-free) program, by
     ``_search`` from its declared bounds."""
-    return _search(_Compiled(program), [], [], Clock.of(budget), max_solutions)
+    return _search(_Compiled(program), [], [], Clock.of(budget), None)
 
 
 def _search(
@@ -524,14 +511,21 @@ def _probe(
     levels: Callable[[], IntegerProgram],
 ) -> Optional[Tuple[Optional[int], List[Dict[str, int]]]]:
     """``scan_levels`` on ``clock``, stopped before the node past its root
-    and ``PROBE_NODES`` more; None when stopped there."""
-    cap, clock.cap = clock.cap, clock.nodes + 1 + PROBE_NODES
+    and ``PROBE_NODES`` more; None when stopped there.  The cap lowers
+    ``clock``'s node limit until it returns; its node is uncounted."""
+    budget = clock.budget
+    cap = clock.nodes + 1 + PROBE_NODES
+    clock.budget = replace(budget, max_nodes=min(cap, budget.max_nodes))
     try:
         return scan_levels(program, clock, want_all, levels)
-    except _ProbeCapped:
+    except BudgetExhausted:
+        if (clock.nodes > budget.max_nodes
+                or clock.elapsed() >= budget.max_time):
+            raise
+        clock.nodes -= 1
         return None
     finally:
-        clock.cap = cap
+        clock.budget = budget
 
 
 def scan_levels(
@@ -553,8 +547,9 @@ def scan_levels(
     the first level, or ``program``: its variables start with
     ``program``'s own, bounds included, in the same order, and its
     solutions satisfy ``program``'s rows, as the symmetry-broken slot
-    model's do.  It is compiled once, with the objective as one last
-    row, and each level sets that row's right-hand side.  A level's
+    model's do.  It is the root's compiled ``program`` itself, or
+    ``levels()`` compiled once; either way the objective joins it as one
+    last row, and each level sets that row's right-hand side.  A level's
     search starts from the propagated root bounds narrowed by the root
     LP's reduced costs (``_reduced_cost_box``, exact by the module
     docstring's argument), which bound its first variables.  One clock
@@ -567,8 +562,9 @@ def scan_levels(
     lo, hi = list(comp.lo), list(comp.hi)
     if not propagate(comp, lo, hi):
         return None, []
+    # a copy: the level row joins ``comp.rows`` later
     relax = solve_lp(
-        comp.objective, comp.rows, list(zip(lo, hi)),
+        comp.objective, list(comp.rows), list(zip(lo, hi)),
         lambda: clock.check("root LP"),
     )
     if relax.status != "optimal":
@@ -584,7 +580,9 @@ def scan_levels(
     level: Optional[_Compiled] = None
     for value in range(first, last + 1):
         if level is None:
-            level = _Compiled(levels() if levels else program, level=True)
+            level = _Compiled(levels()) if levels else comp
+            # kept even when its terms cancel, so it moves no real row
+            level.add_row(tuple(t for t in level.objective if t[1]), EQ, 0)
         level.rows[-1] = (level.rows[-1][0], EQ, value)
         box = _reduced_cost_box(lo, hi, reduced, value - relax.objective)
         assignments = _search(level, *box, clock, None if want_all else 1)

@@ -8,6 +8,7 @@ import pytest
 from tbntools import solver
 from tbntools.cli import gen_gridgate
 from tbntools.core import (
+    INF,
     PartialConfiguration,
     Polymer,
     Tbn,
@@ -279,6 +280,37 @@ class TestRoutes:
         assert result.optimum == 10
         assert len(result.solutions) == 1_812
         assert result.stats.route == "basis"
+
+    def test_probe_restores_the_callers_budget(self):
+        # the cap lowers the clock's own node limit only for the probe
+        budget = Budget(max_nodes=1_000)
+        t = parse_tbn(translator_text(5))
+        bound = default_bound(t)
+        clock = Clock(budget)
+        symmetric = build(t, bound, symmetry_breaking=True).program
+        # capped: the root and two level nodes; the third is uncounted
+        assert _probe(
+            build(t, bound).program, clock, True, lambda: symmetric
+        ) is None
+        assert clock.budget is budget and clock.nodes == 1 + PROBE_NODES
+        # answered at the root
+        grid = gen_gridgate(7, 2)
+        clock = Clock(budget)
+        program = build(grid, default_bound(grid)).program
+        optimum, _ = _probe(program, clock, False, lambda: program)
+        assert optimum == 7
+        assert clock.budget is budget and clock.nodes == 1
+        # out of time in the root LP
+        clock = LateClock()
+        late = clock.budget
+        with pytest.raises(BudgetExhausted):
+            _probe(program, clock, False, lambda: program)
+        assert clock.budget is late and clock.nodes == 1
+        # out of nodes below the cap: the caller's own limit
+        clock = Clock(Budget(max_nodes=2))
+        with pytest.raises(BudgetExhausted):
+            _probe(build(t, bound).program, clock, True, lambda: symmetric)
+        assert clock.budget == Budget(max_nodes=2) and clock.nodes == 3
 
     def test_budgets_short_of_the_answer_report_no_value(self):
         t = parse_tbn(translator_text(5))
@@ -862,12 +894,15 @@ class TestInfiniteCounts:
 
 
 def cover_program(t: Tbn) -> IntegerProgram:
-    """The basis route's cover IP of ``t``."""
-    basis = [
-        b for b in polymer_basis(t)
-        if all(c <= limit for c, limit in zip(b.counts, t.counts))
+    """The basis route's cover IP of ``t``, over its full basis: the
+    elements past the counts get no variable."""
+    program, used = _basis_cover_program(t, polymer_basis(t))
+    assert [v.upper for v in program.variables] == [
+        min(c // n for c, n in zip(t.counts, b.counts) if n and c is not INF)
+        for b in used
     ]
-    return _basis_cover_program(t, basis)
+    assert all(v.upper >= 1 for v in program.variables)
+    return program
 
 
 class TestReducedCostBox:
@@ -883,15 +918,19 @@ class TestReducedCostBox:
         above it, and the levels with a solution whose box narrows some
         variable."""
         comp = _Compiled(program)
-        level = _Compiled(levels, level=True)
+        # as in the scan: the root's own program, or ``levels`` apart
+        level = comp if levels is program else _Compiled(levels)
         n = len(comp.names)
         assert level.names[:n] == comp.names
         lo, hi = list(comp.lo), list(comp.hi)
         if not propagate(comp, lo, hi):
             return 0, 0
-        relax = solve_lp(comp.objective, comp.rows, list(zip(lo, hi)))
+        relax = solve_lp(comp.objective, list(comp.rows), list(zip(lo, hi)))
         if relax.status != "optimal":
             return 0, 0
+        rows = len(level.rows)
+        level.add_row(tuple((i, c) for i, c in level.objective if c), EQ, 0)
+        assert len(level.rows) == rows + 1
         # at the optimum, a positive reduced cost sits at its lower
         # bound and a negative one at its upper bound
         for i, r in enumerate(relax.reduced):
@@ -997,7 +1036,9 @@ class TestLevelProgram:
         # 8 scans over 3 to 8 levels end at an optimum
         assert long_scans >= 6
 
-    def test_an_objective_that_cancels_keeps_its_level_row(self):
+    def test_an_objective_that_cancels_keeps_its_level_row(
+        self, monkeypatch
+    ):
         # x - x compiles to no terms; the level row is appended all the
         # same, so setting its right-hand side moves no real row
         program = IntegerProgram(
@@ -1006,12 +1047,38 @@ class TestLevelProgram:
             Objective((("x", 1), ("x", -1))),
         )
         rows = _Compiled(program).rows
-        level = _Compiled(program, level=True)
-        assert level.rows == rows + [((), EQ, 0)]
-        level.rows[-1] = ((), EQ, 1)
+        searched = []
+        search = solver._search
+
+        def recording(comp, lo, hi, clock, max_solutions):
+            searched.append(list(comp.rows))
+            return search(comp, lo, hi, clock, max_solutions)
+
+        found = enumerate_assignments(program.fixed(0))
+        assert len(found) == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_search", recording)
+            assert scan_levels(program, Clock(), True) == (0, found)
+        assert searched == [rows + [((), EQ, 0)]]
+        level = _Compiled(program)
+        level.add_row((), EQ, 1)
         assert level.rows == rows + [((), EQ, 1)]
         # no point reaches a level other than 0
         assert not propagate(level, list(level.lo), list(level.hi))
-        found = enumerate_assignments(program.fixed(0))
-        assert len(found) == 3
-        assert scan_levels(program, Clock(), True) == (0, found)
+
+    def test_a_cover_scan_compiles_its_program_once(self, monkeypatch):
+        # the level row joins the root's compiled program
+        compiled = []
+
+        class Counting(_Compiled):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                compiled.append(self)
+
+        monkeypatch.setattr(solver, "_Compiled", Counting)
+        t = parse_tbn(translator_text(5))
+        result = stable_via_basis(t, polymer_basis(t))
+        assert (result.optimum, len(result.solutions)) == (5, 2)
+        # the root and three level-search nodes
+        assert result.stats.nodes == 4
+        assert len(compiled) == 1
