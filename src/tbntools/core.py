@@ -692,21 +692,17 @@ def parse_tbn_with_report(text: str):
     flip_set = set(flipped)
 
     pairs = []
-    seen_keys = set()
-    merged_lines = 0
     for label, sites, count, _ in entries:
         if flip_set:
             sites = [
                 s.complement() if s.name in flip_set else s for s in sites
             ]
-        mon = Monomer(tuple(sites), label=label)
-        if mon in seen_keys:
-            merged_lines += 1
-        seen_keys.add(mon)
-        pairs.append((mon, count))
+        pairs.append((Monomer(tuple(sites), label=label), count))
 
     tbn = Tbn.from_monomers(pairs)
-    return tbn, ParseReport(tuple(flipped), merged_lines)
+    # ``from_monomers`` merges the lines whose monomers are equal, labels
+    # aside, into one type each
+    return tbn, ParseReport(tuple(flipped), len(pairs) - tbn.n_types)
 
 
 def parse_tbn(text: str) -> Tbn:

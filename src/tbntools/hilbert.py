@@ -15,6 +15,8 @@ basis route of ``stable_via_basis`` computes only the elements within the
 finite counts, by a completion truncated there.  Its cover IP has a
 variable per element holding a limiting monomer and minimizes the merge
 count, so TBNs with infinite counts take the same route.
+``stable_via_basis`` is the one basis route: ``solver.stable_configs``
+calls it on its own running clock when its slot probe does not answer.
 
 ``brute_force_hilbert`` is an independent oracle that enumerates cone
 points up to a norm cap and keeps the indecomposable ones.
@@ -302,8 +304,10 @@ def stable_via_basis(
     t: Tbn,
     basis: Optional[Sequence[Polymer]] = None,
     budget: solver.Budget | solver.Clock | None = None,
+    want_all: bool = True,
 ) -> solver.EnumerationResult:
-    """Stable configurations of a TBN from its polymer basis.
+    """Stable configurations of a TBN from its polymer basis: every one,
+    or without ``want_all`` a witness.
 
     A saturated configuration is a multiset of basis polymers that uses
     every limiting monomer and at most the supply of every other one;
@@ -312,36 +316,26 @@ def stable_via_basis(
     basis elements within the counts matter: without ``basis``,
     ``hilbert_basis`` is truncated at the finite counts, and an element
     of a given basis past them gets no variable in the cover IP.  The
-    level scan of ``solver`` finds every minimizer of the cover IP
+    level scan of ``solver`` finds the minimizers of the cover IP
     (``_basis_cover_program``), whose objective is the merge count, so
     infinite counts need no special case.  Returns the same
     EnumerationResult as the direct solver, with
     ``stats.route == "basis"``.  One budget covers the whole call, the
-    basis included when it is not given; when it runs out the result has
-    no solutions and ``optimum=None``, so ``complete`` is False.
+    basis included when it is not given; a running clock goes on with
+    the nodes and time already spent on it, as ``stable_configs``' is.
+    When it runs out the result has no solutions and ``optimum=None``,
+    so ``complete`` is False.
     """
     clock = solver.Clock.of(budget)
     try:
-        return _basis_route(t, basis, clock, True)
+        if basis is None:
+            caps = [None if c is INF else c for c in t.counts]
+            vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
+            basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
+        program, used = _basis_cover_program(t, basis)
+        best, assignments = solver.scan_levels(program, clock, want_all)
     except solver.BudgetExhausted:
         return solver.EnumerationResult(None, [], clock.stats("basis"))
-
-
-def _basis_route(
-    t: Tbn,
-    basis: Optional[Sequence[Polymer]],
-    clock: solver.Clock,
-    want_all: bool,
-) -> solver.EnumerationResult:
-    """``stable_via_basis`` on a running clock: a witness, or with
-    ``want_all`` every stable configuration.  ``BudgetExhausted`` ends
-    it once the clock runs out."""
-    if basis is None:
-        caps = [None if c is INF else c for c in t.counts]
-        vectors = hilbert_basis(t.site_matrix, t.n_types, clock, caps)
-        basis = [Polymer(v) for v in sorted(vectors, reverse=True)]
-    program, used = _basis_cover_program(t, basis)
-    best, assignments = solver.scan_levels(program, clock, want_all)
     if best is None:
         raise BasisError("basis counting IP is infeasible")
     configs = []

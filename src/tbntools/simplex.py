@@ -51,6 +51,12 @@ every artificial at 0.  The total moves only on a step of nonzero
 length, so the test runs before the first pricing and after each such
 step.
 
+Every LP with consistent bounds takes this one kernel, a box problem
+(no row with a free column left) included: it has no artificial, so
+phase 1 ends at its first test, and phase 2 moves each column of
+negative cost to its upper bound by bound flips, its reduced cost being
+its cost.
+
 Pivot selection is Dantzig's rule (the first column of largest score),
 switching to Bland's rule (the first column that improves) permanently
 after a long degenerate streak to guarantee termination.  Each phase
@@ -118,11 +124,15 @@ def solve_lp(
     ``rows``: (coeff pairs, sense, rhs) triples.
     ``bounds``: inclusive (lower, upper) per variable, all finite.
     Every coefficient, right-hand side and bound is an integer.
-    ``check`` is called before each pricing pass of the pivot loop: once
-    per pivot, per bound flip and per last pass of a phase that finds no
-    entering column (phase 1 makes none when it ends at feasibility).
-    Whatever it raises ends the solve.
+    ``check`` is called once per row in each set-up loop (the shift
+    below, then the kernel's normalise and augment loops), and before
+    each pricing pass of the pivot loop: once per pivot, per bound flip
+    and per last pass of a phase that finds no entering column (phase 1
+    makes none when it ends at feasibility).  Whatever it raises ends
+    the solve, so a time limit is read before a large LP's set-up ends.
     """
+    if check is None:
+        check = _unchecked
     n = len(bounds)
     lo = [b[0] for b in bounds]
     hi = [b[1] for b in bounds]
@@ -147,6 +157,7 @@ def solve_lp(
     shifted = []
     lower_bad = upper_bad = 0
     for coeffs, sense, rhs in rows:
+        check()
         row = [0] * len(active)
         shift = span = 0
         for i, coeff in coeffs:
@@ -164,12 +175,6 @@ def solve_lp(
         lower_bad += _violated(sense, b)
         upper_bad += _violated(sense, b - span)
 
-    if not active or not shifted:
-        # box problem: each variable sits at the bound its cost favours,
-        # and its reduced cost is its cost
-        z = [(u[k] if c[k] < 0 else 0, 1) for k in range(len(active))]
-        return _finish(z, c, 1, active, lo, n, c, obj_const)
-
     return _Simplex(shifted, c, u, check, upper_bad < lower_bad).run(
         active, lo, n, obj_const
     )
@@ -182,25 +187,8 @@ def _violated(sense, b) -> bool:
     return b < 0 if sense == LE else b > 0 if sense == GE else b != 0
 
 
-def _finish(z, rc, rc_den, active, lo, n, c, obj_const) -> LpSolution:
-    """The solution whose active column k sits at ``z[k]``, a pair
-    (numerator, positive denominator) above its lower bound, and has
-    reduced cost ``rc[k] / rc_den``.  The objective is summed as one
-    numerator over the least common denominator."""
-    x = list(lo)
-    reduced = [0] * n
-    num, den = obj_const, 1
-    for k, i in enumerate(active):
-        zn, zd = z[k]
-        if zn:
-            x[i] = _rational(lo[i] * zd + zn, zd)
-            if c[k]:
-                common = lcm(den, zd)
-                num = num * (common // den) + c[k] * zn * (common // zd)
-                den = common
-        if rc[k]:
-            reduced[i] = _rational(rc[k], rc_den)
-    return LpSolution("optimal", _rational(num, den), x, reduced)
+def _unchecked() -> None:
+    """The ``check`` of a solve given none."""
 
 
 def _rational(num, den):
@@ -244,6 +232,7 @@ class _Simplex:
     so comparing numerators within one row compares the values.  The value
     column counts each nonbasic column at its upper bound, so moving one
     to its other bound is an integer shift of that column (``_shift``).
+    A kernel may have no rows, and no structural column either.
     """
 
     def __init__(self, shifted_rows, c, u, check, upper):
@@ -257,17 +246,16 @@ class _Simplex:
         # LE row takes a slack column, a GE row a surplus and an
         # artificial, and an EQ row an artificial
         rows = []
+        ncols = self.n_struct
         for row, sense, b_lower, b_upper in shifted_rows:
+            check()
             b = b_upper if upper else b_lower
             if b < 0 or (b == 0 and sense == GE):
                 row, b = [-v for v in row], -b
                 sense = {LE: GE, GE: LE, EQ: EQ}[sense]
             rows.append((row, sense, b))
-        self.m = len(rows)
-
-        ncols = self.n_struct
-        for _, sense, _ in rows:
             ncols += 2 if sense == GE else 1
+        self.m = len(rows)
         self.ncols = ncols
 
         self.ub: List[Optional[int]] = list(u) + [None] * (
@@ -279,6 +267,7 @@ class _Simplex:
         self.basis: List[int] = []
         col = self.n_struct
         for row, sense, b in rows:
+            check()
             aug = row + [0] * (ncols - self.n_struct) + [b]
             if sense == LE:
                 aug[col] = 1
@@ -323,14 +312,34 @@ class _Simplex:
             [j for j in range(self.ncols) if not self.is_art[j]]
         )
 
-        z = [(self.ub[j] if self.at_upper[j] else 0, 1)
-             for j in range(self.n_struct)]
-        for r, j in enumerate(self.basis):
-            if j < self.n_struct:
-                z[j] = (self.rows[r][-1], self.dens[r])
-        return _finish(
-            z, self.rc, self.rc_den, active, lo, n, self.c, obj_const
-        )
+        return self._finish(active, lo, n, obj_const)
+
+    def _finish(self, active, lo, n, obj_const) -> LpSolution:
+        """The solution at the optimal basis: structural k sits at its
+        bound or at its basic value ``z[k]``, a pair (numerator, positive
+        denominator) above its lower bound, and has reduced cost
+        ``rc[k] / rc_den``.  The objective is summed as one numerator
+        over the least common denominator."""
+        c, rc, rc_den = self.c, self.rc, self.rc_den
+        z = [(self.ub[k] if self.at_upper[k] else 0, 1)
+             for k in range(self.n_struct)]
+        for r, k in enumerate(self.basis):
+            if k < self.n_struct:
+                z[k] = (self.rows[r][-1], self.dens[r])
+        x = list(lo)
+        reduced = [0] * n
+        num, den = obj_const, 1
+        for k, i in enumerate(active):
+            zn, zd = z[k]
+            if zn:
+                x[i] = _rational(lo[i] * zd + zn, zd)
+                if c[k]:
+                    common = lcm(den, zd)
+                    num = num * (common // den) + c[k] * zn * (common // zd)
+                    den = common
+            if rc[k]:
+                reduced[i] = _rational(rc[k], rc_den)
+        return LpSolution("optimal", _rational(num, den), x, reduced)
 
     def _artificial_total_zero(self):
         """Whether every basic artificial has value 0.  Nonbasic ones sit
@@ -418,8 +427,7 @@ class _Simplex:
             iteration += 1
             if iteration > max_iterations:
                 raise SimplexError("iteration cap exceeded")
-            if self.check is not None:
-                self.check()
+            self.check()
 
             rc = self.rc
             entering = None

@@ -34,10 +34,10 @@ model, then the levels of the model with lexicographic symmetry-breaking
 rows, which leave one representative per polymer ordering, so the
 optimal level's solutions are every stable configuration;
 canonicalization plus deduplication acts as a safety net.  The probe
-stops after ``PROBE_NODES`` level-search nodes, and the basis route of
-``hilbert`` answers on the same clock, as it does when ``build``
-refuses a slot model as too large.  ``solve_min`` and the basis route of
-``hilbert.stable_via_basis`` scan their own programs' levels.  The search
+stops after ``PROBE_NODES`` level-search nodes, and the basis route,
+``hilbert.stable_via_basis``, answers on the same clock, as it does
+when ``build`` refuses a slot model as too large.  ``solve_min`` and
+the basis route scan their own programs' levels.  The search
 propagates a child node from the rows of the variable it branched on,
 since its parent is already at a fixpoint.  Each node carries every
 row's least and greatest activity over its bounds, computed once per
@@ -48,11 +48,11 @@ Integer Programming*, 2007).
 ``Budget`` limits every search of the package: each spends one node of
 a ``Clock`` per node it expands, and the clock raises
 ``BudgetExhausted`` once the budget is spent.  The root LP checks the
-clock's time limit once per pivot without spending a node.  The
-exception ends every search it passes through; only the entry points
-that return results, ``stable_configs``, ``stable_via_basis`` and
-``solve_min``, turn it into a result with no value, never a partial
-answer.
+clock's time limit once per row of its set-up and once per pivot
+without spending a node.  The exception ends every search it passes
+through; only the entry points that return results, ``stable_configs``,
+``stable_via_basis`` and ``solve_min``, turn it into a result with no
+value, never a partial answer.
 
 ``brute_force_stable`` is the independent oracle: exhaustive enumeration
 of partitions into self-saturated polymers, for desk-scale instances only.
@@ -456,9 +456,10 @@ def stable_configs(
     ``PROBE_NODES`` level-search nodes.  When it answers within the cap,
     its answer stands; otherwise, or when ``build`` refuses a slot model
     as too large, ``hilbert.stable_via_basis``, over the basis truncated
-    at the finite counts, answers on the same clock.
-    Node counts, not time, decide, so the route is always the same;
-    ``stats.route`` says which answered: "direct" or "basis".
+    at the finite counts, answers on the same clock and turns a spent
+    budget into its own no-answer result.  Node counts, not time,
+    decide, so the route is always the same; ``stats.route`` says which
+    answered: "direct" or "basis".
 
     One budget covers the whole call.  When it runs out the result has
     no solutions and ``optimum=None``, so ``complete`` is False: an
@@ -488,12 +489,9 @@ def stable_configs(
         return EnumerationResult(None, [], clock.stats())
     if answer is None:
         # imported here because hilbert imports this module
-        from .hilbert import _basis_route
+        from . import hilbert
 
-        try:
-            return _basis_route(t, None, clock, opts.all)
-        except BudgetExhausted:
-            return EnumerationResult(None, [], clock.stats("basis"))
+        return hilbert.stable_via_basis(t, None, clock, opts.all)
     optimum, found = answer
     if optimum is None:
         raise TbnError(

@@ -61,7 +61,7 @@ def test_gridgate_pass_keeps_its_pivots_and_answers(capsys):
     # each call's route, node count and answers; every LP with rows
     # starts from the upper corner, which its rows all meet
     assert line.startswith("gridgate: 28 LPs (26 from the upper corner), "
-                           "488 pivots (0 in phase 1), 592 checks, "
+                           "488 pivots (0 in phase 1), 2685 checks, "
                            "digest 82a27664ac51ecbe, 28 calls, 56 nodes, "
                            "search digest 4b67587a5631ecc3, replay ")
 

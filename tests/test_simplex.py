@@ -174,6 +174,30 @@ class TestTimeLimit:
             solve_lp(self.OBJECTIVE, self.ROWS, self.BOUNDS, check)
         assert len(calls) == 2
 
+    def test_asked_during_set_up_before_the_kernel_is_built(
+        self, monkeypatch
+    ):
+        # 1,000 rows over 1,000 variables: the shift loop's first row
+        # asks, so a spent limit never reaches the kernel's set-up
+        calls = []
+
+        class Expired(Exception):
+            pass
+
+        def check():
+            calls.append(True)
+            raise Expired
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(simplex, "_Simplex", no_kernel)
+        n = 1000
+        rows = [([(i, 1), ((i + 1) % n, 1)], GE, 1) for i in range(n)]
+        with pytest.raises(Expired):
+            solve_lp([(i, 1) for i in range(n)], rows, [(0, 1)] * n, check)
+        assert len(calls) == 1
+
     def test_unexpired_check_changes_nothing(self):
         plain = solve_lp(self.OBJECTIVE, self.ROWS, self.BOUNDS)
         checked = solve_lp(
@@ -433,24 +457,25 @@ class TestUpperCornerStartAgainstScipy(TestRandomizedAgainstScipy):
         run = simplex._Simplex.run
 
         def recording(self, *args):
-            starts.append(self.at_upper[0])
+            starts.append(self.at_upper[:1] == [True])
             return run(self, *args)
 
         monkeypatch.setattr(simplex._Simplex, "run", recording)
-        fired = ties = kernel = 0
+        fired = ties = with_rows = 0
         for objective, rows, bounds in self.problems():
             del starts[:]
             solve_lp(objective, rows, bounds)
             lower_bad = violated_rows(rows, [lo for lo, _ in bounds])
             upper_bad = violated_rows(rows, [hi for _, hi in bounds])
-            # every variable is free and every row has a coefficient, so
-            # every problem with a row reaches the kernel
-            assert starts == ([upper_bad < lower_bad] if rows else [])
-            kernel += bool(rows)
+            # every problem reaches the kernel; one without rows fails
+            # none at either corner, so it starts at the lower one
+            assert starts == [upper_bad < lower_bad]
+            with_rows += bool(rows)
             fired += upper_bad < lower_bad
             ties += bool(rows) and upper_bad == lower_bad > 0
-        # the upper start on most, and some ties at a failing row each
-        assert 2 * fired > kernel and ties > 10
+        # the upper start on most with rows, and some ties at a failing
+        # row each
+        assert 2 * fired > with_rows and ties > 10
 
     def test_reduced_costs_bound_every_integer_point(self):
         """``obj(y) >= objective + sum(r_i (y_i - x_i))`` at every
@@ -544,9 +569,10 @@ def nonzeros(values):
 
 class TestPivotPathPins:
     """Five workload-family root LPs: this kernel's number of ``check``
-    calls (one per pivot, bound flip and pricing pass that finds no
-    entering column), its pivots per phase and its exact solution.  A
-    change to the pivot rule moves these pins; re-pin them with it."""
+    calls (one per row of each set-up loop, and one per pivot, bound
+    flip and pricing pass that finds no entering column), its pivots per
+    phase and its exact solution.  A change to the pivot rule moves
+    these pins; re-pin them with it."""
 
     def solve(self, monkeypatch, run):
         args = root_lp_args(monkeypatch, run)
@@ -563,7 +589,7 @@ class TestPivotPathPins:
         t = gen_gridgate(7, 2, caption_literal=True)
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (61, [0, 55])
+        assert (checks, pivots) == (253, [0, 55])
         assert sol.objective == Q(13, 2)
         half = Q(1, 2)
         assert sol.x == [1] + [half] * 5 + [1] * 3 + [half] * 2 + [0] * 4 + [1]
@@ -574,7 +600,7 @@ class TestPivotPathPins:
         basis = polymer_basis(t)
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: stable_via_basis(t, basis))
-        assert (checks, pivots) == (33, [6, 23])
+        assert (checks, pivots) == (69, [6, 23])
         assert sol.objective == 6
         ones = {11, 24, 32, 38, 41, 43}
         assert sol.x == [int(i in ones) for i in range(45)]
@@ -585,7 +611,7 @@ class TestPivotPathPins:
         t = gen_gridgate(14, 2, caption_literal=True)
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (132, [0, 119])
+        assert (checks, pivots) == (807, [0, 119])
         assert sol.objective == Q(27, 2)
         half = Q(1, 2)
         assert len(sol.x) == 30
@@ -600,7 +626,7 @@ class TestPivotPathPins:
         assert solver.stable_configs(t).optimum == 20
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (231, [0, 211])
+        assert (checks, pivots) == (1554, [0, 211])
         assert sol.objective == 20
 
     def test_gridgate_n20_caption(self, monkeypatch):
@@ -608,7 +634,7 @@ class TestPivotPathPins:
         assert solver.stable_configs(t).optimum == 20
         sol, checks, pivots = self.solve(
             monkeypatch, lambda: solver.stable_configs(t))
-        assert (checks, pivots) == (333, [0, 314])
+        assert (checks, pivots) == (1656, [0, 314])
         assert sol.objective == Q(39, 2)
 
 

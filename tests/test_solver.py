@@ -853,21 +853,49 @@ class TestOracleEquivalence:
             assert full_scan(t) == (want.optimum, polymer_sets(want)), t
 
 
-def full_scan(t: Tbn) -> Tuple:
+def full_scan(t: Tbn, want_all: bool = True) -> Tuple:
     """Optimum and polymer sets of the slot model's scan of every level,
-    which needs neither the probe's cap nor the basis route."""
+    which needs neither the probe's cap nor the basis route; without
+    ``want_all``, of its witness."""
     bound = default_bound(t)
     if bound == 0:
         return 0, {()}
     model = build(t, bound)
     optimum, found = scan_levels(
-        model.program, Clock(), True,
+        model.program, Clock(), want_all,
         lambda: build(t, bound, symmetry_breaking=True).program,
     )
     assert optimum is not None
     return optimum, {
         tuple(p.counts for p in model.decode(a).polymers) for a in found
     }
+
+
+class TestSlotScanAgainstTheBasisRoute:
+    """The slot model's full scan as a second route past the oracle's
+    16 monomers: mid-size seeds 7 and 15 hold 17 and 21.  The ``--all``
+    scans take about 3.3 s and 2.1 s; other seeds up to 20 run past 5 s."""
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(7, marks=pytest.mark.slow),
+        pytest.param(15, marks=pytest.mark.slow),
+    ])
+    def test_every_stable_configuration(self, seed):
+        t = mid_size_tbn(seed)
+        assert t.total_monomers() > 16
+        via = stable_via_basis(t)
+        assert via.complete
+        assert full_scan(t) == (via.optimum, polymer_sets(via))
+
+    @pytest.mark.parametrize("seed", [7, 15])
+    def test_witness(self, seed):
+        t = mid_size_tbn(seed)
+        every = polymer_sets(stable_via_basis(t))
+        via = stable_via_basis(t, want_all=False)
+        optimum, scanned = full_scan(t, want_all=False)
+        assert via.optimum == optimum
+        assert len(via.solutions) == len(scanned) == 1
+        assert polymer_sets(via) <= every and scanned <= every
 
 
 class TestInfiniteCounts:

@@ -81,11 +81,12 @@ def replay(
 ) -> Tuple[List[simplex.LpSolution], int, int, int, int]:
     """Every LP solved again: the answers, the number of LPs started at
     the upper corner, the pivot total, the pivots made in phase 1 and the
-    number of ``check`` calls (one per pivot, bound flip and pricing pass
-    that finds no entering column).  A kernel prices once per phase, so
-    its phase-1 pivots are those made before its second ``_price`` call;
-    it started from the upper corner when its first structural is at its
-    upper bound at its first."""
+    number of ``check`` calls (one per row of each set-up loop, and one
+    per pivot, bound flip and pricing pass that finds no entering
+    column).  A kernel prices once per phase, so its phase-1 pivots are
+    those made before its second ``_price`` call; it started from the
+    upper corner when it has a structural column and its first is at
+    its upper bound at its first.  A box problem's kernel may have none."""
     upper = pivots = phase_one = checks = pricings = 0
     kernel_pivot = simplex._Simplex._pivot
     kernel_price = simplex._Simplex._price
@@ -99,7 +100,7 @@ def replay(
     def counting_price(kernel, *args):
         nonlocal upper, pricings
         pricings += 1
-        upper += pricings == 1 and kernel.at_upper[0]
+        upper += pricings == 1 and kernel.at_upper[:1] == [True]
         return kernel_price(kernel, *args)
 
     def check():
