@@ -12,13 +12,14 @@ the starting configuration seen anywhere along the walk.
 strategy.  The goal's merge count less the start's is a floor under
 every barrier, so states are ordered by the larger of that floor and the
 bottleneck barrier reached so far, then by multiset distance to the
-goal.  Each popped state is one node of its budget.  A state's key is
-computed once and travels in its heap entry with its merge count, which
-each move changes by one.  Moves build their successors by splicing:
-the polymers a move removes come out of the canonical polymer tuple and
-the ones it makes go in at their places, with no sort and no validation.
-Merges are deduped by their pair of count vectors before anything is
-built, and the distance to the goal is one pass over a state's key:
+goal.  Each popped state is one node of its budget.  A state is its
+key, its count vectors in canonical order, carried in its heap entry
+with its merge count, which each move changes by one; one dict maps each
+key to its best rank and its predecessor's key.  Moves yield successor
+keys spliced from their parent's: the count vectors a move removes come
+out and the ones it makes go in at their places, with no sort, no
+validation and no ``Polymer`` built.  Merges are deduped by their pair
+of count vectors, and the distance to the goal is one pass over a key:
 both rely on copies of a count vector being adjacent in canonical order.
 
 ``splits`` lists a polymer's splits and ``is_locally_stable`` stops at
@@ -33,6 +34,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -134,70 +136,73 @@ def is_locally_stable(
     )
 
 
-def _insert(polys: tuple, p: Polymer) -> tuple:
-    """``polys``, in canonical order, with ``p`` spliced in at its place
-    in that order, found by bisection."""
-    counts, lo, hi = p.counts, 0, len(polys)
+def _insert(key: tuple, counts: tuple) -> tuple:
+    """``key``, a canonical tuple of count vectors, with ``counts``
+    spliced in at its place in that order, found by bisection."""
+    lo, hi = 0, len(key)
     while lo < hi:
         mid = (lo + hi) // 2
-        if polys[mid].counts < counts:
+        if key[mid] < counts:
             hi = mid
         else:
             lo = mid + 1
-    return polys[:lo] + (p,) + polys[lo:]
+    return key[:lo] + (counts,) + key[lo:]
 
 
-def merge_moves(config: FullConfiguration) -> Iterator[FullConfiguration]:
-    """All configurations one pairwise merge away.
+def merge_moves(config: FullConfiguration) -> Iterator[tuple]:
+    """Keys of the configurations one pairwise merge away.
 
     Each distinct pair of count vectors is merged once: two merges give
     the same configuration exactly when they merge the same pair, since
     the sum outsizes both its parts.  Copies of a count vector are
     adjacent in canonical order, so a pair ``a < b`` repeats an earlier
-    one exactly when ``a`` copies the polymer before it, or ``b`` copies
-    the polymer before it and that one is not ``a``.  The sum goes
+    one exactly when ``a`` copies the vector before it, or ``b`` copies
+    the vector before it and that one is not ``a``.  The sum goes
     before both parts in canonical order, so it is spliced into what
     precedes the first.
     """
-    polys, t = config.polymers, config.tbn
     key = config.key()
-    for a in range(len(polys)):
+    for a in range(len(key)):
         if a and key[a - 1] == key[a]:
             continue
-        for b in range(a + 1, len(polys)):
+        for b in range(a + 1, len(key)):
             if b - 1 > a and key[b - 1] == key[b]:
                 continue
-            head = _insert(polys[:a], polys[a] + polys[b])
-            yield FullConfiguration(head + polys[a + 1:b] + polys[b + 1:], t)
+            head = _insert(key[:a], tuple(map(operator.add, key[a], key[b])))
+            yield head + key[a + 1:b] + key[b + 1:]
 
 
 def split_moves(
     config: FullConfiguration,
     *,
     clock: Clock,
-    memo: Dict[tuple, _Splits],
-) -> Iterator[FullConfiguration]:
-    """All configurations one saturation-preserving binary split away.
+    memo: Dict[tuple, list],
+) -> Iterator[tuple]:
+    """Keys of the configurations one saturation-preserving split away.
 
     ``clock`` goes to ``splits``.  ``memo`` maps polymer counts to their
-    splits; a search that passes the same dict to every call splits each
-    polymer once.  Both parts come after the split polymer in canonical
-    order, so they are spliced into what follows it.  No two moves give
-    the same configuration, so none is filtered: ``split_search`` lists
-    each split of a polymer once, and splits of polymers p != q would
-    need p to be a part of q and q a part of p.
+    splits, as count-vector pairs; a search that passes the same dict to
+    every call splits each polymer once.
+    Both parts come after the split polymer in canonical order, so they
+    are spliced into what follows it.  No two moves give the same
+    configuration, so none is filtered: ``split_search`` lists each
+    split of a polymer once, and splits of polymers p != q would need p
+    to be a part of q and q a part of p.
     """
-    polys, t = config.polymers, config.tbn
-    for k, poly in enumerate(polys):
+    key = config.key()
+    for k, poly in enumerate(config.polymers):
         # copies of a polymer are adjacent; the first stands for them all
-        if poly.size < 2 or (k and polys[k - 1].counts == poly.counts):
+        if poly.size < 2 or (k and key[k - 1] == key[k]):
             continue
-        parts = memo.get(poly.counts)
+        parts = memo.get(key[k])
         if parts is None:
-            parts = memo[poly.counts] = splits(poly, t, clock=clock)
-        head, tail = polys[:k], polys[k + 1:]
-        for p1, p2 in parts:
-            yield FullConfiguration(head + _insert(_insert(tail, p1), p2), t)
+            parts = memo[key[k]] = [
+                (p1.counts, p2.counts)
+                for p1, p2 in splits(poly, config.tbn, clock=clock)
+            ]
+        head, tail = key[:k], key[k + 1:]
+        for c1, c2 in parts:
+            yield head + _insert(_insert(tail, c1), c2)
 
 
 @dataclass(frozen=True)
@@ -299,62 +304,55 @@ def find_pathway(
     if max_barrier is not None and max_barrier < floor:
         return None
     clock = Clock.of(budget)
-    memo: Dict[tuple, _Splits] = {}
-    goal_key = goal.key()
-    target = dict(Counter(goal_key))
+    memo: Dict[tuple, list] = {}
+    t, goal_key = start.tbn, goal.key()
+    target, goal_size = dict(Counter(goal_key)), len(goal_key)
 
-    # a heap entry's last field links its state, (configuration, key,
-    # merge count above the start's), to its predecessor's link, so the
-    # path is rebuilt only when the goal pops
+    # a state is its key; a heap entry carries it with its merge count
+    # above the start's, and ``best`` maps each key pushed to the least
+    # rank it was pushed at and its predecessor's key on that path
     counter = itertools.count()
     start_key = start.key()
-    heap = [(
-        floor,
-        _distance(start_key, target, len(goal_key)),
-        next(counter),
-        (start, start_key, 0, None),
-    )]
-    best_barrier = {start_key: floor}
+    heap = [(floor, _distance(start_key, target, goal_size), next(counter),
+             start_key, 0)]
+    best: Dict[tuple, tuple] = {start_key: (floor, None)}
 
     while heap:
-        reached, _, _, link = heapq.heappop(heap)
-        config, key, merges, _ = link
+        reached, _, _, key, merges = heapq.heappop(heap)
         clock.spend("pathway search")
         if key == goal_key:
-            return Pathway(_unwind(link))
-        if reached > best_barrier.get(key, reached):
+            return Pathway(_unwind(key, best, t))
+        if reached > best[key][0]:
             continue
-        # a merge adds one to the merge count, a split takes one away
+        config = FullConfiguration(tuple(map(Polymer, key)), t)
+        # a merge adds one to the merge count, so its barrier stays within
+        # max_barrier exactly when merges < max_barrier; a split takes one
+        # away and keeps the rank, which is at least the merge count
+        grow = max_barrier is None or merges < max_barrier
         for nxt_merges, moves in (
-            (merges + 1, merge_moves(config)),
+            (merges + 1, merge_moves(config) if grow else ()),
             (merges - 1, split_moves(config, clock=clock, memo=memo)),
         ):
             nxt_barrier = max(reached, nxt_merges)
             for nxt in moves:
                 clock.check("pathway search")
-                if max_barrier is not None and nxt_barrier > max_barrier:
+                known = best.get(nxt)
+                if known is not None and known[0] <= nxt_barrier:
                     continue
-                nxt_key = nxt.key()
-                known = best_barrier.get(nxt_key)
-                if known is not None and known <= nxt_barrier:
-                    continue
-                best_barrier[nxt_key] = nxt_barrier
-                heapq.heappush(
-                    heap,
-                    (
-                        nxt_barrier,
-                        _distance(nxt_key, target, len(goal_key)),
-                        next(counter),
-                        (nxt, nxt_key, nxt_merges, link),
-                    ),
-                )
+                best[nxt] = (nxt_barrier, key)
+                heapq.heappush(heap, (
+                    nxt_barrier, _distance(nxt, target, goal_size),
+                    next(counter), nxt, nxt_merges,
+                ))
     return None
 
 
-def _unwind(link) -> Tuple[FullConfiguration, ...]:
-    """Configurations from the start to ``link``'s, following the links."""
-    configs = []
-    while link is not None:
-        config, _, _, link = link
-        configs.append(config)
-    return tuple(reversed(configs))
+def _unwind(key: tuple, best: Dict[tuple, tuple], t: Tbn) -> tuple:
+    """Configurations from the start to ``key``'s, following each key's
+    predecessor in ``best``."""
+    keys = []
+    while key is not None:
+        keys.append(key)
+        key = best[key][1]
+    return tuple(FullConfiguration(tuple(map(Polymer, k)), t)
+                 for k in reversed(keys))

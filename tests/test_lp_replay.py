@@ -63,7 +63,23 @@ def test_gridgate_pass_keeps_its_pivots_and_answers(capsys):
     assert line.startswith("gridgate: 28 LPs (26 from the upper corner), "
                            "488 pivots (0 in phase 1), 2685 checks, "
                            "digest 82a27664ac51ecbe, 28 calls, 56 nodes, "
+                           "0 pathway states, "
                            "search digest 4b67587a5631ecc3, replay ")
+
+
+def test_translator_pass_keeps_its_pivots_and_pathways(capsys):
+    find_pathway = pathways.find_pathway
+    assert lp_replay.main(["--workloads", "translator", "--seed", "1"]) == 0
+    assert pathways.find_pathway is find_pathway
+    [line] = capsys.readouterr().out.splitlines()
+    # the cover LPs of the basis route, and the three pathway searches
+    # node for node: 28 + 6 + 5 popped states, and the search digest
+    # each pathway's barrier and every step's key
+    assert line.startswith("translator: 50 LPs (0 from the upper corner), "
+                           "1225 pivots (375 in phase 1), 3075 checks, "
+                           "digest 075eb70e7e53833c, 55 calls, 200 nodes, "
+                           "39 pathway states, "
+                           "search digest 1dba31091656adcf, replay ")
 
 
 def test_unknown_workload_is_an_argument_error():

@@ -317,12 +317,16 @@ class TestMoves:
         c = all_singletons(swap_tbn)
         neighbors = list(merge_moves(c))
         assert len(neighbors) == 3  # three distinct pairs of the 3 types
-        assert all(n.merge_count() == 1 for n in neighbors)
+        # each is the key of a full configuration, in canonical order
+        for key in neighbors:
+            n = config(swap_tbn, *key)
+            assert n.key() == key
+            assert n.merge_count() == 1
 
     def test_splits_respect_saturation(self, swap_tbn):
         # polymer x+y+z can drop y or z but never bare x
         c = config(swap_tbn, (1, 1, 1))
-        keys = {n.key() for n in split_moves(c, clock=Clock(), memo={})}
+        keys = set(split_moves(c, clock=Clock(), memo={}))
         assert keys == {
             ((1, 0, 1), (0, 1, 0)),
             ((1, 1, 0), (0, 0, 1)),
@@ -332,8 +336,8 @@ class TestMoves:
         pc = stable_configs(intro_tbn).solutions[0]
         c = full_configuration(pc)
         pair_splits = [
-            n for n in split_moves(c, clock=Clock(), memo={})
-            if n.n_polymers == c.n_polymers + 1
+            key for key in split_moves(c, clock=Clock(), memo={})
+            if len(key) == c.n_polymers + 1
         ]
         assert pair_splits == []
 
@@ -471,6 +475,51 @@ class TestTranslatorPathway:
         assert find_pathway(start, goal).barrier() == 2
         assert split_calls
         assert len(split_calls) == len(set(split_calls))
+
+    def test_configurations_are_built_for_expanded_states_only(
+        self, monkeypatch
+    ):
+        # one per expanded state, for its moves, and one per step of the
+        # returned pathway; a generated move is only a key
+        start, goal = pathway_ends("translator", 6, 0, 1)
+        built, expanded = [], []
+
+        def counted_configuration(*args):
+            built.append(args[0])
+            return FullConfiguration(*args)
+
+        def counted_split_moves(config, **kwargs):
+            expanded.append(config.key())
+            return split_moves(config, **kwargs)
+
+        monkeypatch.setattr(pathways, "FullConfiguration",
+                            counted_configuration)
+        monkeypatch.setattr(pathways, "split_moves", counted_split_moves)
+        p = find_pathway(start, goal)
+        assert p.barrier() == 2
+        assert len(expanded) == 27
+        assert len(built) == len(expanded) + len(p.configurations)
+
+    def test_no_merge_past_max_barrier_is_generated(self, monkeypatch):
+        # states at the cap are expanded by splits alone: no merge move
+        # past it is generated, and the answer is the uncapped search's
+        start, goal = pathway_ends("translator", 6, 0, 1)
+        base = start.merge_count()
+        generated = Counter()
+
+        def counted_merge_moves(config):
+            moves = list(merge_moves(config))
+            generated[config.merge_count() - base + 1 > 2] += len(moves)
+            return iter(moves)
+
+        free = find_pathway(start, goal)
+        monkeypatch.setattr(pathways, "merge_moves", counted_merge_moves)
+        capped = find_pathway(start, goal, max_barrier=2)
+        assert [c.key() for c in capped.configurations] == [
+            c.key() for c in free.configurations]
+        assert max(capped.merge_counts()) - base == 2
+        assert generated[False] > 0
+        assert generated[True] == 0
 
 
 def pathway_ends(family, n, start, goal):
@@ -671,9 +720,9 @@ class TestValidate:
             (loose((1, 1, 0), (0, 0, 1)), loose((1, 2, 1))),
             (loose((1, 1, 1)), loose((1, 0, 1), (0, 1, 1))),
         ]:
-            assert b.key() not in {n.key() for n in itertools.chain(
+            assert b.key() not in set(itertools.chain(
                 merge_moves(a), split_moves(a, clock=Clock(), memo={})
-            )}
+            ))
             with pytest.raises(PathwayError, match="not one move"):
                 Pathway((a, b)).validate()
 
@@ -688,9 +737,9 @@ class TestValidate:
             configs = [config(t, *key) for key in
                        full_configurations(t, keep=lambda part, t: True)]
             for a in configs:
-                moves = {n.key() for n in itertools.chain(
+                moves = set(itertools.chain(
                     merge_moves(a), split_moves(a, clock=Clock(), memo={})
-                )}
+                ))
                 for b in configs:
                     try:
                         Pathway((a, b)).validate()

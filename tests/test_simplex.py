@@ -159,20 +159,31 @@ class TestTimeLimit:
     ROWS = [([(0, 1), (1, 2)], LE, 4), ([(0, 3), (1, 1)], LE, 6)]
     BOUNDS = [(0, 5), (0, 5)]
 
-    def test_asked_once_per_pivot_until_it_fires(self):
-        calls = []
+    def test_asked_once_per_pivot_until_it_fires(self, monkeypatch):
+        # the set-up's calls, made before the kernel runs, pass; from
+        # then on the second call fires, one pivot after the first
+        running, calls = [], []
+        run = simplex._Simplex.run
+
+        def started(kernel, *args):
+            running.append(True)
+            return run(kernel, *args)
 
         class Expired(Exception):
             pass
 
         def check():
-            calls.append(True)
-            if len(calls) > 1:
-                raise Expired
+            if running:
+                calls.append(True)
+                if len(calls) > 1:
+                    raise Expired
 
+        monkeypatch.setattr(simplex._Simplex, "run", started)
+        pivots = phase_pivots(monkeypatch)
         with pytest.raises(Expired):
             solve_lp(self.OBJECTIVE, self.ROWS, self.BOUNDS, check)
         assert len(calls) == 2
+        assert sum(pivots) == 1
 
     def test_asked_during_set_up_before_the_kernel_is_built(
         self, monkeypatch

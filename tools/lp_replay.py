@@ -9,20 +9,22 @@ Run from anywhere:
 For each workload it makes perfbench's inputs from ``--seed`` and runs
 one untraced pass of perfbench's ``workloads`` module (used read-only,
 latency repeats included), with ``solver.solve_lp`` wrapped to record the
-objective, rows and bounds of every call.  Then it solves each recorded
-LP again, counting the kernel's pivots and its ``check`` calls, and
-prints one line per workload: the LP count and how many of those LPs
-the kernel started from the upper corner (every structural at its upper
-bound), the pivot total and how many of those pivots phase 1 made, the
-check total, a digest of the answers and the replay time.  The digest
-covers each answer's status, objective, ``x`` and ``reduced``, every
-value as its exact numerator and denominator, so an ``int`` and an equal
-``Fraction`` digest alike.
+objective, rows and bounds of every call, and ``pathways.find_pathway``
+wrapped to give each search a ``Clock`` and count the states it pops.
+Then it solves each recorded LP again, counting the kernel's pivots and
+its ``check`` calls, and prints one line per workload: the LP count and
+how many of those LPs the kernel started from the upper corner (every
+structural at its upper bound), the pivot total and how many of those
+pivots phase 1 made, the check total, a digest of the answers and the
+replay time.  The digest covers each answer's status, objective, ``x``
+and ``reduced``, every value as its exact numerator and denominator, so
+an ``int`` and an equal ``Fraction`` digest alike.
 The line also gives the pass's call count, the search nodes its calls
-report, and a search digest over every call: its question, label and
-function, and what it returned: an optimum with its ``stats.route``,
-``stats.nodes`` and each answer's key; a pathway's barrier and each of
-its configurations' keys; a basis's count vectors.  The time is the
+report, the pathway states its searches pop, and a search digest over
+every call: its question, label and function, and what it returned: an
+optimum with its ``stats.route``, ``stats.nodes`` and each answer's
+key; a pathway's barrier and each of its configurations' keys; a
+basis's count vectors.  The time is the
 least over ``--repeat`` uncounted replays of the whole list, in ms.
 
 Two checkouts whose lines agree on all but the time take the same number
@@ -34,6 +36,7 @@ sources.  Exit codes: 0 done, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -54,26 +57,39 @@ Lp = Tuple[object, object, object]  # objective, rows, bounds
 
 def capture(
     workload: str, seed: int
-) -> Tuple[List[Lp], List[workloads.Call]]:
+) -> Tuple[List[Lp], List[workloads.Call], int]:
     """The (objective, rows, bounds) of every ``solve_lp`` call that one
-    untraced pass of ``workload`` makes, in call order, and the pass's
-    calls."""
+    untraced pass of ``workload`` makes, in call order, the pass's calls
+    and the number of states its pathway searches pop."""
     w = workloads.WORKLOADS[workload]
     tbns = {label: core.parse_tbn(text) for label, text in w.generate(seed)}
     lps: List[Lp] = []
+    states = 0
     solve_lp = solver.solve_lp
+    find_pathway = pathways.find_pathway
 
     def recording(objective, rows, bounds, check=None):
         lps.append((objective, rows, bounds))
         return solve_lp(objective, rows, bounds, check)
 
+    @functools.wraps(find_pathway)
+    def counting(start, goal, max_barrier=None):
+        nonlocal states
+        clock = solver.Clock()
+        try:
+            return find_pathway(start, goal, max_barrier, clock)
+        finally:
+            states += clock.nodes
+
     solver.solve_lp = recording
+    pathways.find_pathway = counting
     timer = workloads.Timer()
     try:
         w.run_pass(tbns, timer)
     finally:
         solver.solve_lp = solve_lp
-    return lps, timer.calls
+        pathways.find_pathway = find_pathway
+    return lps, timer.calls, states
 
 
 def replay(
@@ -168,7 +184,7 @@ def search_digest(calls: List[workloads.Call]) -> str:
 
 
 def report(workload: str, seed: int, repeat: int) -> str:
-    lps, calls = capture(workload, seed)
+    lps, calls, states = capture(workload, seed)
     answers, upper, pivots, phase_one, checks = replay(lps)
     best = min(seconds(lps) for _ in range(repeat))
     nodes = sum(c.result.stats.nodes for c in calls
@@ -176,6 +192,7 @@ def report(workload: str, seed: int, repeat: int) -> str:
     return (f"{workload}: {len(lps)} LPs ({upper} from the upper corner), "
             f"{pivots} pivots ({phase_one} in phase 1), {checks} checks, "
             f"digest {digest(answers)}, {len(calls)} calls, {nodes} nodes, "
+            f"{states} pathway states, "
             f"search digest {search_digest(calls)}, "
             f"replay {best * 1e3:.1f} ms (best of {repeat})")
 
